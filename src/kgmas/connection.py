@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .acl import canonical_json
-from .errors import NoResponderError, TransportError, ValidationError
+from .errors import NoResponderError, TransportError, ValidationError, WorldError
 from .rami import AgentBlueprint
 from .store import NamedGraphStore
 from .terms import Iri, Literal
@@ -181,7 +181,7 @@ class ConnectionComponent:
         kind = self.world.devices[self.device_id].kind
         try:
             natives = translate(capability, params, kind, self.world)
-        except ValidationError as exc:
+        except (ValidationError, WorldError) as exc:
             self._fail(command_id, str(exc))
             return
         self._done_id = None

@@ -19,6 +19,8 @@ agent wraps them with messaging.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -151,18 +153,8 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str | None = None
     protocol, request targets declared, every role bound to exactly one
     asset that really has the role's required capability.
     """
-    triples = store.triples(graph_id)
-    index: dict[tuple[Iri, Iri], list] = {}
-    for t in triples:
-        index.setdefault((t.subject, t.predicate), []).append(t.object)
-
-    def objects(subject, predicate):
-        return sorted(index.get((subject, predicate), []),
-                      key=lambda v: (isinstance(v, Literal),
-                                     getattr(v, "value", "") or v.lexical))
-
-    candidates = sorted({t.subject for t in triples if t.predicate == vocab.FOR_TASK},
-                        key=lambda s: s.value)
+    objects = functools.partial(store.objects, graph_id)
+    candidates = store.subjects(graph_id, vocab.FOR_TASK)
     if protocol_id is not None:
         candidates = [c for c in candidates if c == protocol_id]
     if task_name is not None:
@@ -193,9 +185,8 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str | None = None
                 f"{role.value}: expected one required capability, "
                 f"found {len(capabilities)}")
         roles[role] = capabilities[0]
-        assets = sorted({t.subject for t in triples
-                         if t.predicate == vocab.HAS_COORDINATION_ROLE
-                         and t.object == role}, key=lambda s: s.value)
+        assets = [asset for asset in store.subjects(graph_id, vocab.HAS_COORDINATION_ROLE)
+                  if role in objects(asset, vocab.HAS_COORDINATION_ROLE)]
         if len(assets) != 1:
             raise ProtocolError(
                 f"{role.value}: bound to {len(assets)} assets, expected one")
@@ -420,6 +411,12 @@ class ConsistencyViolation:
     position: str
 
 
+_COLOCATION_RULES = {
+    frozenset({"physical"}): "physical_colocation",
+    frozenset({"physical", "digital"}): "physical_digital_colocation",
+}
+
+
 def check_world_consistency(store: NamedGraphStore, graph_id) -> list[ConsistencyViolation]:
     """Find co-location conflicts among realm-tagged entities.
 
@@ -428,36 +425,21 @@ def check_world_consistency(store: NamedGraphStore, graph_id) -> list[Consistenc
     mirror has drifted. Digital twins may overlap freely. Entities are
     subjects carrying both a realm and a position in the data graph.
     """
-    triples = store.triples(graph_id)
-    realms: dict[Iri, str] = {}
-    positions: dict[Iri, list[str]] = {}
-    for t in triples:
-        if t.predicate == vocab.HAS_REALM:
-            if t.object == vocab.REALM_PHYSICAL:
-                realms[t.subject] = "physical"
-            elif t.object == vocab.REALM_DIGITAL:
-                realms[t.subject] = "digital"
-        elif t.predicate == vocab.AT_POSITION and isinstance(t.object, Literal):
-            positions.setdefault(t.subject, []).append(t.object.lexical)
-
     by_position: dict[str, list[tuple[str, str]]] = {}
-    for entity, realm in realms.items():
-        for position in positions.get(entity, []):
-            by_position.setdefault(position, []).append((entity.value, realm))
+    for entity in store.subjects(graph_id, vocab.HAS_REALM, vocab.AT_POSITION):
+        realms = [vocab.REALMS[r] for r in store.objects(graph_id, entity, vocab.HAS_REALM)
+                  if r in vocab.REALMS]
+        for position in store.objects(graph_id, entity, vocab.AT_POSITION):
+            if realms and isinstance(position, Literal):
+                by_position.setdefault(position.lexical, []).append(
+                    (entity.value, realms[-1]))
 
     violations = []
     for position in sorted(by_position):
-        entities = sorted(by_position[position])
-        for a in range(len(entities)):
-            for b in range(a + 1, len(entities)):
-                (first, first_realm), (second, second_realm) = entities[a], entities[b]
-                pair = {first_realm, second_realm}
-                if pair == {"physical"}:
-                    rule = "physical_colocation"
-                elif pair == {"physical", "digital"}:
-                    rule = "physical_digital_colocation"
-                else:
-                    continue
+        for (first, first_realm), (second, second_realm) in itertools.combinations(
+                sorted(by_position[position]), 2):
+            rule = _COLOCATION_RULES.get(frozenset((first_realm, second_realm)))
+            if rule is not None:
                 violations.append(ConsistencyViolation(rule, first, second, position))
     return violations
 

@@ -10,15 +10,16 @@ flat structure agent generation consumes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import vocab
 from .errors import BlueprintError, UnknownAssetError
 from .store import NamedGraphStore
-from .terms import Iri, Literal, Triple
+from .terms import Iri, Literal
 
-_REALMS = {vocab.REALM_PHYSICAL: "physical", vocab.REALM_DIGITAL: "digital"}
 _BUILTIN_SCHEMES = frozenset({"ros+ws", "rest+http", "mqtt"})
+_DIRECTIONS = (("publishes", vocab.PUBLISHES_ON), ("subscribes", vocab.SUBSCRIBES_TO))
 
 
 @dataclass(frozen=True)
@@ -66,33 +67,13 @@ class ValidationReport:
     issues: tuple[ValidationIssue, ...]
 
 
-class _GraphView:
-    """Subject/predicate indexed view over one graph snapshot."""
-
-    def __init__(self, triples: frozenset[Triple]):
-        self.triples = triples
-        self._index: dict[tuple[Iri, Iri], list] = {}
-        for t in triples:
-            self._index.setdefault((t.subject, t.predicate), []).append(t.object)
-
-    def objects(self, subject: Iri, predicate: Iri) -> list:
-        values = self._index.get((subject, predicate), [])
-        return sorted(values, key=lambda v: (isinstance(v, Literal),
-                                             getattr(v, "value", None)
-                                             or getattr(v, "lexical", "")))
-
-    def subjects_of(self, predicate: Iri) -> list[Iri]:
-        return sorted({t.subject for t in self.triples if t.predicate == predicate},
-                      key=lambda s: s.value)
-
-
 def list_assets(store: NamedGraphStore, graph_id) -> list[Iri]:
     """Asset iris in the graph, sorted; an asset is anything with a kind."""
-    return _GraphView(store.triples(graph_id)).subjects_of(vocab.HAS_ASSET_KIND)
+    return store.subjects(graph_id, vocab.HAS_ASSET_KIND)
 
 
-def _literals(view: _GraphView, subject: Iri, predicate: Iri) -> list[str]:
-    return [o.lexical for o in view.objects(subject, predicate)
+def _literals(objects, subject: Iri, predicate: Iri) -> list[str]:
+    return [o.lexical for o in objects(subject, predicate)
             if isinstance(o, Literal)]
 
 
@@ -104,8 +85,8 @@ def validate_setup(store: NamedGraphStore, graph_id,
     deterministic order regardless of triple insertion order.
     """
     schemes = frozenset(known_schemes) if known_schemes is not None else _BUILTIN_SCHEMES
-    view = _GraphView(store.triples(graph_id))
-    assets = view.subjects_of(vocab.HAS_ASSET_KIND)
+    objects = functools.partial(store.objects, graph_id)
+    assets = store.subjects(graph_id, vocab.HAS_ASSET_KIND)
     asset_set = set(assets)
     issues: list[ValidationIssue] = []
 
@@ -113,31 +94,30 @@ def validate_setup(store: NamedGraphStore, graph_id,
         issues.append(ValidationIssue(rule, subject.value, message))
 
     for asset in assets:
-        kinds = view.objects(asset, vocab.HAS_ASSET_KIND)
+        kinds = objects(asset, vocab.HAS_ASSET_KIND)
         if len(kinds) != 1:
             issue("asset-kind", asset, f"expected one asset kind, found {len(kinds)}")
-        realms = view.objects(asset, vocab.HAS_REALM)
+        realms = objects(asset, vocab.HAS_REALM)
         if len(realms) != 1:
             issue("realm", asset, f"expected one realm, found {len(realms)}")
-        elif realms[0] not in _REALMS:
+        elif realms[0] not in vocab.REALMS:
             issue("realm", asset, f"realm must be physical or digital, "
                                   f"found {realms[0]}")
-        protocols = _literals(view, asset, vocab.HAS_PROTOCOL)
-        endpoints = _literals(view, asset, vocab.HAS_ENDPOINT)
+        protocols = _literals(objects, asset, vocab.HAS_PROTOCOL)
+        endpoints = _literals(objects, asset, vocab.HAS_ENDPOINT)
         if not protocols or not endpoints:
             issue("binding", asset, "asset needs a connection scheme and endpoint")
         for scheme in protocols:
             if scheme not in schemes:
                 issue("binding", asset, f"unrecognized connection scheme {scheme!r}")
         seen: set[tuple[str, str]] = set()
-        for direction, predicate in (("publishes", vocab.PUBLISHES_ON),
-                                     ("subscribes", vocab.SUBSCRIBES_TO)):
-            for node in view.objects(asset, predicate):
+        for direction, predicate in _DIRECTIONS:
+            for node in objects(asset, predicate):
                 if not isinstance(node, Iri):
                     issue("channel", asset, "channel must be a node, not a literal")
                     continue
-                topics = _literals(view, node, vocab.HAS_TOPIC)
-                kinds_ = view.objects(node, vocab.HAS_MESSAGE_KIND)
+                topics = _literals(objects, node, vocab.HAS_TOPIC)
+                kinds_ = objects(node, vocab.HAS_MESSAGE_KIND)
                 if len(topics) != 1 or not topics[0]:
                     issue("channel", node, "channel needs exactly one topic")
                     continue
@@ -147,24 +127,23 @@ def validate_setup(store: NamedGraphStore, graph_id,
                     issue("channel", asset,
                           f"duplicate {direction} channel for topic {topics[0]!r}")
                 seen.add((topics[0], direction))
-        if not view.objects(asset, vocab.HAS_CAPABILITY):
+        if not objects(asset, vocab.HAS_CAPABILITY):
             issue("capability", asset, "asset declares no capability")
-        roles = view.objects(asset, vocab.HAS_COORDINATION_ROLE)
+        roles = objects(asset, vocab.HAS_COORDINATION_ROLE)
         if len(roles) != 1:
             issue("role", asset, f"expected one coordination role, found {len(roles)}")
 
     # channels hanging off things that are not assets
-    for predicate in (vocab.PUBLISHES_ON, vocab.SUBSCRIBES_TO):
-        for subject in view.subjects_of(predicate):
+    for _, predicate in _DIRECTIONS:
+        for subject in store.subjects(graph_id, predicate):
             if subject not in asset_set:
                 issue("channel-owner", subject,
                       "channel declared on something that is not an asset")
 
     # system aggregation: every asset in exactly one system
-    systems = view.subjects_of(vocab.AGGREGATES)
     memberships: dict[Iri, list[Iri]] = {}
-    for system in systems:
-        for member in view.objects(system, vocab.AGGREGATES):
+    for system in store.subjects(graph_id, vocab.AGGREGATES):
+        for member in objects(system, vocab.AGGREGATES):
             if not isinstance(member, Iri) or member not in asset_set:
                 issue("system", system, "aggregated member is not a described asset")
             else:
@@ -187,32 +166,30 @@ def extract_blueprint(store: NamedGraphStore, graph_id, asset_id: Iri) -> AgentB
     about the asset itself (and its channel nodes) are consulted, so
     descriptions of other assets cannot leak in.
     """
-    view = _GraphView(store.triples(graph_id))
-    kinds = view.objects(asset_id, vocab.HAS_ASSET_KIND)
+    objects = functools.partial(store.objects, graph_id)
+    kinds = objects(asset_id, vocab.HAS_ASSET_KIND)
     if not kinds:
         raise UnknownAssetError(f"no asset description for {asset_id.value}")
 
-    realms = view.objects(asset_id, vocab.HAS_REALM)
-    if len(realms) != 1 or realms[0] not in _REALMS:
+    realms = objects(asset_id, vocab.HAS_REALM)
+    if len(realms) != 1 or realms[0] not in vocab.REALMS:
         raise BlueprintError(f"{asset_id.value}: asset layer incomplete (realm)")
 
-    protocols = _literals(view, asset_id, vocab.HAS_PROTOCOL)
-    endpoints = _literals(view, asset_id, vocab.HAS_ENDPOINT)
+    protocols = _literals(objects, asset_id, vocab.HAS_PROTOCOL)
+    endpoints = _literals(objects, asset_id, vocab.HAS_ENDPOINT)
     if not protocols or not endpoints:
         raise BlueprintError(
             f"{asset_id.value}: communication layer incomplete (binding)")
-    binding = CommunicationBinding(scheme=sorted(protocols)[0],
-                                   endpoint=sorted(endpoints)[0])
+    binding = CommunicationBinding(scheme=protocols[0], endpoint=endpoints[0])
 
     channels = []
-    for direction, predicate in (("publishes", vocab.PUBLISHES_ON),
-                                 ("subscribes", vocab.SUBSCRIBES_TO)):
-        for node in view.objects(asset_id, predicate):
+    for direction, predicate in _DIRECTIONS:
+        for node in objects(asset_id, predicate):
             if not isinstance(node, Iri):
                 raise BlueprintError(
                     f"{asset_id.value}: information layer incomplete (channel)")
-            topics = _literals(view, node, vocab.HAS_TOPIC)
-            message_kinds = [k for k in view.objects(node, vocab.HAS_MESSAGE_KIND)
+            topics = _literals(objects, node, vocab.HAS_TOPIC)
+            message_kinds = [k for k in objects(node, vocab.HAS_MESSAGE_KIND)
                              if isinstance(k, Iri)]
             if len(topics) != 1 or len(message_kinds) != 1:
                 raise BlueprintError(
@@ -221,13 +198,13 @@ def extract_blueprint(store: NamedGraphStore, graph_id, asset_id: Iri) -> AgentB
             channels.append(Channel(topics[0], direction, message_kinds[0]))
     channels.sort(key=lambda c: (c.direction, c.topic))
 
-    capabilities = tuple(c for c in view.objects(asset_id, vocab.HAS_CAPABILITY)
+    capabilities = tuple(c for c in objects(asset_id, vocab.HAS_CAPABILITY)
                          if isinstance(c, Iri))
     if not capabilities:
         raise BlueprintError(
             f"{asset_id.value}: functional layer incomplete (capability)")
 
-    roles = view.objects(asset_id, vocab.HAS_COORDINATION_ROLE)
+    roles = objects(asset_id, vocab.HAS_COORDINATION_ROLE)
     if len(roles) != 1 or not isinstance(roles[0], Iri):
         raise BlueprintError(
             f"{asset_id.value}: coordination role missing or ambiguous")
@@ -235,7 +212,7 @@ def extract_blueprint(store: NamedGraphStore, graph_id, asset_id: Iri) -> AgentB
     return AgentBlueprint(
         asset_id=asset_id,
         asset_kind=kinds[0],
-        realm=_REALMS[realms[0]],
+        realm=vocab.REALMS[realms[0]],
         binding=binding,
         channels=tuple(channels),
         capabilities=capabilities,

@@ -1,23 +1,25 @@
 """In-memory named-graph triple store.
 
-Graphs hold sets of triples (no duplicates) and are replaced
-copy-on-write, so a reader that has picked up a graph snapshot is never
-affected by later writes. A single store-wide revision counter advances
-on every successful mutating call; readers observe exactly one revision.
-
-Writers serialize on one lock. ``atomic_update`` applies removals then
-insertions as a single revision step, which is what state publication
-uses to replace an entity's triples without exposing half-updated
-intermediate states.
+Each graph is an index that every write updates in place: subject ->
+predicate -> the stored triples sorted by object, and predicate ->
+subjects. Writes touch only the entries they name and ``objects``,
+``subjects`` and ``query`` read the index, so costs follow the facts
+involved, not the size of the graph. ``triples`` and ``snapshot`` hand out
+immutable frozensets, built at most once per revision from the stored
+triples and shared until a write changes the graph. A store-wide revision
+counter advances on every successful mutating call. Writers serialize on
+one lock; ``atomic_update`` applies removals then insertions as one
+revision step, so state publication never exposes a half-updated entity.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
-from .terms import Iri, Literal, Pattern, Term, Triple, Variable, term_key
+from .terms import Iri, Pattern, Term, Triple, Variable, term_key
 from .turtle import parse_turtle, serialize_turtle
 
 
@@ -29,12 +31,88 @@ def _graph_key(graph_id: Iri | str) -> str:
     raise ValidationError(f"bad graph id: {graph_id!r}")
 
 
+def _object_key(triple: Triple) -> tuple:
+    return term_key(triple.object)
+
+
+class _Graph:
+    """One graph's index, keyed by iri text, and its frozenset (None when stale)."""
+
+    __slots__ = ("spo", "subjects", "frozen")
+
+    def __init__(self):
+        self.spo: dict[str, dict[str, tuple[Triple, ...]]] = {}
+        self.subjects: dict[str, dict[str, Iri]] = {}
+        self.frozen: frozenset[Triple] | None = frozenset()
+
+    def __iter__(self) -> Iterator[Triple]:
+        return (t for predicates in self.spo.values()
+                for triples in predicates.values() for t in triples)
+
+    def snapshot(self) -> frozenset[Triple]:
+        if self.frozen is None:
+            self.frozen = frozenset(self)
+        return self.frozen
+
+    def match(self, subject, predicate) -> Iterable[Triple]:
+        """Triples with the given subject and predicate; None matches any."""
+        s = subject.value if isinstance(subject, Iri) else subject
+        p = predicate.value if isinstance(predicate, Iri) else predicate
+        if s is not None:
+            predicates = self.spo.get(s, {})
+            if p is not None:
+                return predicates.get(p, ())
+            return [t for triples in predicates.values() for t in triples]
+        if p is not None:
+            return [t for s in self.subjects.get(p, ()) for t in self.spo[s][p]]
+        return self
+
+    def put(self, subject: Iri, predicate: Iri, triples: tuple[Triple, ...]) -> None:
+        """Set one (subject, predicate) entry, sorted by object; empty drops it."""
+        s, p = subject.value, predicate.value
+        predicates = self.spo.get(s)
+        if triples == (predicates or {}).get(p, ()):
+            return
+        self.frozen = None
+        if triples:
+            if predicates is None:
+                predicates = self.spo[s] = {}
+            predicates[p] = triples
+            self.subjects.setdefault(p, {})[s] = subject
+            return
+        del predicates[p]
+        if not predicates:
+            del self.spo[s]
+        del self.subjects[p][s]
+
+    def apply(self, removals: Iterable[Triple], insertions: Iterable[Triple]) -> bool:
+        """Remove then insert one triple at a time; True if anything changed."""
+        # An entry is sorted by object, which alone tells its triples apart.
+        changed = False
+        for t in removals:
+            old = self.match(t.subject, t.predicate)
+            i = bisect.bisect_left(old, term_key(t.object), key=_object_key)
+            if i < len(old) and old[i] == t:
+                self.put(t.subject, t.predicate, old[:i] + old[i + 1:])
+                changed = True
+        for t in insertions:
+            old = self.match(t.subject, t.predicate)
+            i = bisect.bisect_left(old, term_key(t.object), key=_object_key)
+            if i == len(old) or old[i] != t:
+                self.put(t.subject, t.predicate, old[:i] + (t,) + old[i:])
+                changed = True
+        return changed
+
+
+_NO_GRAPH = _Graph()
+
+
 class NamedGraphStore:
     """Thread-safe store of named triple graphs."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._graphs: dict[str, frozenset[Triple]] = {}
+        self._graphs: dict[str, _Graph] = {}
         self._revision = 0
 
     @property
@@ -50,38 +128,44 @@ class NamedGraphStore:
         """Snapshot of one graph; empty for unknown graph names."""
         key = _graph_key(graph_id)
         with self._lock:
-            return self._graphs.get(key, frozenset())
+            return self._graphs.get(key, _NO_GRAPH).snapshot()
 
     def snapshot(self) -> tuple[int, Mapping[str, frozenset[Triple]]]:
         """Consistent (revision, graphs) pair."""
         with self._lock:
-            return self._revision, dict(self._graphs)
+            return self._revision, {key: graph.snapshot()
+                                    for key, graph in self._graphs.items()}
+
+    def objects(self, graph_id: Iri | str, subject: Iri, predicate: Iri) -> tuple[Term, ...]:
+        """Objects of the (subject, predicate) pair, in term order."""
+        key = _graph_key(graph_id)
+        with self._lock:
+            triples = self._graphs.get(key, _NO_GRAPH).match(subject, predicate)
+            return tuple([t.object for t in triples])
+
+    def subjects(self, graph_id: Iri | str, predicate: Iri, *more: Iri) -> list[Iri]:
+        """Subjects that carry every given predicate, sorted by iri.
+
+        Only the smallest of the predicates' subject sets is walked.
+        """
+        key = _graph_key(graph_id)
+        with self._lock:
+            index = self._graphs.get(key, _NO_GRAPH).subjects
+            smallest, *others = sorted((index.get(p.value, {}) for p in (predicate, *more)),
+                                       key=len)
+            found = [iri for text, iri in smallest.items()
+                     if all(text in other for other in others)]
+        return sorted(found, key=lambda s: s.value)
 
     # -- mutation ---------------------------------------------------------
 
     def insert(self, graph_id: Iri | str, triple: Triple) -> bool:
         """Add one triple. Returns False (revision untouched) if present."""
-        key = _graph_key(graph_id)
-        self._check_triple(triple)
-        with self._lock:
-            graph = self._graphs.get(key, frozenset())
-            if triple in graph:
-                return False
-            self._graphs[key] = graph | {triple}
-            self._revision += 1
-            return True
+        return self._update(graph_id, (), [triple], always=False)[0]
 
     def remove(self, graph_id: Iri | str, triple: Triple) -> bool:
         """Remove one triple. Returns False (revision untouched) if absent."""
-        key = _graph_key(graph_id)
-        self._check_triple(triple)
-        with self._lock:
-            graph = self._graphs.get(key, frozenset())
-            if triple not in graph:
-                return False
-            self._graphs[key] = graph - {triple}
-            self._revision += 1
-            return True
+        return self._update(graph_id, [triple], (), always=False)[0]
 
     def atomic_update(self, graph_id: Iri | str,
                       removals: Iterable[Triple],
@@ -93,44 +177,44 @@ class NamedGraphStore:
         identical state publications remain observable. Returns the
         revision after the update.
         """
+        return self._update(graph_id, removals, insertions, always=True)[1]
+
+    def _update(self, graph_id: Iri | str, removals: Iterable[Triple],
+                insertions: Iterable[Triple], always: bool) -> tuple[bool, int]:
+        """One write step; returns (graph changed, revision after)."""
         key = _graph_key(graph_id)
-        removals = list(removals)
-        insertions = list(insertions)
+        removals, insertions = list(removals), list(insertions)
         for triple in (*removals, *insertions):
-            self._check_triple(triple)
+            if not isinstance(triple, Triple):
+                raise ValidationError(f"not a triple: {triple!r}")
         with self._lock:
-            if removals or insertions:
-                graph = self._graphs.get(key, frozenset())
-                self._graphs[key] = (graph - frozenset(removals)) | frozenset(insertions)
+            graph = self._graphs.get(key) or _Graph()
+            changed = graph.apply(removals, insertions)
+            if changed or (always and (removals or insertions)):
+                self._graphs[key] = graph
                 self._revision += 1
-            return self._revision
+            return changed, self._revision
 
     def replace(self, graph_id: Iri | str,
                 subject: Iri, facts: Mapping[Iri, Iterable]) -> int:
         """Replace all values of the given predicates for one subject.
 
-        Read-modify-write under the store lock: every existing
-        (subject, predicate, *) triple for a predicate in ``facts`` is
-        dropped and the new objects inserted, as one revision step.
+        Every existing (subject, predicate, *) triple for a predicate in
+        ``facts`` is dropped and the new objects inserted, as one
+        revision step. Only those entries of the index are touched.
         """
         key = _graph_key(graph_id)
-        insertions = []
-        for predicate, objects in facts.items():
-            for obj in objects:
-                insertions.append(Triple(subject, predicate, obj))
+        entries = [(predicate, tuple(sorted(dict.fromkeys(
+                        Triple(subject, predicate, obj) for obj in objects), key=_object_key)))
+                   for predicate, objects in facts.items()]
         with self._lock:
-            graph = self._graphs.get(key, frozenset())
-            keep = frozenset(t for t in graph
-                             if not (t.subject == subject and t.predicate in facts))
-            if facts:
-                self._graphs[key] = keep | frozenset(insertions)
+            if entries:
+                graph = self._graphs.get(key) or _Graph()
+                for predicate, triples in entries:
+                    graph.put(subject, predicate, triples)
+                self._graphs[key] = graph
                 self._revision += 1
             return self._revision
-
-    @staticmethod
-    def _check_triple(triple: Triple):
-        if not isinstance(triple, Triple):
-            raise ValidationError(f"not a triple: {triple!r}")
 
     # -- serialization ----------------------------------------------------
 
@@ -141,27 +225,30 @@ class NamedGraphStore:
         syntax error leaves both graph and revision unchanged. Returns
         the number of distinct triples the document contributes.
         """
-        key = _graph_key(graph_id)
-        distinct = frozenset(parse_turtle(text))
-        with self._lock:
-            if distinct:
-                graph = self._graphs.get(key, frozenset())
-                self._graphs[key] = graph | distinct
-                self._revision += 1
-        return len(distinct)
+        _graph_key(graph_id)  # a bad graph id fails before the document is parsed
+        parsed = parse_turtle(text)
+        distinct = len(set(parsed))
+        if distinct:
+            self._update(graph_id, (), parsed, always=True)
+        return distinct
 
     def dump_turtle(self, graph_id: Iri | str) -> str:
-        return serialize_turtle(self.triples(graph_id))
+        key = _graph_key(graph_id)
+        with self._lock:
+            triples = list(self._graphs.get(key, _NO_GRAPH))
+        return serialize_turtle(triples)
 
     # -- query ------------------------------------------------------------
 
     def query(self, graph_id: Iri | str,
               patterns: Iterable[Pattern]) -> list[dict[str, Term]]:
-        """Evaluate a basic graph pattern against one graph snapshot.
+        """Evaluate a basic graph pattern against one graph revision.
 
         Patterns sharing variables join naturally. Solutions bind every
         variable that occurs in the patterns, contain no duplicates and
         come back in a deterministic order for a fixed revision.
+        Once the binding so far fixes a pattern's subject or predicate,
+        its candidates come from that index instead of the whole graph.
         """
         patterns = list(patterns)
         if not patterns:
@@ -169,64 +256,27 @@ class NamedGraphStore:
         for pattern in patterns:
             if not isinstance(pattern, Pattern):
                 raise ValidationError(f"not a pattern: {pattern!r}")
-        graph = self.triples(graph_id)
-
-        by_subject: dict[Term, list[Triple]] = {}
-        by_predicate: dict[Term, list[Triple]] = {}
-        by_object: dict[Term, list[Triple]] = {}
-        for triple in graph:
-            by_subject.setdefault(triple.subject, []).append(triple)
-            by_predicate.setdefault(triple.predicate, []).append(triple)
-            by_object.setdefault(triple.object, []).append(triple)
-
-        def candidates(pattern: Pattern, binding: dict[str, Term],
-                       graph=graph) -> Iterable[Triple]:
-            best = None
-            for slot, index in ((pattern.subject, by_subject),
-                                (pattern.predicate, by_predicate),
-                                (pattern.object, by_object)):
-                if isinstance(slot, Variable):
-                    slot = binding.get(slot.name)
-                    if slot is None:
-                        continue
-                bucket = index.get(slot, [])
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-            return graph if best is None else best
-
-        def matches(pattern: Pattern, triple: Triple,
-                    binding: dict[str, Term]) -> dict[str, Term] | None:
-            extended = binding
-            for slot, value in ((pattern.subject, triple.subject),
-                                (pattern.predicate, triple.predicate),
-                                (pattern.object, triple.object)):
-                if isinstance(slot, Variable):
-                    bound = extended.get(slot.name)
-                    if bound is None:
-                        if extended is binding:
-                            extended = dict(binding)
-                        extended[slot.name] = value
-                    elif bound != value:
-                        return None
-                elif slot != value:
-                    return None
-            return extended if extended is not binding else dict(binding)
+        key = _graph_key(graph_id)
 
         solutions: list[dict[str, Term]] = [{}]
-        for pattern in patterns:
-            next_solutions = []
-            for binding in solutions:
-                for triple in candidates(pattern, binding):
-                    extended = matches(pattern, triple, binding)
-                    if extended is not None:
-                        next_solutions.append(extended)
-            solutions = next_solutions
-            if not solutions:
-                break
+        with self._lock:
+            graph = self._graphs.get(key, _NO_GRAPH)
+            for pattern in patterns:
+                slots = (pattern.subject, pattern.predicate, pattern.object)
+                next_solutions = []
+                for binding in solutions:
+                    subject, predicate = (binding.get(slot.name)
+                                          if isinstance(slot, Variable) else slot
+                                          for slot in slots[:2])
+                    for triple in graph.match(subject, predicate):
+                        extended = dict(binding)
+                        values = (triple.subject, triple.predicate, triple.object)
+                        if all((extended.setdefault(slot.name, value)
+                                if isinstance(slot, Variable) else slot) == value
+                               for slot, value in zip(slots, values)):
+                            next_solutions.append(extended)
+                solutions = next_solutions
 
-        def solution_key(binding: dict[str, Term]):
-            return tuple((name, term_key(binding[name]))
-                         for name in sorted(binding))
-
-        unique = {solution_key(b): b for b in solutions}
+        unique = {tuple((name, term_key(b[name])) for name in sorted(b)): b
+                  for b in solutions}
         return [unique[k] for k in sorted(unique)]

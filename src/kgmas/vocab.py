@@ -30,6 +30,7 @@ HAS_ASSET_KIND = kgmas("hasAssetKind")
 HAS_REALM = kgmas("hasRealm")
 REALM_PHYSICAL = kgmas("physical")
 REALM_DIGITAL = kgmas("digital")
+REALMS = {REALM_PHYSICAL: "physical", REALM_DIGITAL: "digital"}
 HAS_PROTOCOL = kgmas("hasProtocol")
 HAS_ENDPOINT = kgmas("hasEndpoint")
 PUBLISHES_ON = kgmas("publishesOn")

@@ -102,6 +102,17 @@ def test_run_zero_deadline_fails(capsys):
     assert "failed at step 1" in out
 
 
+def test_run_unknown_position_fails_and_writes_artifacts(tmp_path, capsys):
+    """A device translation error fails the task instead of aborting the run."""
+    out_dir = tmp_path / "run"
+    args = ["run", "--setup", SETUP, "--world", WORLD, "--task", "move_pallet",
+            "--param", "from=P9", "--param", "to=P2", "--out", str(out_dir)]
+    assert main(args) == 1
+    assert "failed at step 3" in capsys.readouterr().out
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "consistency.txt", "data.ttl", "trace.log"]
+
+
 def test_run_rejects_malformed_param(capsys):
     args = ["run", "--setup", SETUP, "--world", WORLD, "--task", "move_pallet",
             "--param", "oops"]

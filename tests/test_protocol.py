@@ -294,6 +294,7 @@ def test_consistency_pinned_cases():
 
 def test_consistency_matches_oracle_on_random_placements():
     rng = random.Random(23)
+    positions = ("P1", "P2", "cell:0,0", "cell:1,4")
     for _ in range(30):
         store = NamedGraphStore()
         rows = []
@@ -301,7 +302,7 @@ def test_consistency_matches_oracle_on_random_placements():
         used = set()
         for _ in range(rng.randrange(0, 12)):
             entity = f"E{rng.randrange(8)}"
-            position = rng.choice(("P1", "P2", "cell:0,0", "cell:1,4"))
+            position = rng.choice(positions)
             if (entity, position) in used:
                 continue
             used.add((entity, position))
@@ -309,6 +310,13 @@ def test_consistency_matches_oracle_on_random_placements():
                                         rng.choice(("physical", "digital")))
             rows.append((entity, realm, position))
             place(store, entity, realm, position)
+        # Realm-less inventory on the same positions must not count.
+        for item in range(rng.randrange(0, 40)):
+            subject = kgmas(f"Item{item}")
+            store.insert(DATA_GRAPH, Triple(subject, vocab.AT_POSITION,
+                                            Literal(rng.choice(positions))))
+            store.insert(DATA_GRAPH, Triple(subject, kgmas("hasLabel"),
+                                            Literal(f"item {item}")))
         found = [(v.rule, v.first, v.second, v.position)
                  for v in check_world_consistency(store, DATA_GRAPH)]
         expected = [(rule, kgmas(a).value, kgmas(b).value, position)

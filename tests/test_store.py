@@ -9,7 +9,8 @@ import pytest
 from helpers import bgp_oracle, random_pattern, random_triples
 from kgmas.errors import TurtleParseError, ValidationError
 from kgmas.store import NamedGraphStore
-from kgmas.terms import Iri, Literal, Pattern, Triple, Variable
+from kgmas.terms import Iri, Literal, Pattern, Triple, Variable, term_key
+from kgmas.turtle import serialize_turtle
 
 NS = "http://kgmas.example/vocab#"
 
@@ -143,6 +144,80 @@ def test_load_turtle_error_rolls_back():
         store.load_turtle("g", bad)
     assert store.triples("g") == frozenset({t("keep", "p", "me")})
     assert store.revision == before
+
+
+def test_index_reads_agree_with_scans_under_random_writes():
+    """After every write, index reads equal a scan of the snapshot."""
+    rng = random.Random(16)
+    subjects = [iri(f"s{i}") for i in range(4)]
+    predicates = [iri(f"p{i}") for i in range(3)]
+    values = [iri("o0"), iri("o1"), Literal("a"), Literal("b"), Literal("a", iri("dt"))]
+    universe = [Triple(s, p, o) for s in subjects for p in predicates for o in values]
+    store = NamedGraphStore()
+    shadow: dict[str, set[Triple]] = {}
+    revision = 0
+    for _ in range(600):
+        g = rng.choice(("g", "h"))
+        held = store.triples(g)
+        expected_held = frozenset(shadow.get(g, ()))
+        op = rng.choice(("insert", "remove", "atomic_update", "replace", "load_turtle"))
+        if op in ("insert", "remove"):
+            triple = rng.choice(universe)
+            present = triple in shadow.get(g, ())
+            if op == "insert":
+                assert store.insert(g, triple) == (not present)
+                shadow.setdefault(g, set()).add(triple)
+            else:
+                assert store.remove(g, triple) == present
+                shadow.get(g, set()).discard(triple)
+            revision += (op == "insert") != present
+        elif op == "atomic_update":
+            removals = rng.sample(universe, rng.randrange(0, 3))
+            insertions = rng.sample(universe, rng.randrange(0, 3))
+            store.atomic_update(g, removals, insertions)
+            if removals or insertions:
+                graph = shadow.setdefault(g, set())
+                graph.difference_update(removals)
+                graph.update(insertions)
+                revision += 1
+        elif op == "replace":
+            subject = rng.choice(subjects)
+            facts = {p: rng.sample(values, rng.randrange(0, 3))
+                     for p in rng.sample(predicates, rng.randrange(0, 3))}
+            store.replace(g, subject, facts)
+            if facts:
+                graph = shadow.setdefault(g, set())
+                graph -= {t for t in graph
+                          if t.subject == subject and t.predicate in facts}
+                graph |= {Triple(subject, p, o) for p, objs in facts.items() for o in objs}
+                revision += 1
+        else:
+            chosen = rng.sample(universe, rng.randrange(0, 4))
+            assert store.load_turtle(g, serialize_turtle(chosen)) == len(chosen)
+            if chosen:
+                shadow.setdefault(g, set()).update(chosen)
+                revision += 1
+
+        assert held == expected_held, f"snapshot taken before {op} changed"
+        assert store.revision == revision
+        assert store.graph_ids() == sorted(shadow)
+        for name in ("g", "h", "unknown"):
+            triples = store.triples(name)
+            assert triples == frozenset(shadow.get(name, ()))
+            carrying = {p: {t.subject for t in triples if t.predicate == p}
+                        for p in predicates}
+            for p in predicates:
+                assert store.subjects(name, p) == sorted(carrying[p], key=lambda s: s.value)
+                for s in subjects:
+                    assert store.objects(name, s, p) == tuple(sorted(
+                        (t.object for t in triples
+                         if t.subject == s and t.predicate == p), key=term_key))
+            p, q = rng.sample(predicates, 2)
+            assert store.subjects(name, p, q) == sorted(carrying[p] & carrying[q],
+                                                        key=lambda s: s.value)
+            if triples:
+                patterns = [random_pattern(rng, triples) for _ in range(2)]
+                assert store.query(name, patterns) == bgp_oracle(triples, patterns)
 
 
 def test_query_single_pattern():
