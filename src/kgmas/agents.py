@@ -20,6 +20,7 @@ from .connection import AgentChannel, ConnectionComponent
 from .errors import (
     EventRejectedError,
     GenerationError,
+    TransportError,
     UnknownReceiverError,
 )
 from .protocol import (
@@ -227,17 +228,22 @@ class GenericAgent:
                            conversation)
                 return
             command_id = next(self._command_counter)
+            try:
+                self.channel.send_command({
+                    "op": "invoke",
+                    "capability": content.get("capability"),
+                    "params": content.get("params") or {},
+                    "id": command_id,
+                })
+            except TransportError as exc:
+                self._send(Performative.FAILURE, self.mediator,
+                           {"error": str(exc), "task": task_name}, conversation)
+                return
             self._perform = {
                 "id": command_id,
                 "report": content.get("report") or "action_completed",
                 "conversation": conversation,
             }
-            self.channel.send_command({
-                "op": "invoke",
-                "capability": content.get("capability"),
-                "params": content.get("params") or {},
-                "id": command_id,
-            })
         elif action == "report":
             event = {"event": content.get("event")}
             if self._task is not None:

@@ -15,11 +15,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .acl import canonical_json
-from .errors import NoResponderError, TransportError, ValidationError, WorldError
+from .errors import TransportError, ValidationError, WorldError
 from .rami import AgentBlueprint
 from .store import NamedGraphStore
 from .terms import Iri, Literal
-from .transports import Adapter, TransportKind
+from .transports import Adapter
 from .vocab import (
     AT_POSITION,
     HAS_GRIPPER_STATE,
@@ -105,8 +105,9 @@ class _Batch:
 class ConnectionComponent:
     """Device-side endpoint of an asset's channels.
 
-    One instance serves one asset.  Commands arrive as JSON payloads of the
-    shape ``{"op": "invoke", "capability": ..., "params": ..., "id": N}``;
+    One instance serves one asset, whose id is also its device's id in the
+    world.  Commands arrive as JSON payloads of the shape
+    ``{"op": "invoke", "capability": ..., "params": ..., "id": N}``;
     progress is reported through observation payloads carrying ``done_id``
     or ``failed_id`` markers that echo the invocation id.
     """
@@ -120,7 +121,6 @@ class ConnectionComponent:
         self.world = world
         self.store = store
         self.data_graph = data_graph
-        self.device_id = asset_id if asset_id in world.devices else None
         self._batch: _Batch | None = None
         self._active: NativeCommand | None = None
         self._done_id: int | None = None
@@ -132,28 +132,10 @@ class ConnectionComponent:
         self._obs_topics = [c.topic for c in blueprint.channels
                             if c.direction == "publishes"]
         self._closed = False
-        self._wire()
+        for topic in self._command_topics:
+            self.adapter.subscribe(topic, self._on_command_text)
 
-    # -- transport wiring --------------------------------------------------
-
-    def _wire(self) -> None:
-        if self.adapter.kind is TransportKind.REQUEST_RESPONSE:
-            for topic in self._command_topics:
-                self.adapter.respond(topic, self._serve_command)
-            for topic in self._obs_topics:
-                self.adapter.respond(topic, self._serve_observation)
-        else:
-            for topic in self._command_topics:
-                self.adapter.subscribe(topic, self._on_command_text)
-
-    def _serve_command(self, text: str) -> str:
-        self._on_command_text(text)
-        return canonical_json({"status": "accepted"})
-
-    def _serve_observation(self, text: str) -> str:
-        if self._last_payload is None:
-            return canonical_json({})
-        return canonical_json(self._last_payload)
+    # -- command lifecycle -------------------------------------------------
 
     def _on_command_text(self, text: str) -> None:
         try:
@@ -164,8 +146,6 @@ class ConnectionComponent:
             return
         self._begin_batch(payload)
 
-    # -- command lifecycle -------------------------------------------------
-
     def _begin_batch(self, payload: dict) -> None:
         command_id = int(payload.get("id", 0))
         capability = str(payload.get("capability", ""))
@@ -175,10 +155,7 @@ class ConnectionComponent:
             self._failed_id = command_id
             self._error = "device busy"
             return
-        if self.device_id is None:
-            self._fail(command_id, "no device attached")
-            return
-        kind = self.world.devices[self.device_id].kind
+        kind = self.world.devices[self.asset_id].kind
         try:
             natives = translate(capability, params, kind, self.world)
         except (ValidationError, WorldError) as exc:
@@ -198,9 +175,9 @@ class ConnectionComponent:
     def _gate_open(self, command: NativeCommand) -> bool:
         # An arm only closes its gripper once a pallet is actually sensed in
         # reach; until then the grip stays queued rather than failing.
-        if command.verb != "grip" or self.device_id is None:
+        if command.verb != "grip":
             return True
-        if self.world.devices[self.device_id].kind != KIND_ROBOTIC_ARM:
+        if self.world.devices[self.asset_id].kind != KIND_ROBOTIC_ARM:
             return True
         if self._last_payload is None:
             return False
@@ -216,7 +193,7 @@ class ConnectionComponent:
         if not self._gate_open(head):
             return
         self._batch.pending.popleft()
-        if not self.world.apply(self.device_id, head):
+        if not self.world.apply(self.asset_id, head):
             self._fail(self._batch.command_id, f"{head.verb} rejected")
             return
         self._active = head
@@ -247,8 +224,6 @@ class ConnectionComponent:
         self._write_state(payload)
 
     def _publish(self, payload: dict) -> None:
-        if self.adapter.kind is TransportKind.REQUEST_RESPONSE:
-            return  # served on demand through the observation responder
         text = canonical_json(payload)
         for topic in self._obs_topics:
             self.adapter.publish(topic, text)
@@ -256,10 +231,8 @@ class ConnectionComponent:
     # -- graph mirroring ---------------------------------------------------
 
     def _write_state(self, payload: dict) -> None:
-        if self.device_id is None:
-            return
         asset = kgmas(self.blueprint.asset_id.local_name)
-        device = self.world.devices[self.device_id]
+        device = self.world.devices[self.asset_id]
         status = STATUS_BUSY if payload["busy"] else STATUS_IDLE
         facts: dict[Iri, list] = {
             HAS_STATUS: [Literal(status)],
@@ -291,9 +264,8 @@ class AgentChannel:
                             if c.direction == "publishes"]
         self._cached: dict | None = None
         self._closed = False
-        if self.adapter.kind is not TransportKind.REQUEST_RESPONSE:
-            for topic in self._obs_topics:
-                self.adapter.subscribe(topic, self._on_observation_text)
+        for topic in self._obs_topics:
+            self.adapter.subscribe(topic, self._on_observation_text)
 
     def _on_observation_text(self, text: str) -> None:
         try:
@@ -306,33 +278,10 @@ class AgentChannel:
     def send_command(self, payload: dict) -> None:
         if self._closed or not self._command_topics:
             raise TransportError("no command channel")
-        text = canonical_json(payload)
-        topic = self._command_topics[0]
-        if self.adapter.kind is TransportKind.REQUEST_RESPONSE:
-            try:
-                self.adapter.request(topic, text)
-            except NoResponderError:
-                raise TransportError(f"no device listening on {topic}")
-        else:
-            self.adapter.publish(topic, text)
+        self.adapter.publish(self._command_topics[0], canonical_json(payload))
 
     def latest_observation(self) -> dict | None:
-        if self._closed:
-            return None
-        if self.adapter.kind is TransportKind.REQUEST_RESPONSE:
-            for topic in self._obs_topics:
-                try:
-                    text = self.adapter.request(topic, canonical_json({"poll": True}))
-                except NoResponderError:
-                    continue
-                try:
-                    payload = json.loads(text)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(payload, dict) and payload:
-                    self._cached = payload
-            return self._cached
-        return self._cached
+        return None if self._closed else self._cached
 
     def close(self) -> None:
         if self._closed:

@@ -199,6 +199,8 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str | None = None
 
     steps = []
     for node in objects(protocol, vocab.HAS_STEP):
+        if not isinstance(node, Iri):
+            raise ProtocolError(f"{protocol.value}: step must be an iri")
         idx = objects(node, vocab.STEP_INDEX)
         if len(idx) != 1:
             raise ProtocolError(f"{node.value}: expected one step index")

@@ -1,13 +1,16 @@
 """Pluggable in-process transports for asset connectivity.
 
-Three kinds are built in, named by the connection scheme an asset
-declares:
+Every hub offers the same surface, ``publish(topic, text)``,
+``subscribe(topic, handler)`` and ``unsubscribe(topic, handler)``; what
+differs per kind stays inside the hub. Three kinds are built in, named
+by the connection scheme an asset declares:
 
 * ``ros+ws``: plain topic fan-out, no retention
 * ``mqtt``: topic fan-out plus last-value retention (depth 1),
   delivered to late subscribers at subscribe time
-* ``rest+http``: request/response with one responder per path;
-  publish can be emulated as a fire-and-forget request
+* ``rest+http``: one responder per path, bound by ``subscribe``;
+  ``publish`` is always a fire-and-forget request to that responder,
+  dropped when the path has none. ``request`` also waits for the reply.
 
 Hubs are keyed by (scheme, endpoint address), so an agent and the
 connection component of its device meet on the same hub by sharing an
@@ -83,53 +86,50 @@ class _PubSubHub:
     def request(self, path: str, payload: str) -> str:
         raise TransportError("publish/subscribe transports do not take requests")
 
-    def respond(self, path: str, responder):
-        raise TransportError("publish/subscribe transports have no responders")
-
-    def unrespond(self, path: str, responder):
-        pass
-
 
 class _BrokerHub(_PubSubHub):
     retains = True
 
 
 class _RequestResponseHub:
-    """Request/response hub with exactly one responder per path."""
+    """Request/response hub with exactly one responder per path.
+
+    ``subscribe`` binds a path's responder and ``publish`` is a request
+    whose reply nobody reads.
+    """
 
     def __init__(self):
         self._lock = threading.RLock()
         self._responders: dict[str, object] = {}
 
-    def publish(self, topic: str, payload: str):
-        raise TransportError("request/response transports cannot publish")
-
-    def subscribe(self, topic: str, handler):
-        raise TransportError("request/response transports cannot subscribe")
-
-    def unsubscribe(self, topic: str, handler):
-        pass
-
-    def request(self, path: str, payload: str) -> str:
+    def _responder(self, path: str, payload: str):
         _check_payload(payload)
         with self._lock:
-            responder = self._responders.get(path)
+            return self._responders.get(path)
+
+    def publish(self, topic: str, payload: str):
+        responder = self._responder(topic, payload)
+        if responder is not None:  # nobody listening is not an error
+            responder(payload)
+
+    def subscribe(self, topic: str, handler):
+        with self._lock:
+            if topic in self._responders:
+                raise TransportError(f"path {topic!r} already has a responder")
+            self._responders[topic] = handler
+
+    def unsubscribe(self, topic: str, handler):
+        with self._lock:
+            if self._responders.get(topic) is handler:
+                del self._responders[topic]
+
+    def request(self, path: str, payload: str) -> str:
+        responder = self._responder(path, payload)
         if responder is None:
             raise NoResponderError(f"no responder registered at {path!r}")
         reply = responder(payload)
         _check_payload(reply)
         return reply
-
-    def respond(self, path: str, responder):
-        with self._lock:
-            if path in self._responders:
-                raise TransportError(f"path {path!r} already has a responder")
-            self._responders[path] = responder
-
-    def unrespond(self, path: str, responder):
-        with self._lock:
-            if self._responders.get(path) is responder:
-                del self._responders[path]
 
 
 _HUB_CLASSES = {
@@ -142,18 +142,14 @@ _HUB_CLASSES = {
 class Adapter:
     """An asset's handle on one hub.
 
-    Tracks its own subscriptions and responders so ``close`` can detach
-    them without touching other users of the hub.
+    Tracks its own subscriptions so ``close`` can detach them without
+    touching other users of the hub.
     """
 
-    def __init__(self, endpoint: Endpoint, kind: TransportKind, hub,
-                 emulate_publish: bool = False):
+    def __init__(self, endpoint: Endpoint, hub):
         self.endpoint = endpoint
-        self.kind = kind
         self._hub = hub
-        self._emulate_publish = emulate_publish
         self._subscriptions: list[tuple[str, object]] = []
-        self._responders: list[tuple[str, object]] = []
         self._closed = False
 
     def _check_open(self):
@@ -162,16 +158,6 @@ class Adapter:
 
     def publish(self, topic: str, payload: str):
         self._check_open()
-        if self.kind is TransportKind.REQUEST_RESPONSE:
-            if not self._emulate_publish:
-                raise TransportError(
-                    "publish on a request/response transport requires "
-                    "emulate_publish")
-            try:
-                self._hub.request(topic, payload)
-            except NoResponderError:
-                pass  # fire-and-forget: nobody listening is not an error
-            return
         self._hub.publish(topic, payload)
 
     def subscribe(self, topic: str, handler):
@@ -183,20 +169,12 @@ class Adapter:
         self._check_open()
         return self._hub.request(path, payload)
 
-    def respond(self, path: str, responder):
-        self._check_open()
-        self._hub.respond(path, responder)
-        self._responders.append((path, responder))
-
     def close(self):
         if self._closed:
             return
         for topic, handler in self._subscriptions:
             self._hub.unsubscribe(topic, handler)
-        for path, responder in self._responders:
-            self._hub.unrespond(path, responder)
         self._subscriptions.clear()
-        self._responders.clear()
         self._closed = True
 
 
@@ -228,7 +206,7 @@ class TransportRegistry:
                 raise UnknownSchemeError(f"unknown scheme {scheme!r}")
             return self._schemes[scheme]
 
-    def resolve(self, endpoint: Endpoint, *, emulate_publish: bool = False) -> Adapter:
+    def resolve(self, endpoint: Endpoint) -> Adapter:
         """Connect to the hub for an endpoint, creating it on first use."""
         kind = self.kind_of(endpoint.scheme)
         key = (endpoint.scheme, endpoint.address)
@@ -237,7 +215,7 @@ class TransportRegistry:
             if hub is None:
                 hub = _HUB_CLASSES[kind]()
                 self._hubs[key] = hub
-        return Adapter(endpoint, kind, hub, emulate_publish=emulate_publish)
+        return Adapter(endpoint, hub)
 
 
 def default_registry() -> TransportRegistry:

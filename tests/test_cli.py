@@ -145,6 +145,16 @@ def test_run_unknown_task_exits_one(capsys):
     assert "no protocol" in capsys.readouterr().err
 
 
+def test_run_literal_protocol_step_exits_one(tmp_path, capsys):
+    broken = fixture_text("fig3_setup.ttl").replace(
+        "kgmas:hasStep kgmas:MovePalletStep1", 'kgmas:hasStep "MovePalletStep1"')
+    path = tmp_path / "setup.ttl"
+    path.write_text(broken, encoding="utf-8")
+    args = ["run", "--setup", str(path), "--world", WORLD, "--task", "move_pallet"]
+    assert main(args) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_dump_is_a_fixed_point(tmp_path, capsys):
     assert main(["dump", "--setup", SETUP]) == 0
     first = capsys.readouterr().out

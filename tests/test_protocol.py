@@ -119,6 +119,14 @@ def test_load_rejects_capability_mismatch(setup_store):
         load_protocol(setup_store, SETUP_GRAPH, task_name="move_pallet")
 
 
+def test_load_rejects_literal_step(setup_text):
+    store = NamedGraphStore()
+    store.load_turtle(SETUP_GRAPH, setup_text.replace(
+        "kgmas:hasStep kgmas:MovePalletStep1", 'kgmas:hasStep "MovePalletStep1"'))
+    with pytest.raises(ProtocolError, match="step must be an iri"):
+        load_protocol(store, SETUP_GRAPH, task_name="move_pallet")
+
+
 def test_load_unknown_task(setup_store):
     with pytest.raises(ProtocolError, match="no protocol"):
         load_protocol(setup_store, SETUP_GRAPH, task_name="paint_fence")

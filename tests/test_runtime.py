@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from helpers import fixture_path
-from kgmas.acl import format_trace
+from helpers import fixture_path, fixture_text
+from kgmas.acl import Performative, format_trace
 from kgmas.errors import ValidationError
 from kgmas.protocol import derive_trace_skeleton, load_protocol
 from kgmas.runtime import Scenario
@@ -111,6 +113,44 @@ def test_transport_choice_does_not_change_the_outcome():
         "turtlebot": "mqtt", "roboticarm": "rest+http"})
     assert format_trace(swapped.trace) == format_trace(baseline.trace)
     assert swap_dump == base_dump
+
+
+SCHEMES = ("ros+ws", "mqtt", "rest+http")
+
+
+def run_failing(setup_text, world_doc, **kwargs):
+    store = NamedGraphStore()
+    store.load_turtle(SETUP_GRAPH, setup_text)
+    with Scenario(store, WarehouseWorld.from_fixture(world_doc),
+                  deadline_ms=500, **kwargs) as scenario:
+        return scenario.run_task("move_pallet", PARAMS)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_missing_device_fails_the_same_on_every_transport(scheme):
+    """A command to an arm that is not in the world goes unanswered on any kind."""
+    world_doc = json.loads(fixture_text("warehouse_world.json"))
+    del world_doc["devices"]["roboticarm"]
+    setup_text = fixture_text("fig3_setup.ttl")
+    baseline = run_failing(setup_text, world_doc)
+    result = run_failing(setup_text, world_doc,
+                         transport_overrides={"roboticarm": scheme})
+    assert (result.status, result.stalled_step) == ("failed", 3)
+    assert format_trace(result.trace) == format_trace(baseline.trace)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_asset_without_command_channel_fails_its_perform_step(scheme):
+    """An arm that subscribes to no topic cannot be told to act: step 3 fails."""
+    setup_text = fixture_text("fig3_setup.ttl").replace(
+        "kgmas:RoboticArm kgmas:subscribesTo kgmas:RoboticArmCommand .", "")
+    world_doc = json.loads(fixture_text("warehouse_world.json"))
+    result = run_failing(setup_text, world_doc,
+                         transport_overrides={"roboticarm": scheme})
+    assert (result.status, result.stalled_step) == ("failed", 3)
+    failures = [m.content for _, m in result.trace
+                if m.performative is Performative.FAILURE]
+    assert failures == [{"error": "no command channel", "task": "move_pallet"}]
 
 
 def test_repeat_runs_are_byte_identical():

@@ -9,6 +9,7 @@ from kgmas.errors import (
     NoResponderError,
     TransportError,
     UnknownSchemeError,
+    ValidationError,
 )
 from kgmas.transports import Endpoint, TransportKind, default_registry
 
@@ -55,35 +56,36 @@ def test_pubsub_request_not_supported():
     a = adapter(registry, "ros+ws")
     with pytest.raises(TransportError):
         a.request("/t", "x")
-    with pytest.raises(TransportError):
-        a.respond("/t", lambda text: text)
 
 
 def test_request_response_basics():
     registry = default_registry()
     server = adapter(registry, "rest+http")
     client = adapter(registry, "rest+http")
-    server.respond("/cmd", lambda text: text.upper())
+    server.subscribe("/cmd", lambda text: text.upper())
     assert client.request("/cmd", "go") == "GO"
     with pytest.raises(NoResponderError):
         client.request("/other", "go")
     with pytest.raises(TransportError):
-        client.respond("/cmd", lambda text: text)  # path already taken
-    with pytest.raises(TransportError):
-        client.subscribe("/cmd", print)
+        client.subscribe("/cmd", lambda text: text)  # path already taken
+    server.subscribe("/silent", lambda text: None)
+    with pytest.raises(ValidationError):
+        client.request("/silent", "go")  # replies must be text
+    with pytest.raises(ValidationError):
+        client.request("/cmd", b"go")  # and so must requests
 
 
-def test_request_response_publish_needs_emulation():
+def test_request_response_publish_is_fire_and_forget():
     registry = default_registry()
-    plain = adapter(registry, "rest+http")
-    with pytest.raises(TransportError):
-        plain.publish("/obs", "{}")
-    emulating = adapter(registry, "rest+http", emulate_publish=True)
-    emulating.publish("/obs", "{}")  # no responder: silently dropped
+    client = adapter(registry, "rest+http")
+    client.publish("/obs", "{}")  # no responder: silently dropped
     seen = []
-    plain.respond("/obs", lambda text: seen.append(text) or "ok")
-    emulating.publish("/obs", "data")
+    adapter(registry, "rest+http").subscribe(
+        "/obs", lambda text: seen.append(text) or "ignored reply")
+    client.publish("/obs", "data")
     assert seen == ["data"]
+    with pytest.raises(ValidationError):
+        client.publish("/obs", None)
 
 
 def test_hubs_keyed_by_scheme_and_address():
@@ -105,14 +107,17 @@ def test_close_detaches_subscriptions_and_responders():
     b.close()
     a.publish("/t", "x")
     assert got == []
+    with pytest.raises(TransportError):
+        b.publish("/t", "x")  # a closed adapter refuses further use
     server = adapter(registry, "rest+http")
-    server.respond("/p", lambda text: "ok")
+    server.subscribe("/p", lambda text: "ok")
     server.close()
     client = adapter(registry, "rest+http")
     with pytest.raises(NoResponderError):
         client.request("/p", "x")
     # the path is free again
-    client.respond("/p", lambda text: "ok2")
+    client.subscribe("/p", lambda text: "ok2")
+    assert adapter(registry, "rest+http").request("/p", "x") == "ok2"
 
 
 def test_registry_extension_with_new_scheme():
@@ -131,22 +136,15 @@ def test_registry_extension_with_new_scheme():
 
 
 def test_same_payload_stream_across_kinds():
-    """One publisher script, same delivered sequence on every kind."""
+    """One publisher/subscriber script, same delivered sequence on every kind."""
     registry = default_registry()
     payloads = [f"p{i}" for i in range(6)]
     results = {}
-    for scheme in ("ros+ws", "mqtt"):
+    for scheme in ("ros+ws", "mqtt", "rest+http"):
         src = adapter(registry, scheme, f"eq-{scheme}:1")
         got = []
         adapter(registry, scheme, f"eq-{scheme}:1").subscribe("/t", got.append)
         for payload in payloads:
             src.publish("/t", payload)
         results[scheme] = got
-    src = adapter(registry, "rest+http", "eq-rest:1", emulate_publish=True)
-    got = []
-    sink = adapter(registry, "rest+http", "eq-rest:1")
-    sink.respond("/t", lambda text: got.append(text) or "ok")
-    for payload in payloads:
-        src.publish("/t", payload)
-    results["rest+http"] = got
     assert results["ros+ws"] == results["mqtt"] == results["rest+http"] == payloads
