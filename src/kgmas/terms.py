@@ -7,10 +7,14 @@ literals, subject and predicate positions do not.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import ValidationError
+
+_HAS_SPACE = re.compile(r"\s").search  # `\s` is exactly str.isspace()
+_HAS_FORBIDDEN = re.compile(r'[<>"]').search
 
 
 @dataclass(frozen=True, order=True)
@@ -22,9 +26,9 @@ class Iri:
     def __post_init__(self):
         if not self.value:
             raise ValidationError("iri must be non-empty")
-        if any(ch.isspace() for ch in self.value):
+        if _HAS_SPACE(self.value):
             raise ValidationError(f"iri contains whitespace: {self.value!r}")
-        if "<" in self.value or ">" in self.value or '"' in self.value:
+        if _HAS_FORBIDDEN(self.value):
             raise ValidationError(f"iri contains forbidden character: {self.value!r}")
 
     @property

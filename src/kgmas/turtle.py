@@ -12,190 +12,104 @@ Supported syntax:
 Deliberately absent: blank nodes, language tags, predicate/object lists
 and ``@base``. Anything outside the subset raises ``TurtleParseError``
 with a 1-based line and column.
+
+The reader is one compiled pattern, ``_TOKEN``, after the tokenizer recipe
+in the ``re`` docs: a match skips blanks and comments and takes one token,
+which ``parse_turtle`` turns into a term at once. Only when a token does
+not fit does ``_syntax_error`` look again to say why and where.
 """
 
 from __future__ import annotations
 
-from .errors import TurtleParseError
+import re
+
+from .errors import TurtleParseError, ValidationError
 from .terms import Iri, Literal, Triple, triple_key
 from .vocab import KGMAS_NS, XSD_NS
 
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r",
-            "b": "\b", "f": "\f"}
-_UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_SPACE = r"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*"
+_NAME = r"[A-Za-z0-9_.-]*"
+# a local name does not end in '.': that dot closes the statement
+_LOCAL = r"[A-Za-z0-9_-]*(?:\.(?=[A-Za-z0-9_.-])[A-Za-z0-9_-]*)*"
+_IRI_BODY = r"[^>\r\n]*"
+_LITERAL_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz"
-                  "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
+_TOKEN = re.compile(
+    _SPACE + "(?:"
+    rf"(?P<iri><(?P<ref>{_IRI_BODY})>)"
+    # a term's prefix is not empty and does not start with '_' (a blank node)
+    rf"|(?P<pname>(?P<pfx>[A-Za-z0-9.-]{_NAME}):(?P<local>{_LOCAL}))"
+    rf'|(?P<literal>"(?P<lex>{_LITERAL_BODY})"(?:\^\^(?:<(?P<dt_ref>{_IRI_BODY})>'
+    rf"|(?P<dt_pfx>{_NAME}):(?P<dt_local>{_LOCAL}))|(?![@^])))"
+    rf"|(?P<prefix>@prefix{_SPACE}(?P<name>{_NAME}):{_SPACE}"
+    rf"<(?P<ns>{_IRI_BODY})>{_SPACE}\.)"
+    r"|(?P<end>[.;,])|(?P<eof>\Z)|(?P<other>))", re.DOTALL)
 
+_SKIP_SPACE = re.compile(_SPACE).match
+_SKIP_NAME = re.compile(_NAME).match
+_SKIP_IRI_BODY = re.compile(_IRI_BODY).match
+_SKIP_LITERAL_BODY = re.compile(_LITERAL_BODY, re.DOTALL).match
 
-class _Scanner:
-    """Character cursor with line and column tracking."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def error(self, message: str) -> TurtleParseError:
-        return TurtleParseError(message, self.line, self.col)
-
-    def skip_space(self):
-        while not self.eof():
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "#":
-                while not self.eof() and self.peek() != "\n":
-                    self.advance()
-            else:
-                return
-
-    def expect(self, ch: str):
-        if self.eof() or self.peek() != ch:
-            found = repr(self.peek()) if not self.eof() else "end of input"
-            raise self.error(f"expected {ch!r}, found {found}")
-        self.advance()
+_ESCAPE = re.compile(r'\\(?:[tbnrf"\\]|u[0-9A-Fa-f]{4}'
+                     r"|U00(?:0[0-9A-Fa-f]|10)[0-9A-Fa-f]{4}|(?P<bad>.?))", re.DOTALL)
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
 
 
-def _read_iri_ref(sc: _Scanner) -> Iri:
-    sc.expect("<")
-    chars = []
-    while True:
-        if sc.eof():
-            raise sc.error("unterminated iri")
-        ch = sc.advance()
-        if ch == ">":
-            break
-        if ch in "\n\r":
-            raise sc.error("newline inside iri")
-        chars.append(ch)
-    value = "".join(chars)
-    if not value:
-        raise sc.error("empty iri")
-    return Iri(value)
+def _unescape(m: re.Match) -> str:
+    esc = m.group()
+    if m.lastgroup == "bad":
+        raise ValueError(esc)
+    return _ESCAPES[esc[1]] if len(esc) == 2 else chr(int(esc[2:], 16))
 
 
-def _read_name(sc: _Scanner) -> str:
-    chars = []
-    while not sc.eof() and sc.peek() in _NAME_CHARS:
-        chars.append(sc.advance())
-    return "".join(chars)
+def _error_at(text: str, at: int, message: str) -> TurtleParseError:
+    line = text.count("\n", 0, at) + 1
+    return TurtleParseError(message, line, at - text.rfind("\n", 0, at))
 
 
-def _read_prefixed(sc: _Scanner, prefixes: dict[str, str]) -> Iri:
-    start_line, start_col = sc.line, sc.col
-    prefix = _read_name(sc)
-    if sc.eof() or sc.peek() != ":":
-        raise TurtleParseError(f"expected ':' after prefix {prefix!r}",
-                               sc.line, sc.col)
-    sc.advance()
-    local = _read_name(sc)
-    # a trailing dot belongs to the statement, not the name
-    if local.endswith("."):
-        local = local[:-1]
-        sc.pos -= 1
-        sc.col -= 1
-    if prefix not in prefixes:
-        raise TurtleParseError(f"undeclared prefix {prefix!r}",
-                               start_line, start_col)
-    return Iri(prefixes[prefix] + local)
+def _expected(text: str, at: int, token: str) -> TurtleParseError:
+    found = repr(text[at]) if at < len(text) else "end of input"
+    return _error_at(text, at, f"expected {token!r}, found {found}")
 
 
-def _read_literal(sc: _Scanner, prefixes: dict[str, str]) -> Literal:
-    sc.expect('"')
-    chars = []
-    while True:
-        if sc.eof():
-            raise sc.error("unterminated literal")
-        ch = sc.advance()
-        if ch == '"':
-            break
-        if ch == "\\":
-            if sc.eof():
-                raise sc.error("dangling escape")
-            esc = sc.advance()
-            if esc in _ESCAPES:
-                chars.append(_ESCAPES[esc])
-            elif esc == "u" or esc == "U":
-                width = 4 if esc == "u" else 8
-                digits = "".join(sc.advance() for _ in range(width) if not sc.eof())
-                if len(digits) != width or any(d not in "0123456789abcdefABCDEF"
-                                               for d in digits):
-                    raise sc.error(f"bad \\{esc} escape")
-                chars.append(chr(int(digits, 16)))
-            else:
-                raise sc.error(f"unknown escape \\{esc}")
-        else:
-            chars.append(ch)
-    lexical = "".join(chars)
-    if sc.peek() == "@":
-        raise sc.error("language tags are not supported")
-    datatype = None
-    if sc.peek() == "^":
-        sc.advance()
-        sc.expect("^")
-        if sc.peek() == "<":
-            datatype = _read_iri_ref(sc)
-        else:
-            datatype = _read_prefixed(sc, prefixes)
-    return Literal(lexical, datatype)
+def _to_iri(text: str, m: re.Match, ref: str) -> Iri:
+    """The iri of the iri ref whose body is group ``ref`` of ``m``."""
+    if not m[ref]:
+        raise _error_at(text, m.end(ref) + 1, "empty iri")
+    try:
+        return Iri(m[ref])
+    except ValidationError as exc:
+        raise _error_at(text, m.start(ref) - 1, str(exc)) from None
 
 
-def _read_subject_or_predicate(sc: _Scanner, prefixes: dict[str, str],
-                               position: str) -> Iri:
-    ch = sc.peek()
-    if ch == "<":
-        return _read_iri_ref(sc)
-    if ch == "_":
-        raise sc.error("blank nodes are not supported")
-    if ch == '"':
-        raise sc.error(f"literal not allowed in {position} position")
-    if ch in _NAME_CHARS:
-        return _read_prefixed(sc, prefixes)
-    raise sc.error(f"expected iri in {position} position, found {ch!r}")
+def _expand(text: str, m: re.Match, prefixes: dict, prefix: str, local: str) -> Iri:
+    """The iri of the prefixed name in groups ``prefix`` and ``local``."""
+    try:
+        return Iri(prefixes[m[prefix]] + m[local])
+    except KeyError:
+        raise _error_at(text, m.start(prefix),
+                        f"undeclared prefix {m[prefix]!r}") from None
 
 
-def _read_object(sc: _Scanner, prefixes: dict[str, str]):
-    ch = sc.peek()
-    if ch == '"':
-        return _read_literal(sc, prefixes)
-    if ch == "_":
-        raise sc.error("blank nodes are not supported")
-    if ch == "<" or ch in _NAME_CHARS:
-        return _read_subject_or_predicate(sc, prefixes, "object")
-    raise sc.error(f"expected term in object position, found {ch!r}")
-
-
-def _read_prefix_decl(sc: _Scanner, prefixes: dict[str, str]):
-    for expected in "@prefix":
-        if sc.eof() or sc.peek() != expected:
-            raise sc.error("malformed @prefix directive")
-        sc.advance()
-    sc.skip_space()
-    prefix = _read_name(sc)
-    sc.expect(":")
-    sc.skip_space()
-    iri = _read_iri_ref(sc)
-    sc.skip_space()
-    sc.expect(".")
-    prefixes[prefix] = iri.value
+def _term(text: str, m: re.Match, prefixes: dict[str, str], position: str):
+    kind = m.lastgroup
+    if kind == "pname":
+        return _expand(text, m, prefixes, "pfx", "local")
+    if kind == "iri":
+        return _to_iri(text, m, "ref")
+    if kind != "literal" or position != "object":
+        raise _syntax_error(text, m.start(kind), position)
+    lexical = m["lex"]
+    if "\\" in lexical:
+        try:
+            lexical = _ESCAPE.sub(_unescape, lexical)
+        except ValueError:
+            _check_escapes(text, m.start("lex"), m.end("lex"))
+    if m["dt_ref"] is not None:
+        return Literal(lexical, _to_iri(text, m, "dt_ref"))
+    if m["dt_pfx"] is not None:
+        return Literal(lexical, _expand(text, m, prefixes, "dt_pfx", "dt_local"))
+    return Literal(lexical)
 
 
 def parse_turtle(text: str) -> list[Triple]:
@@ -204,50 +118,130 @@ def parse_turtle(text: str) -> list[Triple]:
     The whole document is parsed before anything is returned, so a
     syntax error never yields partial results.
     """
-    sc = _Scanner(text)
+    match = _TOKEN.match
     prefixes: dict[str, str] = {}
     triples: list[Triple] = []
+    pos = 0
     while True:
-        sc.skip_space()
-        if sc.eof():
+        m = match(text, pos)
+        kind = m.lastgroup
+        if kind == "eof":
             return triples
-        if sc.peek() == "@":
-            _read_prefix_decl(sc, prefixes)
+        if kind == "prefix":
+            prefixes[m["name"]] = _to_iri(text, m, "ns").value
+            pos = m.end()
             continue
-        subject = _read_subject_or_predicate(sc, prefixes, "subject")
-        sc.skip_space()
-        predicate = _read_subject_or_predicate(sc, prefixes, "predicate")
-        sc.skip_space()
-        obj = _read_object(sc, prefixes)
-        sc.skip_space()
-        if sc.eof() or sc.peek() == ";" or sc.peek() == ",":
-            raise sc.error("predicate/object lists are not supported"
-                           if not sc.eof() else "statement missing final '.'")
-        sc.expect(".")
+        subject = _term(text, m, prefixes, "subject")
+        m = match(text, m.end())
+        predicate = _term(text, m, prefixes, "predicate")
+        m = match(text, m.end())
+        obj = _term(text, m, prefixes, "object")
+        m = match(text, m.end())
+        # the token here may be a name that starts with the closing '.'
+        pos = m.start(m.lastgroup)
+        if not text.startswith(".", pos):
+            raise _syntax_error(text, pos, "end")
         triples.append(Triple(subject, predicate, obj))
+        pos += 1
+
+
+def _syntax_error(text: str, at: int, expected: str) -> TurtleParseError:
+    """Say why the token at ``at`` cannot stand where ``expected`` is due:
+    "subject", "predicate", "object" or the "end" of a statement."""
+    c = text[at:at + 1]
+    if expected == "end":
+        if c and c in ";,":
+            return _error_at(text, at, "predicate/object lists are not supported")
+        if not c:
+            return _error_at(text, at, "statement missing final '.'")
+        return _expected(text, at, ".")
+    if c == "@" and expected == "subject":
+        return _prefix_error(text, at)
+    if c == "<":
+        return _iri_error(text, at)
+    if c == "_":
+        return _error_at(text, at, "blank nodes are not supported")
+    if c == '"':
+        if expected != "object":
+            return _error_at(text, at, f"literal not allowed in {expected} position")
+        return _literal_error(text, at)
+    if _SKIP_NAME(text, at).end() > at:
+        return _pname_error(text, at)
+    if expected == "object":
+        return _error_at(text, at, f"expected term in object position, found {c!r}")
+    return _error_at(text, at, f"expected iri in {expected} position, found {c!r}")
+
+
+def _iri_error(text: str, at: int) -> TurtleParseError:
+    end = _SKIP_IRI_BODY(text, at + 1).end()
+    return _error_at(text, end, "unterminated iri" if end == len(text)
+                     else "newline inside iri")
+
+
+def _pname_error(text: str, at: int) -> TurtleParseError:
+    end = _SKIP_NAME(text, at).end()
+    return _error_at(text, end, f"expected ':' after prefix {text[at:end]!r}")
+
+
+def _check_escapes(text: str, start: int, end: int):
+    """Raise for the first bad escape in ``text[start:end]``."""
+    for m in _ESCAPE.finditer(text, start, end):
+        bad = m["bad"]
+        if bad is not None:
+            raise _error_at(text, m.start(), "dangling escape" if not bad
+                            else f"bad \\{bad} escape" if bad in "uU"
+                            else f"unknown escape \\{bad}")
+
+
+def _literal_error(text: str, at: int) -> TurtleParseError:
+    end = _SKIP_LITERAL_BODY(text, at + 1).end()
+    _check_escapes(text, at + 1, end + 1)
+    if end == len(text):
+        return _error_at(text, end, "unterminated literal")
+    end += 1
+    if text.startswith("@", end):
+        return _error_at(text, end, "language tags are not supported")
+    if not text.startswith("^", end + 1):
+        return _expected(text, end + 1, "^")
+    if text.startswith("<", end + 2):
+        return _iri_error(text, end + 2)
+    return _pname_error(text, end + 2)
+
+
+def _prefix_error(text: str, at: int) -> TurtleParseError:
+    if not text.startswith("@prefix", at):
+        return _error_at(text, at, "malformed @prefix directive")
+    at = _SKIP_NAME(text, _SKIP_SPACE(text, at + 7).end()).end()
+    if not text.startswith(":", at):
+        return _expected(text, at, ":")
+    at = _SKIP_SPACE(text, at + 1).end()
+    if not text.startswith("<", at):
+        return _expected(text, at, "<")
+    m = _TOKEN.match(text, at)
+    if m.lastgroup != "iri":
+        return _iri_error(text, at)
+    _to_iri(text, m, "ref")
+    return _expected(text, _SKIP_SPACE(text, m.end()).end(), ".")
 
 
 _DUMP_PREFIXES = (("kgmas", KGMAS_NS), ("xsd", XSD_NS))
-
-
-def _pn_safe(local: str) -> bool:
-    return (local != "" and not local.endswith(".")
-            and all(c in _NAME_CHARS for c in local))
+_IS_LOCAL = re.compile(_LOCAL).fullmatch
+_LITERAL_ESCAPES = str.maketrans({
+    **{chr(c): f"\\u{c:04x}" for c in range(0x20)},
+    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
 
 
 def _render_iri(iri: Iri) -> str:
     for prefix, ns in _DUMP_PREFIXES:
         if iri.value.startswith(ns):
             local = iri.value[len(ns):]
-            if _pn_safe(local):
+            if local and _IS_LOCAL(local):
                 return f"{prefix}:{local}"
     return f"<{iri.value}>"
 
 
 def _render_literal(lit: Literal) -> str:
-    body = "".join(_UNESCAPES.get(c, c) if ord(c) >= 0x20 or c in _UNESCAPES
-                   else f"\\u{ord(c):04x}" for c in lit.lexical)
-    rendered = f'"{body}"'
+    rendered = f'"{lit.lexical.translate(_LITERAL_ESCAPES)}"'
     if lit.datatype is not None:
         rendered += f"^^{_render_iri(lit.datatype)}"
     return rendered

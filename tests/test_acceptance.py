@@ -19,6 +19,7 @@ from helpers import (
     bgp_oracle,
     consistency_oracle,
     fixture_path,
+    fixture_text,
     grow_setup,
     random_pattern,
     random_setup,
@@ -86,7 +87,7 @@ def test_criterion_1_end_to_end_scenario(tmp_path, capsys):
         assert main(RUN_ARGS + ["--out", str(out_dir)]) == 0
 
         store = NamedGraphStore()
-        store.load_turtle(SETUP_GRAPH, (open(SETUP, encoding="utf-8").read()))
+        store.load_turtle(SETUP_GRAPH, fixture_text("fig3_setup.ttl"))
         protocol = load_protocol(store, SETUP_GRAPH, "move_pallet")
         expected = derive_trace_skeleton(protocol)
 
@@ -105,7 +106,7 @@ def test_criterion_1_end_to_end_scenario(tmp_path, capsys):
 
 def test_criterion_2_agent_generation_counts():
     with criterion(2, "one generated agent per described asset", 10.0):
-        fig3 = load_setup(open(SETUP, encoding="utf-8").read())
+        fig3 = load_setup(fixture_text("fig3_setup.ttl"))
         assert len(generate_agents(fig3, SETUP_GRAPH)) == 2
 
         rng = random.Random(2024)
@@ -122,8 +123,7 @@ def test_criterion_2_agent_generation_counts():
             assert extra_id in {s.agent_id for s in grown}
 
         # the same growth as a pure fixture-file change
-        plus_one = load_setup(
-            open(fixture_path("fig3_setup_plus_one.ttl"), encoding="utf-8").read())
+        plus_one = load_setup(fixture_text("fig3_setup_plus_one.ttl"))
         assert len(generate_agents(plus_one, SETUP_GRAPH)) == 3
 
 

@@ -45,6 +45,14 @@ def test_validate_unparsable_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_bad_iri_character_reports_its_position(tmp_path, capsys):
+    path = tmp_path / "space.ttl"
+    path.write_text("<http://e/a b> <http://e/p> <http://e/o> .\n", encoding="utf-8")
+    assert main(["validate", "--setup", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 1, column 1: iri contains whitespace: 'http://e/a b'\n"
+
+
 def test_generate_lists_agents(capsys):
     assert main(["generate", "--setup", SETUP]) == 0
     lines = capsys.readouterr().out.splitlines()
