@@ -24,17 +24,14 @@ from .errors import (
     UnknownReceiverError,
 )
 from .protocol import (
-    COMPLETED,
-    FAILED,
-    IN_PROGRESS,
-    PERFORM_ACTION,
-    SEND_REQUEST,
     ProtocolDefinition,
     TaskState,
+    accept_request,
     advance_query_step,
     kg_handle_request,
     kg_next_action,
     mark_failed,
+    next_push,
     record_event,
     write_task_state,
 )
@@ -189,7 +186,6 @@ class GenericAgent:
             self._task = {
                 "name": content["task"],
                 "params": {k: v for k, v in content.items() if k != "task"},
-                "conversation": message.conversation_id,
             }
             if message.sender == OPERATOR_ID:
                 query = {"query": "next_action", "task": content["task"]}
@@ -282,8 +278,10 @@ class KgAgent:
     Assets never talk each other through their work; they ask this agent
     what to do next ("next_action"), how to treat a peer request
     ("handle_request"), and tell it when something happened (an event
-    inform).  Instructions for a step are handed out once; when a step
-    becomes current without its owner asking, the instruction is pushed.
+    inform).  Every message is routed to its task by its conversation id
+    alone; each task has its own conversation.  Instructions for a step
+    are handed out once; when a step becomes current without its owner
+    asking, the instruction is pushed.
     """
 
     def __init__(self, bus: Bus, store: NamedGraphStore, data_graph,
@@ -294,42 +292,25 @@ class KgAgent:
         self.store = store
         self.data_graph = data_graph
         self._clock = clock or (lambda: 0)
-        self._protocols: dict[str, ProtocolDefinition] = {}
-        self._tasks: dict[str, TaskState] = {}
-        self._task_by_name: dict[str, str] = {}
-        self._conversations: dict[str, str] = {}
-        self._instructed: set[tuple[str, int]] = set()
+        # conversation id -> the task it belongs to
+        self._tasks: dict[str, tuple[ProtocolDefinition, TaskState]] = {}
         self._task_counter = itertools.count(1)
-        self._reply_counter = itertools.count(1)
 
-    def register_protocol(self, protocol: ProtocolDefinition) -> None:
-        self._protocols[protocol.task_name] = protocol
-
-    def create_task(self, protocol: ProtocolDefinition, params: dict,
-                    conversation_id: str | None = None) -> TaskState:
-        self.register_protocol(protocol)
+    def create_task(self, protocol: ProtocolDefinition, params: dict) -> TaskState:
         number = next(self._task_counter)
         task = TaskState(task_id=f"Task_{protocol.task_name}_{number}",
                          task_name=protocol.task_name,
                          protocol_id=protocol.protocol_id,
                          params={k: str(v) for k, v in params.items()})
-        self._tasks[task.task_id] = task
-        self._task_by_name[task.task_name] = task.task_id
-        self._conversations[task.task_id] = conversation_id or f"conv-{task.task_id}"
+        self._tasks[task.conversation_id] = (protocol, task)
         write_task_state(self.store, self.data_graph, task)
         return task
-
-    def conversation_of(self, task: TaskState) -> str:
-        return self._conversations[task.task_id]
 
     def activate(self) -> None:
         while (message := self.bus.try_receive(self.agent_id)) is not None:
             self._handle(message)
 
     # -- message handling --------------------------------------------------
-
-    def _reply_id(self) -> str:
-        return f"{self.agent_id}-{next(self._reply_counter)}"
 
     def _send(self, performative: Performative, receiver: str, content,
               conversation: str, in_reply_to: str | None = None) -> None:
@@ -340,146 +321,70 @@ class KgAgent:
         except UnknownReceiverError:
             log.info("kg: dropping message to absent agent %s", receiver)
 
-    def _resolve(self, content: dict) -> tuple[ProtocolDefinition, TaskState] | None:
-        name = content.get("task")
-        task_id = self._task_by_name.get(name) if isinstance(name, str) else None
-        if task_id is None:
-            open_tasks = [t for t in self._tasks.values()
-                          if t.status not in (COMPLETED, FAILED)]
-            if len(open_tasks) == 1:
-                task_id = open_tasks[0].task_id
-            else:
-                return None
-        task = self._tasks[task_id]
-        protocol = self._protocols.get(task.task_name)
-        if protocol is None:
-            return None
-        return protocol, task
-
     def _handle(self, message: AclMessage) -> None:
         content = message.content if isinstance(message.content, dict) else {}
         performative = message.performative
-        resolved = self._resolve(content)
-        conversation = message.conversation_id
-        if performative is Performative.REQUEST:
-            if resolved is None:
-                self._send(Performative.REFUSE, message.sender,
-                           {"reason": "unknown_task"}, conversation,
-                           in_reply_to=message.reply_with)
-                return
-            protocol, task = resolved
-            query = content.get("query")
-            if query == "next_action":
-                self._answer_next_action(protocol, task, message)
-            elif query == "handle_request":
-                self._answer_handle_request(protocol, task, message, content)
-            else:
-                self._send(Performative.REFUSE, message.sender,
-                           {"reason": "unsupported"}, conversation,
-                           in_reply_to=message.reply_with)
-        elif performative is Performative.INFORM and "event" in content:
-            if resolved is None:
-                self._send(Performative.REFUSE, message.sender,
-                           {"reason": "unknown_task"}, conversation)
-                return
-            protocol, task = resolved
-            self._record(protocol, task, message, content)
-        elif performative is Performative.FAILURE:
-            if resolved is not None:
-                protocol, task = resolved
-                if task.status not in (COMPLETED, FAILED):
-                    mark_failed(self.store, self.data_graph, task, task.index)
-                    log.info("kg: task %s failed at step %d: %s",
-                             task.task_id, task.index, content)
-        else:
+        protocol, task = self._tasks.get(message.conversation_id, (None, None))
+        if performative is Performative.FAILURE:
+            if task is not None and not task.finished:
+                mark_failed(self.store, self.data_graph, task, task.index)
+                log.info("kg: task %s failed at step %d: %s",
+                         task.task_id, task.index, content)
+            return
+        is_query = performative is Performative.REQUEST
+        if not is_query and not (performative is Performative.INFORM
+                                 and "event" in content):
             log.debug("kg: ignoring %s from %s", performative.value,
                       message.sender)
-
-    def _answer_next_action(self, protocol: ProtocolDefinition,
-                            task: TaskState, message: AclMessage) -> None:
-        role = protocol.role_of_agent(message.sender)
-        if role is None:
-            self._send(Performative.REFUSE, message.sender,
-                       {"reason": "unknown_role"}, message.conversation_id,
-                       in_reply_to=message.reply_with)
             return
+        query = content.get("query")
+        role = protocol.role_of_agent(message.sender) if task is not None else None
+        if task is None:
+            verb, reply = Performative.REFUSE, {"reason": "unknown_task"}
+        elif is_query and query not in ("next_action", "handle_request"):
+            verb, reply = Performative.REFUSE, {"reason": "unsupported"}
+        elif role is None:
+            verb, reply = Performative.REFUSE, {"reason": "unknown_role"}
+        elif not is_query:
+            verb, reply = self._record(protocol, task, role, content)
+        elif query == "next_action":
+            verb, reply = self._next_action(protocol, task, role)
+        else:
+            verb, reply = self._handle_request(protocol, task, role, content)
+        self._send(verb, message.sender, reply, message.conversation_id,
+                   message.reply_with if is_query else None)
+        push = None if verb is Performative.REFUSE else next_push(protocol, task)
+        if push is not None:
+            task.instructed.add(task.index)
+            self._send(Performative.INFORM, *push, task.conversation_id)
+
+    def _next_action(self, protocol: ProtocolDefinition, task: TaskState,
+                     role: Iri) -> tuple[Performative, dict]:
         if advance_query_step(protocol, task, role):
             write_task_state(self.store, self.data_graph, task)
         answer = kg_next_action(protocol, task, role)
         if answer["action"] in ("send_request", "perform", "report"):
-            self._instructed.add((task.task_id, task.index))
-        self._send(Performative.INFORM, message.sender, answer,
-                   message.conversation_id, in_reply_to=message.reply_with)
-        self._push_scan(protocol, task)
+            task.instructed.add(task.index)
+        return Performative.INFORM, answer
 
-    def _answer_handle_request(self, protocol: ProtocolDefinition,
-                               task: TaskState, message: AclMessage,
-                               content: dict) -> None:
-        role = protocol.role_of_agent(message.sender)
-        if role is None:
-            self._send(Performative.REFUSE, message.sender,
-                       {"reason": "unknown_role"}, message.conversation_id,
-                       in_reply_to=message.reply_with)
-            return
+    def _handle_request(self, protocol: ProtocolDefinition, task: TaskState,
+                        role: Iri, content: dict) -> tuple[Performative, dict]:
         answer = kg_handle_request(protocol, task, role, content)
         if answer["action"] == "refuse":
-            self._send(Performative.REFUSE, message.sender,
-                       {"reason": answer.get("reason", "refused")},
-                       message.conversation_id, in_reply_to=message.reply_with)
-            return
-        steps = protocol.steps
-        if (task.status not in (COMPLETED, FAILED) and task.index <= len(steps)):
-            current = steps[task.index - 1]
-            if current.kind == SEND_REQUEST and current.target_role == role:
-                task.index += 1
-                task.status = IN_PROGRESS
-                write_task_state(self.store, self.data_graph, task)
-        for step in steps[task.index - 1:]:
-            if step.kind == PERFORM_ACTION and step.role == role:
-                self._instructed.add((task.task_id, step.index))
-                break
-        self._send(Performative.INFORM, message.sender, answer,
-                   message.conversation_id, in_reply_to=message.reply_with)
-        self._push_scan(protocol, task)
+            return Performative.REFUSE, {"reason": answer.get("reason", "refused")}
+        if accept_request(protocol, task, role):
+            write_task_state(self.store, self.data_graph, task)
+        return Performative.INFORM, answer
 
     def _record(self, protocol: ProtocolDefinition, task: TaskState,
-                message: AclMessage, content: dict) -> None:
-        role = protocol.role_of_agent(message.sender)
-        conversation = message.conversation_id
-        if role is None:
-            self._send(Performative.REFUSE, message.sender,
-                       {"reason": "unknown_role"}, conversation)
-            return
+                role: Iri, content: dict) -> tuple[Performative, dict]:
         event = content.get("event")
         try:
             record_event(self.store, self.data_graph, protocol, task, role,
                          event, self._clock())
         except EventRejectedError as exc:
-            self._send(Performative.REFUSE, message.sender,
-                       {"reason": "event_rejected", "detail": str(exc)},
-                       conversation)
-            return
-        self._send(Performative.CONFIRM, message.sender, {"event": event},
-                   conversation)
-        self._push_scan(protocol, task)
-
-    def _push_scan(self, protocol: ProtocolDefinition, task: TaskState) -> None:
-        """Push the current step's instruction if nobody asked for it yet."""
-        if task.status in (COMPLETED, FAILED):
-            return
-        steps = protocol.steps
-        if task.index > len(steps):
-            return
-        step = steps[task.index - 1]
-        if step.kind not in (SEND_REQUEST, PERFORM_ACTION):
-            return
-        key = (task.task_id, step.index)
-        if key in self._instructed:
-            return
-        self._instructed.add(key)
-        instruction = kg_next_action(protocol, task, step.role)
-        self._send(Performative.INFORM, protocol.agent_for(step.role),
-                   instruction, self._conversations[task.task_id])
+            return Performative.REFUSE, {"reason": "event_rejected", "detail": str(exc)}
+        return Performative.CONFIRM, {"event": event}
 
 
 # -- lifecycle --------------------------------------------------------------

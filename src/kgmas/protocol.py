@@ -12,9 +12,10 @@ capability) and an ordered list of steps. Step kinds:
   recording the event consumes it together with the perform step it
   documents
 
-The pure functions here (next-action, handle-request, event recording,
-consistency checking) hold the coordination semantics; the mediator
-agent wraps them with messaging.
+The functions here hold the coordination semantics: the answers to
+queries, the instruction to push, every move of a task's step cursor
+and status, and consistency checking. The mediator agent only wraps
+them with messaging.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import vocab
 from .errors import EventRejectedError, ProtocolError
 from .store import NamedGraphStore
 from .terms import Iri, Literal, Triple
-from .vocab import kgmas
+from .vocab import agent_id_of, kgmas
 
 SEND_REQUEST = "send_request"
 PERFORM_ACTION = "perform_action"
@@ -67,11 +68,11 @@ class ProtocolDefinition:
     role_assets: dict[Iri, Iri]  # role -> asset bound in the setup graph
 
     def agent_for(self, role: Iri) -> str:
-        return self.role_assets[role].local_name.lower()
+        return agent_id_of(self.role_assets[role])
 
     def role_of_agent(self, agent_id: str) -> Iri | None:
         for role, asset in self.role_assets.items():
-            if asset.local_name.lower() == agent_id:
+            if agent_id_of(asset) == agent_id:
                 return role
         return None
 
@@ -98,10 +99,19 @@ class TaskState:
     index: int = 1
     status: str = PENDING
     failed_step: int | None = None
+    instructed: set[int] = field(default_factory=set)  # steps handed out
 
     @property
     def iri(self) -> Iri:
         return kgmas(self.task_id)
+
+    @property
+    def conversation_id(self) -> str:
+        return f"conv-{self.task_id}"
+
+    @property
+    def finished(self) -> bool:
+        return self.status == COMPLETED or self.status == FAILED
 
     @property
     def template_bindings(self) -> dict[str, str]:
@@ -280,7 +290,7 @@ def kg_next_action(protocol: ProtocolDefinition, task: TaskState,
     act of asking itself, so the answer comes from the step behind
     them. Out of turn yields ``wait``; a finished task yields ``done``.
     """
-    if task.status in (COMPLETED, FAILED):
+    if task.finished:
         return {"action": "done"}
     steps = protocol.steps
     i = task.index
@@ -314,6 +324,18 @@ def kg_handle_request(protocol: ProtocolDefinition, task: TaskState,
             "report": protocol.report_event_after(recipient_role, task.index)}
 
 
+def next_push(protocol: ProtocolDefinition,
+              task: TaskState) -> tuple[str, dict] | None:
+    """Agent and instruction for a current request or perform step nobody has yet."""
+    steps = protocol.steps
+    if task.finished or task.index > len(steps):
+        return None
+    step = steps[task.index - 1]
+    if step.kind not in (SEND_REQUEST, PERFORM_ACTION) or step.index in task.instructed:
+        return None
+    return protocol.agent_for(step.role), kg_next_action(protocol, task, step.role)
+
+
 def _int_literal(value: int) -> Literal:
     return Literal(str(value), vocab.XSD_INTEGER)
 
@@ -336,7 +358,7 @@ def advance_query_step(protocol: ProtocolDefinition, task: TaskState,
     """
     moved = False
     steps = protocol.steps
-    while (task.status not in (COMPLETED, FAILED) and task.index <= len(steps)
+    while (not task.finished and task.index <= len(steps)
            and steps[task.index - 1].kind == QUERY_NEXT
            and steps[task.index - 1].role == requester_role):
         task.index += 1
@@ -344,6 +366,28 @@ def advance_query_step(protocol: ProtocolDefinition, task: TaskState,
         moved = True
     if moved and task.index > len(steps):
         task.status = COMPLETED
+    return moved
+
+
+def accept_request(protocol: ProtocolDefinition, task: TaskState,
+                   recipient_role: Iri) -> bool:
+    """Consume the request step aimed at a role that asked how to handle it.
+
+    The answer instructs the role's next perform step, so that step counts
+    as instructed. Returns True if the cursor moved.
+    """
+    steps = protocol.steps
+    moved = False
+    if not task.finished and task.index <= len(steps):
+        current = steps[task.index - 1]
+        if current.kind == SEND_REQUEST and current.target_role == recipient_role:
+            task.index += 1
+            task.status = IN_PROGRESS
+            moved = True
+    for step in steps[task.index - 1:]:
+        if step.kind == PERFORM_ACTION and step.role == recipient_role:
+            task.instructed.add(step.index)
+            break
     return moved
 
 
@@ -359,7 +403,7 @@ def record_event(store: NamedGraphStore, graph_id,
     Once only query steps remain the task completes immediately; the
     trailing queries are answered ``done`` when they arrive.
     """
-    if task.status in (COMPLETED, FAILED):
+    if task.finished:
         raise EventRejectedError(f"task is {task.status}")
     steps = protocol.steps
     i = task.index

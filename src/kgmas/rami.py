@@ -51,7 +51,7 @@ class AgentBlueprint:
 
     @property
     def agent_id(self) -> str:
-        return self.asset_id.local_name.lower()
+        return vocab.agent_id_of(self.asset_id)
 
 
 @dataclass(frozen=True)

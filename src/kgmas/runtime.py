@@ -21,14 +21,7 @@ from .agents import (
     shutdown,
 )
 from .errors import ValidationError
-from .protocol import (
-    COMPLETED,
-    FAILED,
-    TaskState,
-    check_world_consistency,
-    load_protocol,
-    mark_failed,
-)
+from .protocol import TaskState, check_world_consistency, load_protocol, mark_failed
 from .store import NamedGraphStore
 from .terms import Literal
 from .transports import TransportRegistry, default_registry
@@ -149,7 +142,7 @@ class Scenario:
             deadline_ms = self.deadline_ms
         protocol = load_protocol(self.store, self.setup_graph, task_name)
         task = self.kg.create_task(protocol, params)
-        conversation = self.kg.conversation_of(task)
+        conversation = task.conversation_id
         initiator = protocol.agent_for(protocol.initiator_role)
         self.bus.send(AclMessage(Performative.REQUEST, OPERATOR_ID, initiator,
                                  {"task": task.task_name, **params},
@@ -163,9 +156,9 @@ class Scenario:
         violations: list[int] = []
         marker = (task.index, task.status)
         last_progress = self.world.tick
-        while task.status not in (COMPLETED, FAILED) or not self.bus.idle():
+        while not task.finished or not self.bus.idle():
             if self.world.tick - start_tick >= cap:
-                if task.status not in (COMPLETED, FAILED):
+                if not task.finished:
                     mark_failed(self.store, self.data_graph, task, task.index)
                 log.info("run of %s hit the tick cap", task.task_id)
                 break
@@ -178,7 +171,7 @@ class Scenario:
             if current != marker:
                 marker = current
                 last_progress = self.world.tick
-            if task.status in (COMPLETED, FAILED):
+            if task.finished:
                 continue
             if self.world.tick - last_progress >= deadline_ticks:
                 mark_failed(self.store, self.data_graph, task, task.index)

@@ -72,33 +72,42 @@ def _expected(text: str, at: int, token: str) -> TurtleParseError:
     return _error_at(text, at, f"expected {token!r}, found {found}")
 
 
-def _to_iri(text: str, m: re.Match, ref: str) -> Iri:
+class _Iris(dict):
+    """One ``Iri`` per distinct text in a parse, validated once."""
+
+    def __missing__(self, value: str) -> Iri:
+        iri = self[value] = Iri(value)
+        return iri
+
+
+def _to_iri(text: str, m: re.Match, ref: str, iris: _Iris) -> Iri:
     """The iri of the iri ref whose body is group ``ref`` of ``m``."""
     if not m[ref]:
         raise _error_at(text, m.end(ref) + 1, "empty iri")
     try:
-        return Iri(m[ref])
+        return iris[m[ref]]
     except ValidationError as exc:
         raise _error_at(text, m.start(ref) - 1, str(exc)) from None
 
 
-def _expand(text: str, m: re.Match, prefixes: dict, prefix: str, local: str) -> Iri:
+def _expand(text: str, m: re.Match, prefixes: dict, iris: _Iris,
+            prefix: str, local: str) -> Iri:
     """The iri of the prefixed name in groups ``prefix`` and ``local``."""
     try:
-        return Iri(prefixes[m[prefix]] + m[local])
+        return iris[prefixes[m[prefix]] + m[local]]
     except KeyError:
         raise _error_at(text, m.start(prefix),
                         f"undeclared prefix {m[prefix]!r}") from None
 
 
-def _term(text: str, m: re.Match, prefixes: dict[str, str], position: str):
+def _term(text: str, m: re.Match, prefixes: dict[str, str], iris: _Iris, position: str):
     kind = m.lastgroup
     if kind == "pname":
-        return _expand(text, m, prefixes, "pfx", "local")
+        return _expand(text, m, prefixes, iris, "pfx", "local")
     if kind == "iri":
-        return _to_iri(text, m, "ref")
+        return _to_iri(text, m, "ref", iris)
     if kind != "literal" or position != "object":
-        raise _syntax_error(text, m.start(kind), position)
+        raise _syntax_error(text, m.start(kind), position, iris)
     lexical = m["lex"]
     if "\\" in lexical:
         try:
@@ -106,9 +115,9 @@ def _term(text: str, m: re.Match, prefixes: dict[str, str], position: str):
         except ValueError:
             _check_escapes(text, m.start("lex"), m.end("lex"))
     if m["dt_ref"] is not None:
-        return Literal(lexical, _to_iri(text, m, "dt_ref"))
+        return Literal(lexical, _to_iri(text, m, "dt_ref", iris))
     if m["dt_pfx"] is not None:
-        return Literal(lexical, _expand(text, m, prefixes, "dt_pfx", "dt_local"))
+        return Literal(lexical, _expand(text, m, prefixes, iris, "dt_pfx", "dt_local"))
     return Literal(lexical)
 
 
@@ -120,6 +129,7 @@ def parse_turtle(text: str) -> list[Triple]:
     """
     match = _TOKEN.match
     prefixes: dict[str, str] = {}
+    iris = _Iris()
     triples: list[Triple] = []
     pos = 0
     while True:
@@ -128,24 +138,24 @@ def parse_turtle(text: str) -> list[Triple]:
         if kind == "eof":
             return triples
         if kind == "prefix":
-            prefixes[m["name"]] = _to_iri(text, m, "ns").value
+            prefixes[m["name"]] = _to_iri(text, m, "ns", iris).value
             pos = m.end()
             continue
-        subject = _term(text, m, prefixes, "subject")
+        subject = _term(text, m, prefixes, iris, "subject")
         m = match(text, m.end())
-        predicate = _term(text, m, prefixes, "predicate")
+        predicate = _term(text, m, prefixes, iris, "predicate")
         m = match(text, m.end())
-        obj = _term(text, m, prefixes, "object")
+        obj = _term(text, m, prefixes, iris, "object")
         m = match(text, m.end())
         # the token here may be a name that starts with the closing '.'
         pos = m.start(m.lastgroup)
         if not text.startswith(".", pos):
-            raise _syntax_error(text, pos, "end")
+            raise _syntax_error(text, pos, "end", iris)
         triples.append(Triple(subject, predicate, obj))
         pos += 1
 
 
-def _syntax_error(text: str, at: int, expected: str) -> TurtleParseError:
+def _syntax_error(text: str, at: int, expected: str, iris: _Iris) -> TurtleParseError:
     """Say why the token at ``at`` cannot stand where ``expected`` is due:
     "subject", "predicate", "object" or the "end" of a statement."""
     c = text[at:at + 1]
@@ -156,7 +166,7 @@ def _syntax_error(text: str, at: int, expected: str) -> TurtleParseError:
             return _error_at(text, at, "statement missing final '.'")
         return _expected(text, at, ".")
     if c == "@" and expected == "subject":
-        return _prefix_error(text, at)
+        return _prefix_error(text, at, iris)
     if c == "<":
         return _iri_error(text, at)
     if c == "_":
@@ -208,7 +218,7 @@ def _literal_error(text: str, at: int) -> TurtleParseError:
     return _pname_error(text, end + 2)
 
 
-def _prefix_error(text: str, at: int) -> TurtleParseError:
+def _prefix_error(text: str, at: int, iris: _Iris) -> TurtleParseError:
     if not text.startswith("@prefix", at):
         return _error_at(text, at, "malformed @prefix directive")
     at = _SKIP_NAME(text, _SKIP_SPACE(text, at + 7).end()).end()
@@ -220,7 +230,7 @@ def _prefix_error(text: str, at: int) -> TurtleParseError:
     m = _TOKEN.match(text, at)
     if m.lastgroup != "iri":
         return _iri_error(text, at)
-    _to_iri(text, m, "ref")
+    _to_iri(text, m, "ref", iris)
     return _expected(text, _SKIP_SPACE(text, m.end()).end(), ".")
 
 

@@ -21,6 +21,11 @@ def xsd(local: str) -> Iri:
     return Iri(XSD_NS + local)
 
 
+def agent_id_of(asset: Iri) -> str:
+    """The bus id of an asset's agent: its local name, lower-cased."""
+    return asset.local_name.lower()
+
+
 # graph names
 SETUP_GRAPH = kgmas("setup")
 DATA_GRAPH = kgmas("data")

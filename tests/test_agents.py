@@ -19,7 +19,14 @@ from kgmas.agents import (
     spec_to_dict,
 )
 from kgmas.errors import DuplicateAgentError, GenerationError, UnknownSchemeError
-from kgmas.protocol import load_protocol
+from kgmas.protocol import (
+    COMPLETED,
+    FAILED,
+    IN_PROGRESS,
+    PENDING,
+    load_protocol,
+    mark_failed,
+)
 from kgmas.store import NamedGraphStore
 from kgmas.terms import Literal, Triple
 from kgmas.transports import default_registry
@@ -182,7 +189,7 @@ def test_task_ids_count_up_store_wide(setup_store):
     second = kg.create_task(protocol, {"from": "P2", "to": "P1"})
     assert first.task_id == "Task_move_pallet_1"
     assert second.task_id == "Task_move_pallet_2"
-    assert kg.conversation_of(first) == "conv-Task_move_pallet_1"
+    assert first.conversation_id == "conv-Task_move_pallet_1"
 
 
 def test_mediator_refuses_queries_about_unknown_tasks(setup_store):
@@ -244,3 +251,149 @@ def test_generic_agent_without_device_fails_perform(setup_store):
     failure = bus.try_receive("m")
     assert failure.performative is Performative.FAILURE
     assert failure.content["error"] == "no_device"
+
+
+# -- the mediator's answers, one message at a time ----------------------------
+
+MOVE = "move_pallet"
+BOT_PERFORM = {"action": "perform", "capability": "MotionControl",
+               "params": {"from": "P1", "to": "cell:3,2"},
+               "report": "pallet_delivered"}
+ARM_PERFORM = {"action": "perform", "capability": "GripperControl",
+               "params": {"from": "P1", "to": "P2"}, "report": "pallet_placed"}
+
+# (name, task index and status before, sender, performative, content,
+#  expected replies as (receiver, performative, content, in_reply_to),
+#  task index and status after)
+MEDIATOR_ANSWERS = [
+    ("next_action", (1, PENDING), "turtlebot", Performative.REQUEST,
+     {"query": "next_action", "task": MOVE},
+     [("turtlebot", Performative.INFORM,
+       {"action": "send_request", "to": "roboticarm", "task": MOVE}, "q-1")],
+     (2, IN_PROGRESS)),
+    ("handle_request_accepted", (2, IN_PROGRESS), "roboticarm",
+     Performative.REQUEST,
+     {"query": "handle_request", "task": MOVE, "from": "turtlebot"},
+     [("roboticarm", Performative.INFORM, ARM_PERFORM, "q-1"),
+      ("turtlebot", Performative.INFORM, BOT_PERFORM, None)],
+     (3, IN_PROGRESS)),
+    ("handle_request_task_mismatch", (2, IN_PROGRESS), "roboticarm",
+     Performative.REQUEST,
+     {"query": "handle_request", "task": "other", "from": "turtlebot"},
+     [("roboticarm", Performative.REFUSE, {"reason": "task_mismatch"}, "q-1")],
+     (2, IN_PROGRESS)),
+    ("unsupported_query", (1, PENDING), "turtlebot", Performative.REQUEST,
+     {"query": "weather", "task": MOVE},
+     [("turtlebot", Performative.REFUSE, {"reason": "unsupported"}, "q-1")],
+     (1, PENDING)),
+    ("unknown_role_query", (1, PENDING), "stranger", Performative.REQUEST,
+     {"query": "next_action", "task": MOVE},
+     [("stranger", Performative.REFUSE, {"reason": "unknown_role"}, "q-1")],
+     (1, PENDING)),
+    ("unknown_role_event", (3, IN_PROGRESS), "stranger", Performative.INFORM,
+     {"event": "pallet_delivered", "task": MOVE},
+     [("stranger", Performative.REFUSE, {"reason": "unknown_role"}, None)],
+     (3, IN_PROGRESS)),
+    ("event_accepted", (3, IN_PROGRESS), "turtlebot", Performative.INFORM,
+     {"event": "pallet_delivered", "task": MOVE},
+     [("turtlebot", Performative.CONFIRM, {"event": "pallet_delivered"}, None),
+      ("roboticarm", Performative.INFORM, ARM_PERFORM, None)],
+     (5, IN_PROGRESS)),
+    ("event_rejected", (1, PENDING), "turtlebot", Performative.INFORM,
+     {"event": "pallet_delivered", "task": MOVE},
+     [("turtlebot", Performative.REFUSE,
+       {"reason": "event_rejected",
+        "detail": "event 'pallet_delivered' from this role does not match step 1"},
+       None)],
+     (1, PENDING)),
+    ("failure_on_open_task", (3, IN_PROGRESS), "turtlebot", Performative.FAILURE,
+     {"error": "device busy", "task": MOVE}, [], (3, FAILED)),
+    ("failure_on_finished_task", (8, COMPLETED), "turtlebot",
+     Performative.FAILURE, {"error": "device busy", "task": MOVE}, [],
+     (8, COMPLETED)),
+]
+
+
+@pytest.mark.parametrize(
+    "before, sender, performative, content, replies, after",
+    [row[1:] for row in MEDIATOR_ANSWERS], ids=[row[0] for row in MEDIATOR_ANSWERS])
+def test_mediator_answers_one_message(setup_store, before, sender, performative,
+                                      content, replies, after):
+    bus = Bus()
+    kg = KgAgent(bus, setup_store, DATA_GRAPH)
+    for agent_id in ("turtlebot", "roboticarm", "stranger"):
+        bus.register(agent_id)
+    protocol = load_protocol(setup_store, SETUP_GRAPH, task_name=MOVE)
+    task = kg.create_task(protocol, {"from": "P1", "to": "P2"})
+    task.index, task.status = before
+    conversation = f"conv-{task.task_id}"
+    bus.send(AclMessage(performative, sender, "kg", content, conversation,
+                        reply_with="q-1"))
+    kg.activate()
+    sent = [message for _, message in bus.delivery_log()[1:]]
+    assert [(m.receiver, m.performative, m.content, m.in_reply_to)
+            for m in sent] == replies
+    assert all(m.sender == "kg" and m.conversation_id == conversation for m in sent)
+    assert (task.index, task.status) == after
+    assert task.failed_step == (3 if after[1] == FAILED else None)
+
+
+# -- routing by conversation ---------------------------------------------------
+
+
+@pytest.fixture
+def two_moves(setup_store):
+    """A mediator with two open ``move_pallet`` tasks and both asset ids."""
+    bus = Bus()
+    kg = KgAgent(bus, setup_store, DATA_GRAPH)
+    for agent_id in ("turtlebot", "roboticarm"):
+        bus.register(agent_id)
+    protocol = load_protocol(setup_store, SETUP_GRAPH, task_name=MOVE)
+    first = kg.create_task(protocol, {"from": "P1", "to": "P2"})
+    second = kg.create_task(protocol, {"from": "P2", "to": "P1"})
+    return bus, kg, first, second
+
+
+def test_query_moves_the_task_of_its_conversation(two_moves):
+    bus, kg, first, second = two_moves
+    bus.send(AclMessage(Performative.REQUEST, "turtlebot", "kg",
+                        {"query": "next_action", "task": MOVE},
+                        "conv-Task_move_pallet_1", reply_with="q-1"))
+    kg.activate()
+    answer = bus.try_receive("turtlebot")
+    assert answer.content["action"] == "send_request"
+    assert answer.conversation_id == "conv-Task_move_pallet_1"
+    assert (first.index, first.status) == (2, IN_PROGRESS)
+    assert (second.index, second.status) == (1, PENDING)
+
+
+def test_stale_event_on_a_failed_task_moves_no_other_task(two_moves, setup_store):
+    bus, kg, first, second = two_moves
+    mark_failed(setup_store, DATA_GRAPH, first, first.index)
+    second.index, second.status = 3, IN_PROGRESS
+    bus.send(AclMessage(Performative.INFORM, "turtlebot", "kg",
+                        {"event": "pallet_delivered", "task": MOVE},
+                        "conv-Task_move_pallet_1"))
+    kg.activate()
+    answer = bus.try_receive("turtlebot")
+    assert answer.performative is Performative.REFUSE
+    assert answer.content == {"reason": "event_rejected", "detail": "task is failed"}
+    assert (second.index, second.status) == (3, IN_PROGRESS)
+    assert bus.try_receive("roboticarm") is None
+
+
+def test_query_outside_every_task_conversation_is_refused(setup_store):
+    bus = Bus()
+    kg = KgAgent(bus, setup_store, DATA_GRAPH)
+    bus.register("turtlebot")
+    protocol = load_protocol(setup_store, SETUP_GRAPH, task_name=MOVE)
+    task = kg.create_task(protocol, {"from": "P1", "to": "P2"})
+    bus.send(AclMessage(Performative.REQUEST, "turtlebot", "kg",
+                        {"query": "next_action", "task": MOVE},
+                        "conv-elsewhere", reply_with="q-1"))
+    kg.activate()
+    answer = bus.try_receive("turtlebot")
+    assert answer.performative is Performative.REFUSE
+    assert answer.content == {"reason": "unknown_task"}
+    assert answer.in_reply_to == "q-1"
+    assert (task.index, task.status) == (1, PENDING)

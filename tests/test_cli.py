@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from helpers import fixture_path, fixture_text
 from kgmas.cli import main
 
 
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 SETUP = fixture_path("fig3_setup.ttl")
 WORLD = fixture_path("warehouse_world.json")
 
@@ -102,6 +104,13 @@ def test_run_completes_and_writes_artifacts(tmp_path, capsys):
     rows = [line.split("\t") for line in consistency.splitlines()]
     assert len(rows) == 21
     assert all(count == "0" for _, count in rows)
+
+
+def test_run_reproduces_the_golden_artifacts_byte_for_byte(tmp_path, capsys):
+    assert main(RUN_ARGS + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name in ("trace.log", "data.ttl", "consistency.txt"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_run_zero_deadline_fails(capsys):

@@ -44,6 +44,17 @@ def test_parse_typed_literal():
     assert triple.object == Literal("7", Iri(XSD + "integer"))
 
 
+def test_an_iri_named_three_times_is_one_object():
+    text = (f"@prefix kgmas: <{NS}> .\n"
+            f"kgmas:a kgmas:p <{NS}a> .\n"
+            f'<{NS}s> <{NS}p> "1"^^kgmas:a .\n')
+    first, second = parse_turtle(text)
+    assert first.subject == Iri(NS + "a")
+    assert first.object is first.subject
+    assert second.object.datatype is first.subject
+    assert second.predicate is first.predicate
+
+
 def test_parse_escapes():
     text = (f'<{NS}s> <{NS}p> '
             '"q:\\" b:\\\\ n:\\n t:\\t u:\\u00e9 U:\\U0001f916" .')
