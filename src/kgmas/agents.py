@@ -35,7 +35,7 @@ from .protocol import (
     record_event,
     write_task_state,
 )
-from .rami import AgentBlueprint, Channel, CommunicationBinding, extract_blueprint, list_assets, validate_setup
+from .rami import AgentBlueprint, extract_blueprint, list_assets, validate_setup
 from .store import NamedGraphStore
 from .terms import Iri, Literal
 from .transports import Endpoint, TransportRegistry
@@ -83,21 +83,6 @@ def spec_to_dict(spec: AgentSpec) -> dict:
         "capabilities": [c.value for c in bp.capabilities],
         "coordination_role": bp.coordination_role.value,
     }
-
-
-def spec_from_dict(data: dict) -> AgentSpec:
-    blueprint = AgentBlueprint(
-        asset_id=Iri(data["asset"]),
-        asset_kind=Iri(data["asset_kind"]),
-        realm=data["realm"],
-        binding=CommunicationBinding(data["binding"]["scheme"],
-                                     data["binding"]["endpoint"]),
-        channels=tuple(Channel(c["topic"], c["direction"], Iri(c["message_kind"]))
-                       for c in data["channels"]),
-        capabilities=tuple(Iri(v) for v in data["capabilities"]),
-        coordination_role=Iri(data["coordination_role"]),
-    )
-    return AgentSpec(agent_id=data["agent_id"], blueprint=blueprint)
 
 
 def generate_agents(store: NamedGraphStore, graph_id,
@@ -281,7 +266,9 @@ class KgAgent:
     inform).  Every message is routed to its task by its conversation id
     alone; each task has its own conversation.  Instructions for a step
     are handed out once; when a step becomes current without its owner
-    asking, the instruction is pushed.
+    asking, the instruction is pushed.  A ``FAILURE`` fails its task only
+    when the sender holds one of the task's roles; otherwise it is refused
+    ``unknown_role`` like any other message from a role-less sender.
     """
 
     def __init__(self, bus: Bus, store: NamedGraphStore, data_graph,
@@ -325,20 +312,21 @@ class KgAgent:
         content = message.content if isinstance(message.content, dict) else {}
         performative = message.performative
         protocol, task = self._tasks.get(message.conversation_id, (None, None))
-        if performative is Performative.FAILURE:
-            if task is not None and not task.finished:
+        role = protocol.role_of_agent(message.sender) if task is not None else None
+        is_failure = performative is Performative.FAILURE
+        if is_failure and role is not None:
+            if not task.finished:
                 mark_failed(self.store, self.data_graph, task, task.index)
                 log.info("kg: task %s failed at step %d: %s",
                          task.task_id, task.index, content)
             return
         is_query = performative is Performative.REQUEST
-        if not is_query and not (performative is Performative.INFORM
-                                 and "event" in content):
+        if not (is_query or is_failure or (performative is Performative.INFORM
+                                           and "event" in content)):
             log.debug("kg: ignoring %s from %s", performative.value,
                       message.sender)
             return
         query = content.get("query")
-        role = protocol.role_of_agent(message.sender) if task is not None else None
         if task is None:
             verb, reply = Performative.REFUSE, {"reason": "unknown_task"}
         elif is_query and query not in ("next_action", "handle_request"):

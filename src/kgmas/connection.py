@@ -4,8 +4,9 @@ The connection component owns the device-facing side of an asset's channels.
 It accepts abstract capability invocations, translates them into native
 command sequences, feeds them to the world one at a time, and publishes the
 resulting observations back on the asset's outbound channels.  It also
-mirrors device state into the data graph so the knowledge graph stays a
-faithful replica of the world.
+mirrors device state into the data graph when it changes.  While open, it is
+the only writer of its asset's state predicates, so a tick that changes none
+of the values it last wrote writes nothing.
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ class ConnectionComponent:
         self._failed_id: int | None = None
         self._error: str | None = None
         self._last_payload: dict | None = None
+        self._mirrored: tuple | None = None
         self._command_topics = [c.topic for c in blueprint.channels
                                 if c.direction == "subscribes"]
         self._obs_topics = [c.topic for c in blueprint.channels
@@ -231,19 +233,26 @@ class ConnectionComponent:
     # -- graph mirroring ---------------------------------------------------
 
     def _write_state(self, payload: dict) -> None:
-        asset = kgmas(self.blueprint.asset_id.local_name)
         device = self.world.devices[self.asset_id]
+        arm = device.kind == KIND_ROBOTIC_ARM
+        # The world moves an arm's joints in place, so the record keeps a copy.
+        mirrored = (payload["busy"], device.cell, device.holding,
+                    tuple(device.joints) if arm else None,
+                    device.gripper if arm else None)
+        if mirrored == self._mirrored:
+            return
+        self._mirrored = mirrored
         status = STATUS_BUSY if payload["busy"] else STATUS_IDLE
         facts: dict[Iri, list] = {
             HAS_STATUS: [Literal(status)],
             AT_POSITION: [Literal(self.world.position_literal(device.cell))],
             HOLDS: [kgmas(device.holding)] if device.holding else [],
         }
-        if device.kind == KIND_ROBOTIC_ARM:
+        if arm:
             joints = ",".join(f"{round(j, 6):g}" for j in device.joints)
             facts[HAS_JOINT_STATES] = [Literal(joints)]
             facts[HAS_GRIPPER_STATE] = [Literal(device.gripper)]
-        self.store.replace(self.data_graph, asset, facts)
+        self.store.replace(self.data_graph, self.blueprint.asset_id, facts)
 
     def close(self) -> None:
         if self._closed:

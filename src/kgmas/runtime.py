@@ -2,8 +2,10 @@
 
 Everything that moves, moves here, in a fixed order: mediator first, asset
 agents by id, then device dispatch, one world tick, observation fan-out and
-state mirroring.  Time is the tick counter; nothing reads a wall clock, so
-two runs of the same scenario produce byte-identical traces and dumps.
+state mirroring, which writes only what changed; the scenario is the only
+writer of pallet ``atPosition``.  Time is the tick counter; nothing reads a
+wall clock, so two runs of the same scenario produce byte-identical traces
+and dumps.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ class Scenario:
                 world=world, registry=self.registry,
                 transport_override=overrides.get(spec.agent_id))
             self.handles[spec.agent_id] = handle
+        self._published: dict[str, str] = {}
         self._publish_pallets()
         self._closed = False
 
@@ -104,10 +107,13 @@ class Scenario:
     # -- per-tick machinery ------------------------------------------------
 
     def _publish_pallets(self) -> None:
-        for pallet_id, position in sorted(self.world.pallet_positions().items()):
-            self.store.replace(self.data_graph, kgmas(pallet_id), {
-                AT_POSITION: [Literal(position)],
-            })
+        positions = self.world.pallet_positions()
+        for pallet_id, position in positions.items():
+            if self._published.get(pallet_id) != position:
+                self.store.replace(self.data_graph, kgmas(pallet_id), {
+                    AT_POSITION: [Literal(position)],
+                })
+        self._published = positions
 
     def iterate(self) -> None:
         """One full cycle: think, act, move, sense."""

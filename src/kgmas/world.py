@@ -167,11 +167,6 @@ class WarehouseWorld:
         x, y = cell
         return 0 <= x < self.width and 0 <= y < self.height
 
-    def station_cell(self, label: str) -> tuple[int, int]:
-        if label not in self.stations:
-            raise WorldError(f"unknown station {label!r}")
-        return self.stations[label]
-
     def position_literal(self, cell: tuple[int, int]) -> str:
         """Station label if the cell hosts one, else ``cell:x,y``."""
         label = self._station_by_cell.get(tuple(cell))

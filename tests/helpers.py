@@ -11,6 +11,15 @@ import random
 from pathlib import Path
 
 from kgmas.terms import Iri, Literal, Pattern, Triple, Variable, term_key
+from kgmas.vocab import (
+    AT_POSITION,
+    HAS_GRIPPER_STATE,
+    HAS_JOINT_STATES,
+    HAS_STATUS,
+    HOLDS,
+    kgmas,
+)
+from kgmas.world import KIND_ROBOTIC_ARM
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -82,6 +91,49 @@ def consistency_oracle(placements) -> list[tuple[str, str, str, str]]:
                     continue
                 out.append((rule, here[i][0], here[j][0], position))
     return out
+
+
+# -- device and pallet state read straight off the world --------------------
+
+
+def world_state_facts(world, assets: dict, working=frozenset()) -> dict:
+    """What the data graph must say about every device and pallet.
+
+    ``assets`` maps device id to asset iri. A device is busy while its
+    world queue holds a command or while it is in ``working``, the devices
+    with native commands still to be fed. Returns (subject, predicate) ->
+    set of objects for every mirrored predicate of those subjects.
+    """
+    expected = {}
+    for device_id, asset in assets.items():
+        device = world.devices[device_id]
+        busy = world.device_busy(device_id) or device_id in working
+        x, y = device.cell
+        label = {tuple(c): name for name, c in world.stations.items()}.get(
+            (x, y), f"cell:{x},{y}")
+        arm = device.kind == KIND_ROBOTIC_ARM
+        facts = {
+            HAS_STATUS: {Literal("busy" if busy else "idle")},
+            AT_POSITION: {Literal(label)},
+            HOLDS: {kgmas(device.holding)} if device.holding else set(),
+            HAS_JOINT_STATES: ({Literal(",".join(f"{round(j, 6):g}"
+                                                 for j in device.joints))}
+                               if arm else set()),
+            HAS_GRIPPER_STATE: {Literal(device.gripper)} if arm else set(),
+        }
+        expected.update(((asset, p), objects) for p, objects in facts.items())
+    for pallet_id, position in world.pallet_positions().items():
+        expected[(kgmas(pallet_id), AT_POSITION)] = {Literal(position)}
+    return expected
+
+
+def graph_facts(triples, keys) -> dict:
+    """(subject, predicate) -> set of objects in ``triples``, for ``keys``."""
+    found = {key: set() for key in keys}
+    for t in triples:
+        if (t.subject, t.predicate) in found:
+            found[(t.subject, t.predicate)].add(t.object)
+    return found
 
 
 # -- random input builders --------------------------------------------------

@@ -15,7 +15,6 @@ from kgmas.agents import (
     generate_agents,
     instantiate,
     shutdown,
-    spec_from_dict,
     spec_to_dict,
 )
 from kgmas.errors import DuplicateAgentError, GenerationError, UnknownSchemeError
@@ -114,7 +113,6 @@ def test_spec_serialization_round_trip(setup_store, tmp_path):
     for spec, path in zip(specs, paths):
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        assert spec_from_dict(data) == spec
         assert data == spec_to_dict(spec)
 
 
@@ -311,6 +309,10 @@ MEDIATOR_ANSWERS = [
     ("failure_on_finished_task", (8, COMPLETED), "turtlebot",
      Performative.FAILURE, {"error": "device busy", "task": MOVE}, [],
      (8, COMPLETED)),
+    ("failure_from_unknown_role", (1, IN_PROGRESS), "stranger",
+     Performative.FAILURE, {"error": "device busy", "task": MOVE},
+     [("stranger", Performative.REFUSE, {"reason": "unknown_role"}, None)],
+     (1, IN_PROGRESS)),
 ]
 
 
@@ -397,3 +399,19 @@ def test_query_outside_every_task_conversation_is_refused(setup_store):
     assert answer.content == {"reason": "unknown_task"}
     assert answer.in_reply_to == "q-1"
     assert (task.index, task.status) == (1, PENDING)
+
+
+def test_failure_outside_every_task_conversation_is_refused(setup_store):
+    bus = Bus()
+    kg = KgAgent(bus, setup_store, DATA_GRAPH)
+    bus.register("turtlebot")
+    protocol = load_protocol(setup_store, SETUP_GRAPH, task_name=MOVE)
+    task = kg.create_task(protocol, {"from": "P1", "to": "P2"})
+    task.index, task.status = 3, IN_PROGRESS
+    bus.send(AclMessage(Performative.FAILURE, "turtlebot", "kg",
+                        {"error": "device busy", "task": MOVE}, "conv-elsewhere"))
+    kg.activate()
+    answer = bus.try_receive("turtlebot")
+    assert answer.performative is Performative.REFUSE
+    assert answer.content == {"reason": "unknown_task"}
+    assert (task.index, task.status) == (3, IN_PROGRESS)

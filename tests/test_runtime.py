@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from helpers import fixture_path, fixture_text
+from helpers import fixture_path, fixture_text, graph_facts, world_state_facts
 from kgmas.acl import Performative, format_trace
+from kgmas.connection import PICK_POSTURE
 from kgmas.errors import ValidationError
 from kgmas.protocol import derive_trace_skeleton, load_protocol
 from kgmas.runtime import Scenario
@@ -17,6 +18,10 @@ from kgmas.vocab import (
     AT_POSITION,
     AT_TICK,
     DATA_GRAPH,
+    HAS_GRIPPER_STATE,
+    HAS_JOINT_STATES,
+    HAS_STATUS,
+    HOLDS,
     SETUP_GRAPH,
     XSD_INTEGER,
     kgmas,
@@ -91,6 +96,84 @@ def test_mirror_tracks_world_every_tick():
         result = scenario.run_task("move_pallet", PARAMS, on_tick=check)
         assert result.status == "completed"
         assert checked["ticks"] == result.ticks
+
+
+def assert_mirror_matches_world(scenario: Scenario) -> None:
+    """The data graph says exactly what the world holds, fact for fact."""
+    connected = {agent_id: handle for agent_id, handle in scenario.handles.items()
+                 if handle.connection is not None}
+    assets = {agent_id: handle.spec.blueprint.asset_id
+              for agent_id, handle in connected.items()}
+    # A device between two native commands of one invocation is still busy.
+    working = {agent_id for agent_id, handle in connected.items()
+               if handle.connection._batch is not None}
+    expected = world_state_facts(scenario.world, assets, working)
+    found = graph_facts(scenario.store.triples(DATA_GRAPH), expected)
+    assert found == expected, f"tick {scenario.world.tick}"
+
+
+def world_without_arm() -> WarehouseWorld:
+    doc = json.loads(fixture_text("warehouse_world.json"))
+    del doc["devices"]["roboticarm"]
+    return WarehouseWorld.from_fixture(doc)
+
+
+def world_with_arm_in_pick_posture() -> WarehouseWorld:
+    """The arm's first command moves nothing, so only its status changes."""
+    doc = json.loads(fixture_text("warehouse_world.json"))
+    doc["devices"]["roboticarm"]["joints"] = list(PICK_POSTURE)
+    return WarehouseWorld.from_fixture(doc)
+
+
+@pytest.mark.parametrize("params, world, outcome", [
+    (PARAMS, None, ("completed", None)),
+    ({"from": "P9", "to": "P2"}, None, ("failed", 3)),
+    (PARAMS, world_without_arm, ("failed", 5)),
+    (PARAMS, world_with_arm_in_pick_posture, ("completed", None)),
+], ids=["fixture", "bad_cell", "absent_arm", "arm_in_pick_posture"])
+def test_mirror_equals_world_after_every_tick(params, world, outcome):
+    store = NamedGraphStore()
+    store.load_turtle(SETUP_GRAPH, fixture_text("fig3_setup.ttl"))
+    world = world() if world else WarehouseWorld.from_file(WORLD)
+    checked = []
+
+    def check(s: Scenario):
+        assert_mirror_matches_world(s)
+        checked.append(s.world.tick)
+
+    with Scenario(store, world) as scenario:
+        result = scenario.run_task("move_pallet", params, on_tick=check)
+    assert (result.status, result.stalled_step) == outcome
+    assert len(checked) == result.ticks > 0
+
+
+def test_an_idle_tick_writes_nothing():
+    """Once the task is done and the bus drained, a tick changes no fact."""
+    with fresh() as scenario:
+        result = scenario.run_task("move_pallet", PARAMS)
+        assert result.status == "completed" and scenario.bus.idle()
+        revision = scenario.store.revision
+        scenario.iterate()
+        assert scenario.store.revision == revision
+        assert_mirror_matches_world(scenario)
+
+
+def test_first_tick_writes_every_device_in_full(monkeypatch):
+    """A new connection has written nothing, so its first write is whole."""
+    with fresh() as scenario:
+        writes = []
+        replace = scenario.store.replace
+
+        def spy(graph_id, subject, facts):
+            writes.append((subject, frozenset(facts)))
+            return replace(graph_id, subject, facts)
+
+        monkeypatch.setattr(scenario.store, "replace", spy)
+        scenario.iterate()
+        mobile = {HAS_STATUS, AT_POSITION, HOLDS}
+        assert (kgmas("Turtlebot"), mobile) in writes
+        assert (kgmas("RoboticArm"),
+                mobile | {HAS_JOINT_STATES, HAS_GRIPPER_STATE}) in writes
 
 
 def test_zero_deadline_fails_without_progress():

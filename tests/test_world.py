@@ -234,7 +234,6 @@ def test_pallet_conservation_under_random_commands():
 def test_fixture_round_trip():
     world = WarehouseWorld.from_file(fixture_path("warehouse_world.json"))
     assert world.width == 6 and world.height == 4
-    assert world.station_cell("P1") == (1, 1)
     assert world.pallet_positions() == {"Pallet1": "P1"}
     assert sorted(world.devices) == ["roboticarm", "turtlebot"]
     assert world.position_literal((4, 2)) == "P2"
