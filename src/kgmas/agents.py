@@ -26,11 +26,9 @@ from .errors import (
 from .protocol import (
     ProtocolDefinition,
     TaskState,
-    accept_request,
-    advance_query_step,
-    kg_handle_request,
-    kg_next_action,
+    handle_request,
     mark_failed,
+    next_action,
     next_push,
     record_event,
     write_task_state,
@@ -187,7 +185,9 @@ class GenericAgent:
         elif performative in (Performative.REFUSE, Performative.FAILURE):
             log.info("%s: %s from %s: %s", self.agent_id, performative.value,
                      message.sender, content)
-            self._perform = None
+            if (self._perform is not None and message.sender == self.mediator
+                    and message.conversation_id == self._perform["conversation"]):
+                self._perform = None
         else:
             log.debug("%s: ignoring %s from %s", self.agent_id,
                       performative.value, message.sender)
@@ -264,9 +264,11 @@ class KgAgent:
     what to do next ("next_action"), how to treat a peer request
     ("handle_request"), and tell it when something happened (an event
     inform).  Every message is routed to its task by its conversation id
-    alone; each task has its own conversation.  Instructions for a step
-    are handed out once; when a step becomes current without its owner
-    asking, the instruction is pushed.  A ``FAILURE`` fails its task only
+    alone; each task has its own conversation.  The answers and every move
+    of the task come from the rules in :mod:`kgmas.protocol`; this agent
+    sends them and mirrors the task into the data graph when it moved.
+    When a step becomes current without its owner asking, the instruction
+    is pushed.  A ``FAILURE`` fails its task only
     when the sender holds one of the task's roles; otherwise it is refused
     ``unknown_role`` like any other message from a role-less sender.
     """
@@ -335,34 +337,22 @@ class KgAgent:
             verb, reply = Performative.REFUSE, {"reason": "unknown_role"}
         elif not is_query:
             verb, reply = self._record(protocol, task, role, content)
-        elif query == "next_action":
-            verb, reply = self._next_action(protocol, task, role)
         else:
-            verb, reply = self._handle_request(protocol, task, role, content)
+            before = (task.index, task.status)
+            if query == "next_action":
+                reply = next_action(protocol, task, role)
+            else:
+                reply = handle_request(protocol, task, role, content)
+            if (task.index, task.status) != before:
+                write_task_state(self.store, self.data_graph, task)
+            verb = Performative.INFORM
+            if reply["action"] == "refuse":
+                verb, reply = Performative.REFUSE, {"reason": reply["reason"]}
         self._send(verb, message.sender, reply, message.conversation_id,
                    message.reply_with if is_query else None)
         push = None if verb is Performative.REFUSE else next_push(protocol, task)
         if push is not None:
-            task.instructed.add(task.index)
             self._send(Performative.INFORM, *push, task.conversation_id)
-
-    def _next_action(self, protocol: ProtocolDefinition, task: TaskState,
-                     role: Iri) -> tuple[Performative, dict]:
-        if advance_query_step(protocol, task, role):
-            write_task_state(self.store, self.data_graph, task)
-        answer = kg_next_action(protocol, task, role)
-        if answer["action"] in ("send_request", "perform", "report"):
-            task.instructed.add(task.index)
-        return Performative.INFORM, answer
-
-    def _handle_request(self, protocol: ProtocolDefinition, task: TaskState,
-                        role: Iri, content: dict) -> tuple[Performative, dict]:
-        answer = kg_handle_request(protocol, task, role, content)
-        if answer["action"] == "refuse":
-            return Performative.REFUSE, {"reason": answer.get("reason", "refused")}
-        if accept_request(protocol, task, role):
-            write_task_state(self.store, self.data_graph, task)
-        return Performative.INFORM, answer
 
     def _record(self, protocol: ProtocolDefinition, task: TaskState,
                 role: Iri, content: dict) -> tuple[Performative, dict]:

@@ -12,10 +12,12 @@ capability) and an ordered list of steps. Step kinds:
   recording the event consumes it together with the perform step it
   documents
 
-The functions here hold the coordination semantics: the answers to
-queries, the instruction to push, every move of a task's step cursor
-and status, and consistency checking. The mediator agent only wraps
-them with messaging.
+The functions here hold the coordination semantics. Each mediator rule
+answers one message and moves the task as that message requires:
+``next_action`` and ``handle_request`` answer queries, ``record_event``
+records a report, and ``next_push`` hands out a current step nobody has
+asked for. Consistency checking lives here too. The mediator agent only
+wraps these rules with messaging.
 """
 
 from __future__ import annotations
@@ -260,11 +262,13 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str | None = None
     return ProtocolDefinition(protocol, tasks[0], tuple(steps), roles, role_assets)
 
 
-# -- mediator decision functions ------------------------------------------
+# -- mediator rules --------------------------------------------------------
 
 
 def _instruction_for(protocol: ProtocolDefinition, task: TaskState,
                      step: ProtocolStep) -> dict:
+    """The instruction that hands a step to its owner; the step counts as instructed."""
+    task.instructed.add(step.index)
     if step.kind == SEND_REQUEST:
         return {"action": "send_request",
                 "to": protocol.agent_for(step.target_role),
@@ -277,51 +281,56 @@ def _instruction_for(protocol: ProtocolDefinition, task: TaskState,
                 "capability": capability.local_name,
                 "params": params,
                 "report": protocol.report_event_after(step.role, step.index)}
-    if step.kind == REPORT_EVENT:
-        return {"action": "report", "event": event_name_of(step)}
-    return {"action": "wait"}
+    return {"action": "report", "event": event_name_of(step)}
 
 
-def kg_next_action(protocol: ProtocolDefinition, task: TaskState,
-                   requester_role: Iri) -> dict:
-    """What should the requesting role do now? Pure; mutates nothing.
+def next_action(protocol: ProtocolDefinition, task: TaskState, role: Iri) -> dict:
+    """Answer a role asking what to do now.
 
-    Query steps owned by the requester are transparent: they are the
-    act of asking itself, so the answer comes from the step behind
-    them. Out of turn yields ``wait``; a finished task yields ``done``.
+    Query steps owned by the asker at the cursor are the act of asking
+    itself: they are consumed, and the answer comes from the step behind
+    them. Passing the last step completes the task. Out of turn yields
+    ``wait``; a finished task yields ``done``.
     """
     if task.finished:
         return {"action": "done"}
     steps = protocol.steps
-    i = task.index
-    while (i <= len(steps) and steps[i - 1].kind == QUERY_NEXT
-           and steps[i - 1].role == requester_role):
-        i += 1
-    if i > len(steps):
+    while (task.index <= len(steps) and steps[task.index - 1].kind == QUERY_NEXT
+           and steps[task.index - 1].role == role):
+        task.index += 1
+        task.status = IN_PROGRESS
+    if task.index > len(steps):
+        task.status = COMPLETED
         return {"action": "done"}
-    step = steps[i - 1]
-    if step.role != requester_role:
+    step = steps[task.index - 1]
+    if step.role != role:
         return {"action": "wait"}
     return _instruction_for(protocol, task, step)
 
 
-def kg_handle_request(protocol: ProtocolDefinition, task: TaskState,
-                      recipient_role: Iri, request_content: dict) -> dict:
-    """How should a role handle a peer's task request? Pure.
+def handle_request(protocol: ProtocolDefinition, task: TaskState, role: Iri,
+                   content) -> dict:
+    """Answer a role asking how to treat a peer's task request.
 
-    A request naming a different task is refused. Otherwise the role is
-    told to exercise its required capability with the task parameters,
-    and which event to report on completion.
+    A request naming a different task is refused, and a finished task
+    yields ``done``. Otherwise the request step aimed at the role is
+    consumed if it is current, and the role is instructed with its next
+    perform step.
     """
-    if not isinstance(request_content, dict) \
-            or request_content.get("task") != task.task_name:
+    if not isinstance(content, dict) or content.get("task") != task.task_name:
         return {"action": "refuse", "reason": "task_mismatch"}
-    if recipient_role not in protocol.roles:
-        raise ProtocolError(f"unknown role {recipient_role.value}")
-    return {"action": "perform",
-            "capability": protocol.roles[recipient_role].local_name,
-            "params": dict(task.params),
-            "report": protocol.report_event_after(recipient_role, task.index)}
+    if task.finished:
+        return {"action": "done"}
+    steps = protocol.steps
+    if task.index <= len(steps):
+        current = steps[task.index - 1]
+        if current.kind == SEND_REQUEST and current.target_role == role:
+            task.index += 1
+            task.status = IN_PROGRESS
+    for step in steps[task.index - 1:]:
+        if step.kind == PERFORM_ACTION and step.role == role:
+            return _instruction_for(protocol, task, step)
+    return {"action": "wait"}
 
 
 def next_push(protocol: ProtocolDefinition,
@@ -333,7 +342,7 @@ def next_push(protocol: ProtocolDefinition,
     step = steps[task.index - 1]
     if step.kind not in (SEND_REQUEST, PERFORM_ACTION) or step.index in task.instructed:
         return None
-    return protocol.agent_for(step.role), kg_next_action(protocol, task, step.role)
+    return protocol.agent_for(step.role), _instruction_for(protocol, task, step)
 
 
 def _int_literal(value: int) -> Literal:
@@ -347,48 +356,6 @@ def write_task_state(store: NamedGraphStore, graph_id, task: TaskState) -> int:
         vocab.TASK_STATUS: [Literal(task.status)],
         vocab.CURRENT_STEP_INDEX: [_int_literal(task.index)],
     })
-
-
-def advance_query_step(protocol: ProtocolDefinition, task: TaskState,
-                       requester_role: Iri) -> bool:
-    """Consume query steps owned by the requester at the cursor.
-
-    Returns True if the cursor moved. Completion is reached when the
-    cursor passes the last step.
-    """
-    moved = False
-    steps = protocol.steps
-    while (not task.finished and task.index <= len(steps)
-           and steps[task.index - 1].kind == QUERY_NEXT
-           and steps[task.index - 1].role == requester_role):
-        task.index += 1
-        task.status = IN_PROGRESS
-        moved = True
-    if moved and task.index > len(steps):
-        task.status = COMPLETED
-    return moved
-
-
-def accept_request(protocol: ProtocolDefinition, task: TaskState,
-                   recipient_role: Iri) -> bool:
-    """Consume the request step aimed at a role that asked how to handle it.
-
-    The answer instructs the role's next perform step, so that step counts
-    as instructed. Returns True if the cursor moved.
-    """
-    steps = protocol.steps
-    moved = False
-    if not task.finished and task.index <= len(steps):
-        current = steps[task.index - 1]
-        if current.kind == SEND_REQUEST and current.target_role == recipient_role:
-            task.index += 1
-            task.status = IN_PROGRESS
-            moved = True
-    for step in steps[task.index - 1:]:
-        if step.kind == PERFORM_ACTION and step.role == recipient_role:
-            task.instructed.add(step.index)
-            break
-    return moved
 
 
 def record_event(store: NamedGraphStore, graph_id,

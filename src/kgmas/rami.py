@@ -17,8 +17,8 @@ from . import vocab
 from .errors import BlueprintError, UnknownAssetError
 from .store import NamedGraphStore
 from .terms import Iri, Literal
+from .transports import default_registry
 
-_BUILTIN_SCHEMES = frozenset({"ros+ws", "rest+http", "mqtt"})
 _DIRECTIONS = (("publishes", vocab.PUBLISHES_ON), ("subscribes", vocab.SUBSCRIBES_TO))
 
 
@@ -84,7 +84,8 @@ def validate_setup(store: NamedGraphStore, graph_id,
     An empty graph is vacuously valid. Violations come back in a
     deterministic order regardless of triple insertion order.
     """
-    schemes = frozenset(known_schemes) if known_schemes is not None else _BUILTIN_SCHEMES
+    schemes = frozenset(known_schemes if known_schemes is not None
+                        else default_registry().schemes())
     objects = functools.partial(store.objects, graph_id)
     assets = store.subjects(graph_id, vocab.HAS_ASSET_KIND)
     asset_set = set(assets)

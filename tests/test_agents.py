@@ -260,9 +260,11 @@ BOT_PERFORM = {"action": "perform", "capability": "MotionControl",
 ARM_PERFORM = {"action": "perform", "capability": "GripperControl",
                "params": {"from": "P1", "to": "P2"}, "report": "pallet_placed"}
 
+TASK_PARAMS = {"from": "P1", "to": "P2"}
+
 # (name, task index and status before, sender, performative, content,
 #  expected replies as (receiver, performative, content, in_reply_to),
-#  task index and status after)
+#  task index and status after[, task params if not TASK_PARAMS])
 MEDIATOR_ANSWERS = [
     ("next_action", (1, PENDING), "turtlebot", Performative.REQUEST,
      {"query": "next_action", "task": MOVE},
@@ -313,21 +315,35 @@ MEDIATOR_ANSWERS = [
      Performative.FAILURE, {"error": "device busy", "task": MOVE},
      [("stranger", Performative.REFUSE, {"reason": "unknown_role"}, None)],
      (1, IN_PROGRESS)),
+    ("handle_request_on_failed_task", (3, FAILED), "roboticarm",
+     Performative.REQUEST,
+     {"query": "handle_request", "task": MOVE, "from": "turtlebot"},
+     [("roboticarm", Performative.INFORM, {"action": "done"}, "q-1")],
+     (3, FAILED)),
+    ("handle_request_params_from_template", (2, IN_PROGRESS), "roboticarm",
+     Performative.REQUEST,
+     {"query": "handle_request", "task": MOVE, "from": "turtlebot"},
+     [("roboticarm", Performative.INFORM, ARM_PERFORM, "q-1"),
+      ("turtlebot", Performative.INFORM, BOT_PERFORM, None)],
+     (3, IN_PROGRESS), {"from": "P1", "to": "P2", "extra": "x"}),
 ]
 
 
 @pytest.mark.parametrize(
-    "before, sender, performative, content, replies, after",
-    [row[1:] for row in MEDIATOR_ANSWERS], ids=[row[0] for row in MEDIATOR_ANSWERS])
+    "before, sender, performative, content, replies, after, params",
+    [(*row[1:7], row[7] if len(row) > 7 else TASK_PARAMS)
+     for row in MEDIATOR_ANSWERS], ids=[row[0] for row in MEDIATOR_ANSWERS])
 def test_mediator_answers_one_message(setup_store, before, sender, performative,
-                                      content, replies, after):
+                                      content, replies, after, params):
     bus = Bus()
     kg = KgAgent(bus, setup_store, DATA_GRAPH)
     for agent_id in ("turtlebot", "roboticarm", "stranger"):
         bus.register(agent_id)
     protocol = load_protocol(setup_store, SETUP_GRAPH, task_name=MOVE)
-    task = kg.create_task(protocol, {"from": "P1", "to": "P2"})
+    task = kg.create_task(protocol, params)
     task.index, task.status = before
+    if task.status == FAILED:
+        task.failed_step = task.index
     conversation = f"conv-{task.task_id}"
     bus.send(AclMessage(performative, sender, "kg", content, conversation,
                         reply_with="q-1"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import random
 
 import pytest
@@ -16,13 +18,12 @@ from kgmas.protocol import (
     PENDING,
     QUERY_NEXT,
     TaskState,
-    advance_query_step,
     check_world_consistency,
     derive_trace_skeleton,
-    kg_handle_request,
-    kg_next_action,
+    handle_request,
     load_protocol,
     mark_failed,
+    next_action,
     record_event,
     substitute,
     write_task_state,
@@ -142,65 +143,77 @@ def test_substitute_fills_known_names_only():
 def test_at_most_one_role_has_the_turn(protocol):
     """Whatever the cursor position, at most one role gets a real instruction."""
     for index in range(1, len(protocol.steps) + 2):
-        task = make_task(index=index, status=IN_PROGRESS)
-        actionable = [role for role in protocol.roles
-                      if kg_next_action(protocol, task, role)["action"]
-                      not in ("wait", "done")]
+        actionable = []
+        for role in protocol.roles:
+            task = make_task(index=index, status=IN_PROGRESS)  # asking moves it
+            if next_action(protocol, task, role)["action"] not in ("wait", "done"):
+                actionable.append(role)
         assert len(actionable) <= 1, (index, actionable)
 
 
 def test_next_action_skips_own_query_step(protocol):
     task = make_task(index=1)
-    answer = kg_next_action(protocol, task, MOVER)
+    answer = next_action(protocol, task, MOVER)
     assert answer == {"action": "send_request", "to": "roboticarm",
                       "task": "move_pallet"}
-    assert task.index == 1  # pure: asking does not consume
+    assert (task.index, task.status) == (2, IN_PROGRESS)
+    assert task.instructed == {2}
 
 
 def test_next_action_perform_carries_params_and_report(protocol):
     task = make_task(index=3)
-    answer = kg_next_action(protocol, task, MOVER)
+    answer = next_action(protocol, task, MOVER)
     assert answer["action"] == "perform"
     assert answer["capability"] == "MotionControl"
     assert answer["params"] == {"from": "P1", "to": "cell:3,2"}
     assert answer["report"] == "pallet_delivered"
+    assert task.instructed == {3}
 
 
 def test_next_action_out_of_turn_waits(protocol):
-    assert kg_next_action(protocol, make_task(index=3), PLACER) == {"action": "wait"}
+    task = make_task(index=3)
+    assert next_action(protocol, task, PLACER) == {"action": "wait"}
+    assert (task.index, task.status, task.instructed) == (3, PENDING, set())
 
 
 def test_next_action_done_after_completion(protocol):
     task = make_task(index=8, status=COMPLETED)
-    assert kg_next_action(protocol, task, MOVER) == {"action": "done"}
-    assert kg_next_action(protocol, make_task(index=7), PLACER) == {"action": "done"}
+    assert next_action(protocol, task, MOVER) == {"action": "done"}
+    assert next_action(protocol, make_task(index=7), PLACER) == {"action": "done"}
 
 
-def test_advance_query_step(protocol):
+def test_next_action_consumes_the_askers_query_steps(protocol):
     task = make_task(index=1)
-    assert advance_query_step(protocol, task, MOVER)
+    next_action(protocol, task, MOVER)
     assert (task.index, task.status) == (2, IN_PROGRESS)
-    assert not advance_query_step(protocol, task, MOVER)
+    next_action(protocol, task, MOVER)
+    assert (task.index, task.status) == (2, IN_PROGRESS)
 
     tail = make_task(index=7, status=IN_PROGRESS)
-    assert advance_query_step(protocol, tail, PLACER)
+    next_action(protocol, tail, PLACER)
     assert (tail.index, tail.status) == (8, COMPLETED)
 
 
 def test_handle_request_instructs_the_recipient(protocol):
     task = make_task(index=2, status=IN_PROGRESS)
-    answer = kg_handle_request(protocol, task, PLACER,
-                               {"task": "move_pallet", "from": "P1", "to": "P2"})
+    answer = handle_request(protocol, task, PLACER,
+                            {"task": "move_pallet", "from": "P1", "to": "P2"})
     assert answer == {"action": "perform", "capability": "GripperControl",
                       "params": {"from": "P1", "to": "P2"},
                       "report": "pallet_placed"}
+    assert (task.index, task.status) == (3, IN_PROGRESS)
+    assert task.instructed == {5}
+    late = make_task(index=7, status=IN_PROGRESS)
+    assert handle_request(protocol, late, PLACER,
+                          {"task": "move_pallet"}) == {"action": "wait"}
 
 
 def test_handle_request_refuses_other_tasks(protocol):
     task = make_task(index=2, status=IN_PROGRESS)
     for content in ({"task": "paint_fence"}, {}, "move_pallet"):
-        answer = kg_handle_request(protocol, task, PLACER, content)
+        answer = handle_request(protocol, task, PLACER, content)
         assert answer == {"action": "refuse", "reason": "task_mismatch"}
+    assert (task.index, task.status, task.instructed) == (2, IN_PROGRESS, set())
 
 
 def test_record_event_advances_past_the_pair(protocol):
@@ -272,7 +285,7 @@ def test_mark_failed_records_the_stalled_step(protocol):
     assert task.failed_step == 2
     assert Triple(task.iri, vocab.TASK_STATUS,
                   Literal("failed")) in store.triples(DATA_GRAPH)
-    assert kg_next_action(protocol, task, MOVER) == {"action": "done"}
+    assert next_action(protocol, task, MOVER) == {"action": "done"}
 
 
 # -- consistency checking ---------------------------------------------------
@@ -334,6 +347,16 @@ def test_consistency_matches_oracle_on_random_placements():
 
 def test_skeleton_matches_hand_derivation(protocol):
     assert derive_trace_skeleton(protocol) == EXPECTED_SKELETON
+
+
+def test_skeleton_derivation_stays_independent_of_the_mediator():
+    """The oracle must not call the rules it is used to check."""
+    tree = ast.parse(inspect.getsource(derive_trace_skeleton))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    mediator_rules = {"next_action", "handle_request", "next_push",
+                      "record_event", "_instruction_for"}
+    assert names.isdisjoint(mediator_rules), names & mediator_rules
 
 
 def test_skeleton_role_labels_follow_bindings(protocol):

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from helpers import fixture_path, fixture_text, graph_facts, world_state_facts
-from kgmas.acl import Performative, format_trace
+from kgmas.acl import AclMessage, Performative, format_trace
 from kgmas.connection import PICK_POSTURE
 from kgmas.errors import ValidationError
 from kgmas.protocol import derive_trace_skeleton, load_protocol
@@ -188,6 +188,30 @@ def test_missing_peer_stalls_at_the_request_step():
     with fresh(instantiate_only={"turtlebot"}, deadline_ms=500) as scenario:
         result = scenario.run_task("move_pallet", PARAMS)
     assert (result.status, result.stalled_step) == ("failed", 2)
+
+
+@pytest.mark.parametrize("performative,sender,conversation", [
+    (Performative.REFUSE, "stranger", "conv-nowhere"),
+    (Performative.FAILURE, "stranger", "conv-Task_move_pallet_1"),
+    (Performative.REFUSE, "kg", "conv-nowhere"),
+])
+def test_stray_refuse_keeps_the_command_in_flight(performative, sender,
+                                                  conversation):
+    """Only the mediator, in the command's conversation, cancels a command."""
+    def stray(scenario: Scenario):
+        if scenario.world.tick == 4:
+            scenario.bus.send(AclMessage(performative, sender, "turtlebot",
+                                         {"reason": "x"}, conversation))
+
+    with fresh() as scenario:
+        if sender == "stranger":
+            scenario.bus.register(sender)
+        result = scenario.run_task("move_pallet", PARAMS, on_tick=stray)
+        protocol = load_protocol(scenario.store, SETUP_GRAPH, "move_pallet")
+    assert (result.status, result.ticks) == ("completed", 21)
+    stray_entry = (performative.value, sender, "turtlebot")
+    skeleton = [entry for entry in result.skeleton() if entry != stray_entry]
+    assert skeleton == derive_trace_skeleton(protocol)
 
 
 def test_transport_choice_does_not_change_the_outcome():
