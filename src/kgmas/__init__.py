@@ -9,7 +9,6 @@ defer every coordination decision to a mediator that owns the task state.
 
 from .acl import AclMessage, Bus, Performative, canonical_json, format_trace
 from .agents import (
-    AgentSpec,
     GenericAgent,
     KgAgent,
     generate_agents,
@@ -47,7 +46,6 @@ __all__ = [
     "AclError",
     "AclMessage",
     "AgentBlueprint",
-    "AgentSpec",
     "Bus",
     "Endpoint",
     "EventRejectedError",

@@ -13,7 +13,7 @@ import enum
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (DuplicateAgentError, MalformedMessageError,
                      MissingFieldError, UnknownPerformativeError,
@@ -133,11 +133,6 @@ def format_trace(log) -> str:
     return "".join(trace_line(seq, msg) + "\n" for seq, msg in log)
 
 
-@dataclass
-class _Inbox:
-    queue: deque = field(default_factory=deque)
-
-
 class Bus:
     """In-process message bus with per-agent FIFO inboxes.
 
@@ -149,7 +144,7 @@ class Bus:
     def __init__(self):
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
-        self._inboxes: dict[str, _Inbox] = {}
+        self._inboxes: dict[str, deque] = {}
         self._log: list[tuple[int, AclMessage]] = []
         self._reply_ids: dict[str, set[str]] = {}
 
@@ -159,17 +154,12 @@ class Bus:
         with self._lock:
             if agent_id in self._inboxes:
                 raise DuplicateAgentError(f"agent {agent_id!r} already registered")
-            self._inboxes[agent_id] = _Inbox()
+            self._inboxes[agent_id] = deque()
 
     def unregister(self, agent_id: str) -> int:
         """Drop an inbox; returns the number of undelivered messages."""
         with self._lock:
-            inbox = self._inboxes.pop(agent_id, None)
-            return len(inbox.queue) if inbox else 0
-
-    def registered(self) -> list[str]:
-        with self._lock:
-            return sorted(self._inboxes)
+            return len(self._inboxes.pop(agent_id, ()))
 
     def send(self, message: AclMessage) -> int:
         """Deliver to the receiver's inbox; returns the sequence number."""
@@ -196,7 +186,7 @@ class Bus:
                 known.add(message.reply_with)
             seq = len(self._log) + 1
             self._log.append((seq, message))
-            self._inboxes[message.receiver].queue.append(message)
+            self._inboxes[message.receiver].append(message)
             self._ready.notify_all()
             return seq
 
@@ -206,9 +196,9 @@ class Bus:
             inbox = self._inboxes.get(agent_id)
             if inbox is None:
                 raise UnknownReceiverError(f"no inbox for {agent_id!r}")
-            if not inbox.queue and timeout is not None and timeout > 0:
-                self._ready.wait_for(lambda: bool(inbox.queue), timeout)
-            return inbox.queue.popleft() if inbox.queue else None
+            if not inbox and timeout is not None and timeout > 0:
+                self._ready.wait_for(lambda: bool(inbox), timeout)
+            return inbox.popleft() if inbox else None
 
     def try_receive(self, agent_id: str) -> AclMessage | None:
         return self.receive(agent_id, timeout=None)
@@ -216,7 +206,7 @@ class Bus:
     def idle(self) -> bool:
         """True when every inbox has been drained."""
         with self._lock:
-            return all(not inbox.queue for inbox in self._inboxes.values())
+            return all(not inbox for inbox in self._inboxes.values())
 
     def delivery_log(self) -> list[tuple[int, AclMessage]]:
         with self._lock:

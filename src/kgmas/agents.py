@@ -1,10 +1,10 @@
 """Agent generation and the two agent behaviors.
 
-``generate_agents`` turns a validated setup graph into agent specs, one per
-described asset.  ``instantiate`` brings a spec to life: a bus identity, a
-transport channel to its device, a mirror entry in the data graph.  Two
-behavior classes do the actual talking: :class:`GenericAgent` for assets and
-:class:`KgAgent` for the mediator that owns the task state.
+``generate_agents`` turns a validated setup graph into agent blueprints, one
+per described asset.  ``instantiate`` brings a blueprint to life: a bus
+identity, a transport channel to its device, a mirror entry in the data
+graph.  Two behavior classes do the actual talking: :class:`GenericAgent`
+for assets and :class:`KgAgent` for the mediator that owns the task state.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .vocab import (
     AT_POSITION,
     HAS_REALM,
     HAS_STATUS,
+    KG_AGENT_ID,
+    OPERATOR_ID,
     STATUS_IDLE,
     STATUS_STOPPED,
     kgmas,
@@ -49,26 +51,13 @@ from .world import WarehouseWorld
 
 log = logging.getLogger("kgmas.agents")
 
-KG_AGENT_ID = "kg"
-OPERATOR_ID = "operator"
-RESERVED_IDS = frozenset({KG_AGENT_ID, OPERATOR_ID})
-
 
 # -- specs ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgentSpec:
-    """A buildable description of one asset agent."""
-
-    agent_id: str
-    blueprint: AgentBlueprint
-
-
-def spec_to_dict(spec: AgentSpec) -> dict:
-    bp = spec.blueprint
+def spec_to_dict(bp: AgentBlueprint) -> dict:
     return {
-        "agent_id": spec.agent_id,
+        "agent_id": bp.agent_id,
         "asset": bp.asset_id.value,
         "asset_kind": bp.asset_kind.value,
         "realm": bp.realm,
@@ -84,30 +73,19 @@ def spec_to_dict(spec: AgentSpec) -> dict:
 
 
 def generate_agents(store: NamedGraphStore, graph_id,
-                    known_schemes=None) -> list[AgentSpec]:
-    """One spec per asset in the setup graph, validated first.
+                    known_schemes=None) -> list[AgentBlueprint]:
+    """One blueprint per asset in the setup graph, sorted by agent id.
 
-    An invalid setup raises :class:`GenerationError` carrying the
+    Validation comes first and accepts exactly the setups that can be
+    built. An invalid setup raises :class:`GenerationError` carrying the
     validation issues, so callers can show exactly what to fix.
     """
     report = validate_setup(store, graph_id, known_schemes)
     if not report.ok:
         raise GenerationError("setup graph failed validation", list(report.issues))
-    specs = []
-    seen: dict[str, Iri] = {}
-    for asset in list_assets(store, graph_id):
-        blueprint = extract_blueprint(store, graph_id, asset)
-        agent_id = blueprint.agent_id
-        if agent_id in RESERVED_IDS:
-            raise GenerationError(
-                f"asset {asset.value} maps to reserved agent id {agent_id!r}", [])
-        if agent_id in seen:
-            raise GenerationError(
-                f"assets {seen[agent_id].value} and {asset.value} both map to "
-                f"agent id {agent_id!r}", [])
-        seen[agent_id] = asset
-        specs.append(AgentSpec(agent_id, blueprint))
-    return sorted(specs, key=lambda s: s.agent_id)
+    return sorted((extract_blueprint(store, graph_id, asset)
+                   for asset in list_assets(store, graph_id)),
+                  key=lambda bp: bp.agent_id)
 
 
 # -- asset agents -----------------------------------------------------------
@@ -370,49 +348,47 @@ class KgAgent:
 
 @dataclass
 class AgentHandle:
-    spec: AgentSpec
+    blueprint: AgentBlueprint
     agent: GenericAgent
-    channel: AgentChannel | None
     connection: ConnectionComponent | None
     state: str = "running"
 
 
-def instantiate(spec: AgentSpec, *, bus: Bus, store: NamedGraphStore,
+def instantiate(blueprint: AgentBlueprint, *, bus: Bus, store: NamedGraphStore,
                 data_graph, world: WarehouseWorld,
                 registry: TransportRegistry,
                 transport_override: str | None = None) -> AgentHandle:
-    """Build the live agent for a spec.
+    """Build the live agent for a blueprint.
 
     Registers the bus identity, opens transport adapters for both sides of
     the asset's channels, attaches the device connection when the world has
     a matching device, and mirrors the initial state into the data graph.
     """
-    blueprint = spec.blueprint
+    agent_id = blueprint.agent_id
     scheme = transport_override or blueprint.binding.scheme
     endpoint = Endpoint(scheme, blueprint.binding.endpoint)
-    bus.register(spec.agent_id)
+    bus.register(agent_id)
     connection = None
     try:
-        if spec.agent_id in world.devices:
+        if agent_id in world.devices:
             connection = ConnectionComponent(
-                spec.agent_id, blueprint, registry.resolve(endpoint),
-                world, store, data_graph)
+                blueprint, registry.resolve(endpoint), world, store, data_graph)
         channel = AgentChannel(blueprint, registry.resolve(endpoint))
     except Exception:
         if connection is not None:
             connection.close()
-        bus.unregister(spec.agent_id)
+        bus.unregister(agent_id)
         raise
     facts = {
         HAS_STATUS: [Literal(STATUS_IDLE)],
         HAS_REALM: [kgmas(blueprint.realm)],
     }
-    if spec.agent_id in world.devices:
-        cell = world.devices[spec.agent_id].cell
+    if agent_id in world.devices:
+        cell = world.devices[agent_id].cell
         facts[AT_POSITION] = [Literal(world.position_literal(cell))]
     store.replace(data_graph, blueprint.asset_id, facts)
-    agent = GenericAgent(spec.agent_id, bus, channel)
-    return AgentHandle(spec, agent, channel, connection)
+    agent = GenericAgent(agent_id, bus, channel)
+    return AgentHandle(blueprint, agent, connection)
 
 
 def shutdown(handle: AgentHandle, *, bus: Bus, store: NamedGraphStore,
@@ -423,21 +399,21 @@ def shutdown(handle: AgentHandle, *, bus: Bus, store: NamedGraphStore,
     handle.state = "stopped"
     if handle.connection is not None:
         handle.connection.close()
-    if handle.channel is not None:
-        handle.channel.close()
-    bus.unregister(handle.spec.agent_id)
-    store.replace(data_graph, handle.spec.blueprint.asset_id,
+    if handle.agent.channel is not None:
+        handle.agent.channel.close()
+    bus.unregister(handle.blueprint.agent_id)
+    store.replace(data_graph, handle.blueprint.asset_id,
                   {HAS_STATUS: [Literal(STATUS_STOPPED)]})
 
 
-def emit_specs(specs, directory) -> list[str]:
-    """Write one JSON file per spec; returns the paths written."""
+def emit_specs(blueprints, directory) -> list[str]:
+    """Write one JSON spec file per blueprint; returns the paths written."""
     os.makedirs(directory, exist_ok=True)
     paths = []
-    for spec in specs:
-        path = os.path.join(directory, f"{spec.agent_id}.json")
+    for blueprint in blueprints:
+        path = os.path.join(directory, f"{blueprint.agent_id}.json")
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(spec_to_dict(spec), handle, indent=2, sort_keys=True)
+            json.dump(spec_to_dict(blueprint), handle, indent=2, sort_keys=True)
             handle.write("\n")
         paths.append(path)
     return paths

@@ -91,18 +91,18 @@ def cmd_validate(args) -> int:
 def cmd_generate(args) -> int:
     store = _load_graph(args.setup, SETUP_GRAPH)
     try:
-        specs = generate_agents(store, SETUP_GRAPH)
+        blueprints = generate_agents(store, SETUP_GRAPH)
     except GenerationError as exc:
         print(str(exc), file=sys.stderr)
         for issue in exc.violations:
             print(f"{issue.rule}\t{issue.subject}\t{issue.message}",
                   file=sys.stderr)
         return 1
-    for spec in specs:
-        role = spec.blueprint.coordination_role.local_name
-        print(f"{spec.agent_id}\t{spec.blueprint.asset_id.value}\t{role}")
+    for blueprint in blueprints:
+        role = blueprint.coordination_role.local_name
+        print(f"{blueprint.agent_id}\t{blueprint.asset_id.value}\t{role}")
     if args.emit:
-        for path in emit_specs(specs, args.emit):
+        for path in emit_specs(blueprints, args.emit):
             log.info("wrote %s", path)
     return 0
 

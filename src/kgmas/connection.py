@@ -99,7 +99,6 @@ def translate(capability: str, params: dict, device_kind: str,
 @dataclass
 class _Batch:
     command_id: int
-    capability: str
     pending: deque = field(default_factory=deque)
 
 
@@ -113,10 +112,9 @@ class ConnectionComponent:
     or ``failed_id`` markers that echo the invocation id.
     """
 
-    def __init__(self, asset_id: str, blueprint: AgentBlueprint,
-                 adapter: Adapter, world: WarehouseWorld,
-                 store: NamedGraphStore, data_graph: str):
-        self.asset_id = asset_id
+    def __init__(self, blueprint: AgentBlueprint, adapter: Adapter,
+                 world: WarehouseWorld, store: NamedGraphStore, data_graph: str):
+        self.asset_id = blueprint.agent_id
         self.blueprint = blueprint
         self.adapter = adapter
         self.world = world
@@ -129,12 +127,9 @@ class ConnectionComponent:
         self._error: str | None = None
         self._last_payload: dict | None = None
         self._mirrored: tuple | None = None
-        self._command_topics = [c.topic for c in blueprint.channels
-                                if c.direction == "subscribes"]
-        self._obs_topics = [c.topic for c in blueprint.channels
-                            if c.direction == "publishes"]
+        self._obs_topics = blueprint.observation_topics
         self._closed = False
-        for topic in self._command_topics:
+        for topic in blueprint.command_topics:
             self.adapter.subscribe(topic, self._on_command_text)
 
     # -- command lifecycle -------------------------------------------------
@@ -166,7 +161,7 @@ class ConnectionComponent:
         self._done_id = None
         self._failed_id = None
         self._error = None
-        self._batch = _Batch(command_id, capability, deque(natives))
+        self._batch = _Batch(command_id, deque(natives))
 
     def _fail(self, command_id: int, error: str) -> None:
         self._batch = None
@@ -265,15 +260,11 @@ class AgentChannel:
     """Agent-side view of the same channels: send commands, read sensors."""
 
     def __init__(self, blueprint: AgentBlueprint, adapter: Adapter):
-        self.blueprint = blueprint
         self.adapter = adapter
-        self._command_topics = [c.topic for c in blueprint.channels
-                                if c.direction == "subscribes"]
-        self._obs_topics = [c.topic for c in blueprint.channels
-                            if c.direction == "publishes"]
+        self._command_topics = blueprint.command_topics
         self._cached: dict | None = None
         self._closed = False
-        for topic in self._obs_topics:
+        for topic in blueprint.observation_topics:
             self.adapter.subscribe(topic, self._on_observation_text)
 
     def _on_observation_text(self, text: str) -> None:

@@ -157,8 +157,7 @@ def _int_of(value, what: str) -> int:
     raise ProtocolError(f"{what} must be an integer literal")
 
 
-def load_protocol(store: NamedGraphStore, graph_id, task_name: str | None = None,
-                  protocol_id: Iri | None = None) -> ProtocolDefinition:
+def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolDefinition:
     """Read one protocol out of the setup graph and validate it.
 
     Checks: contiguous 1-based step indexes, step roles declared on the
@@ -166,13 +165,9 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str | None = None
     asset that really has the role's required capability.
     """
     objects = functools.partial(store.objects, graph_id)
-    candidates = store.subjects(graph_id, vocab.FOR_TASK)
-    if protocol_id is not None:
-        candidates = [c for c in candidates if c == protocol_id]
-    if task_name is not None:
-        candidates = [c for c in candidates
-                      if any(isinstance(o, Literal) and o.lexical == task_name
-                             for o in objects(c, vocab.FOR_TASK))]
+    candidates = [c for c in store.subjects(graph_id, vocab.FOR_TASK)
+                  if any(isinstance(o, Literal) and o.lexical == task_name
+                         for o in objects(c, vocab.FOR_TASK))]
     if not candidates:
         raise ProtocolError("no protocol matches the requested task")
     if len(candidates) > 1:

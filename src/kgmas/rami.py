@@ -3,9 +3,10 @@
 An asset is described along five concerns: what it is (kind and realm),
 how to reach it (connection scheme and endpoint), what data flows it
 has (channels), what it can do (capabilities) and which system entity
-aggregates it. Validation checks the whole graph and reports every
-violation; blueprint extraction joins the layers for one asset into the
-flat structure agent generation consumes.
+aggregates it. One reader walks an asset's layers and yields both its
+blueprint, the flat structure agent generation consumes, and every
+issue in it. Validation adds the checks that span the graph to that
+reader's issues; blueprint extraction refuses an asset with any issue.
 """
 
 from __future__ import annotations
@@ -53,6 +54,16 @@ class AgentBlueprint:
     def agent_id(self) -> str:
         return vocab.agent_id_of(self.asset_id)
 
+    @property
+    def command_topics(self) -> list[str]:
+        """Topics the asset takes commands on."""
+        return [c.topic for c in self.channels if c.direction == "subscribes"]
+
+    @property
+    def observation_topics(self) -> list[str]:
+        """Topics the asset publishes its observations on."""
+        return [c.topic for c in self.channels if c.direction == "publishes"]
+
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -77,62 +88,112 @@ def _literals(objects, subject: Iri, predicate: Iri) -> list[str]:
             if isinstance(o, Literal)]
 
 
-def validate_setup(store: NamedGraphStore, graph_id,
-                   known_schemes=None) -> ValidationReport:
-    """Check every asset description; collects all violations.
+def _read_asset(objects, asset: Iri):
+    """Walk the five layers of one asset description, once.
 
-    An empty graph is vacuously valid. Violations come back in a
-    deterministic order regardless of triple insertion order.
+    Returns the blueprint (``None`` when any layer is incomplete), the
+    connection schemes named, unchecked, and every issue found, in layer
+    order; raises ``UnknownAssetError`` when the asset has no kind. Only
+    triples about the asset itself (and its channel nodes) are consulted,
+    so descriptions of other assets cannot leak in.
     """
-    schemes = frozenset(known_schemes if known_schemes is not None
-                        else default_registry().schemes())
-    objects = functools.partial(store.objects, graph_id)
-    assets = store.subjects(graph_id, vocab.HAS_ASSET_KIND)
-    asset_set = set(assets)
+    kinds = objects(asset, vocab.HAS_ASSET_KIND)
+    if not kinds:
+        raise UnknownAssetError(f"no asset description for {asset.value}")
     issues: list[ValidationIssue] = []
 
     def issue(rule: str, subject: Iri, message: str):
         issues.append(ValidationIssue(rule, subject.value, message))
 
+    if len(kinds) != 1:
+        issue("asset-kind", asset, f"expected one asset kind, found {len(kinds)}")
+    elif not isinstance(kinds[0], Iri):
+        issue("asset-kind", asset, "asset kind must be an iri")
+    realms = objects(asset, vocab.HAS_REALM)
+    if len(realms) != 1:
+        issue("realm", asset, f"expected one realm, found {len(realms)}")
+    elif realms[0] not in vocab.REALMS:
+        issue("realm", asset, f"realm must be physical or digital, "
+                              f"found {realms[0]}")
+    protocols = _literals(objects, asset, vocab.HAS_PROTOCOL)
+    endpoints = _literals(objects, asset, vocab.HAS_ENDPOINT)
+    if not protocols or not endpoints:
+        issue("binding", asset, "asset needs a connection scheme and endpoint")
+    channels = []
+    seen: set[tuple[str, str]] = set()
+    for direction, predicate in _DIRECTIONS:
+        for node in objects(asset, predicate):
+            if not isinstance(node, Iri):
+                issue("channel", asset, "channel must be a node, not a literal")
+                continue
+            topics = _literals(objects, node, vocab.HAS_TOPIC)
+            message_kinds = objects(node, vocab.HAS_MESSAGE_KIND)
+            if len(topics) != 1 or not topics[0]:
+                issue("channel", node, "channel needs exactly one topic")
+                continue
+            if len(message_kinds) != 1 or not isinstance(message_kinds[0], Iri):
+                issue("channel", node, "channel needs exactly one message kind")
+            else:
+                channels.append(Channel(topics[0], direction, message_kinds[0]))
+            if (topics[0], direction) in seen:
+                issue("channel", asset,
+                      f"duplicate {direction} channel for topic {topics[0]!r}")
+            seen.add((topics[0], direction))
+    capabilities = objects(asset, vocab.HAS_CAPABILITY)
+    if not capabilities:
+        issue("capability", asset, "asset declares no capability")
+    elif not all(isinstance(c, Iri) for c in capabilities):
+        issue("capability", asset, "capability must be an iri")
+    roles = objects(asset, vocab.HAS_COORDINATION_ROLE)
+    if len(roles) != 1:
+        issue("role", asset, f"expected one coordination role, found {len(roles)}")
+    elif not isinstance(roles[0], Iri):
+        issue("role", asset, "coordination role must be an iri")
+    if issues:
+        return None, protocols, issues
+    return AgentBlueprint(
+        asset_id=asset,
+        asset_kind=kinds[0],
+        realm=vocab.REALMS[realms[0]],
+        binding=CommunicationBinding(scheme=protocols[0], endpoint=endpoints[0]),
+        channels=tuple(sorted(channels, key=lambda c: (c.direction, c.topic))),
+        capabilities=capabilities,
+        coordination_role=roles[0],
+    ), protocols, issues
+
+
+def validate_setup(store: NamedGraphStore, graph_id,
+                   known_schemes=None) -> ValidationReport:
+    """Check every asset description; collects all violations.
+
+    Accepts exactly the setups agent generation can build, agent ids
+    included. An empty graph is vacuously valid. Violations come back in
+    a deterministic order regardless of triple insertion order.
+    """
+    schemes = frozenset(known_schemes if known_schemes is not None
+                        else default_registry().schemes())
+    objects = functools.partial(store.objects, graph_id)
+    assets = list_assets(store, graph_id)
+    asset_set = set(assets)
+    issues: list[ValidationIssue] = []
+    owners: dict[str, Iri] = {}
+
+    def issue(rule: str, subject: Iri, message: str):
+        issues.append(ValidationIssue(rule, subject.value, message))
+
     for asset in assets:
-        kinds = objects(asset, vocab.HAS_ASSET_KIND)
-        if len(kinds) != 1:
-            issue("asset-kind", asset, f"expected one asset kind, found {len(kinds)}")
-        realms = objects(asset, vocab.HAS_REALM)
-        if len(realms) != 1:
-            issue("realm", asset, f"expected one realm, found {len(realms)}")
-        elif realms[0] not in vocab.REALMS:
-            issue("realm", asset, f"realm must be physical or digital, "
-                                  f"found {realms[0]}")
-        protocols = _literals(objects, asset, vocab.HAS_PROTOCOL)
-        endpoints = _literals(objects, asset, vocab.HAS_ENDPOINT)
-        if not protocols or not endpoints:
-            issue("binding", asset, "asset needs a connection scheme and endpoint")
+        _, protocols, found = _read_asset(objects, asset)
+        issues.extend(found)
         for scheme in protocols:
             if scheme not in schemes:
                 issue("binding", asset, f"unrecognized connection scheme {scheme!r}")
-        seen: set[tuple[str, str]] = set()
-        for direction, predicate in _DIRECTIONS:
-            for node in objects(asset, predicate):
-                if not isinstance(node, Iri):
-                    issue("channel", asset, "channel must be a node, not a literal")
-                    continue
-                topics = _literals(objects, node, vocab.HAS_TOPIC)
-                kinds_ = objects(node, vocab.HAS_MESSAGE_KIND)
-                if len(topics) != 1 or not topics[0]:
-                    issue("channel", node, "channel needs exactly one topic")
-                    continue
-                if len(kinds_) != 1 or not isinstance(kinds_[0], Iri):
-                    issue("channel", node, "channel needs exactly one message kind")
-                if (topics[0], direction) in seen:
-                    issue("channel", asset,
-                          f"duplicate {direction} channel for topic {topics[0]!r}")
-                seen.add((topics[0], direction))
-        if not objects(asset, vocab.HAS_CAPABILITY):
-            issue("capability", asset, "asset declares no capability")
-        roles = objects(asset, vocab.HAS_COORDINATION_ROLE)
-        if len(roles) != 1:
-            issue("role", asset, f"expected one coordination role, found {len(roles)}")
+        agent_id = vocab.agent_id_of(asset)
+        if agent_id in vocab.RESERVED_AGENT_IDS:
+            issue("agent-id", asset, f"asset maps to reserved agent id {agent_id!r}")
+        elif agent_id in owners:
+            issue("agent-id", asset, f"assets {owners[agent_id].value} and "
+                                     f"{asset.value} both map to agent id {agent_id!r}")
+        owners.setdefault(agent_id, asset)
 
     # channels hanging off things that are not assets
     for _, predicate in _DIRECTIONS:
@@ -159,63 +220,21 @@ def validate_setup(store: NamedGraphStore, graph_id,
     return ValidationReport(ok=not ordered, issues=ordered)
 
 
+_LAYERS = {"asset-kind": "asset", "realm": "asset", "binding": "communication",
+           "channel": "information", "capability": "functional",
+           "role": "coordination"}
+
+
 def extract_blueprint(store: NamedGraphStore, graph_id, asset_id: Iri) -> AgentBlueprint:
     """Join the layers describing one asset.
 
     Raises ``UnknownAssetError`` for an undescribed iri and
-    ``BlueprintError`` naming the first incomplete layer. Only triples
-    about the asset itself (and its channel nodes) are consulted, so
-    descriptions of other assets cannot leak in.
+    ``BlueprintError`` naming the layer of the first issue found.
     """
-    objects = functools.partial(store.objects, graph_id)
-    kinds = objects(asset_id, vocab.HAS_ASSET_KIND)
-    if not kinds:
-        raise UnknownAssetError(f"no asset description for {asset_id.value}")
-
-    realms = objects(asset_id, vocab.HAS_REALM)
-    if len(realms) != 1 or realms[0] not in vocab.REALMS:
-        raise BlueprintError(f"{asset_id.value}: asset layer incomplete (realm)")
-
-    protocols = _literals(objects, asset_id, vocab.HAS_PROTOCOL)
-    endpoints = _literals(objects, asset_id, vocab.HAS_ENDPOINT)
-    if not protocols or not endpoints:
-        raise BlueprintError(
-            f"{asset_id.value}: communication layer incomplete (binding)")
-    binding = CommunicationBinding(scheme=protocols[0], endpoint=endpoints[0])
-
-    channels = []
-    for direction, predicate in _DIRECTIONS:
-        for node in objects(asset_id, predicate):
-            if not isinstance(node, Iri):
-                raise BlueprintError(
-                    f"{asset_id.value}: information layer incomplete (channel)")
-            topics = _literals(objects, node, vocab.HAS_TOPIC)
-            message_kinds = [k for k in objects(node, vocab.HAS_MESSAGE_KIND)
-                             if isinstance(k, Iri)]
-            if len(topics) != 1 or len(message_kinds) != 1:
-                raise BlueprintError(
-                    f"{asset_id.value}: information layer incomplete "
-                    f"(channel {node.value})")
-            channels.append(Channel(topics[0], direction, message_kinds[0]))
-    channels.sort(key=lambda c: (c.direction, c.topic))
-
-    capabilities = tuple(c for c in objects(asset_id, vocab.HAS_CAPABILITY)
-                         if isinstance(c, Iri))
-    if not capabilities:
-        raise BlueprintError(
-            f"{asset_id.value}: functional layer incomplete (capability)")
-
-    roles = objects(asset_id, vocab.HAS_COORDINATION_ROLE)
-    if len(roles) != 1 or not isinstance(roles[0], Iri):
-        raise BlueprintError(
-            f"{asset_id.value}: coordination role missing or ambiguous")
-
-    return AgentBlueprint(
-        asset_id=asset_id,
-        asset_kind=kinds[0],
-        realm=vocab.REALMS[realms[0]],
-        binding=binding,
-        channels=tuple(channels),
-        capabilities=capabilities,
-        coordination_role=roles[0],
-    )
+    blueprint, _, issues = _read_asset(
+        functools.partial(store.objects, graph_id), asset_id)
+    if issues:
+        first = issues[0]
+        raise BlueprintError(f"{asset_id.value}: {_LAYERS[first.rule]} layer "
+                             f"incomplete ({first.rule}): {first.message}")
+    return blueprint

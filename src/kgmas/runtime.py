@@ -59,21 +59,18 @@ class Scenario:
                  registry: TransportRegistry | None = None,
                  transport_overrides: dict[str, str] | None = None,
                  instantiate_only=None,
-                 deadline_ms: int = DEFAULT_DEADLINE_MS,
-                 setup_graph=SETUP_GRAPH, data_graph=DATA_GRAPH):
+                 deadline_ms: int = DEFAULT_DEADLINE_MS):
         self.store = store
         self.world = world
         self.registry = registry or default_registry()
         self.deadline_ms = deadline_ms
-        self.setup_graph = setup_graph
-        self.data_graph = data_graph
         self.bus = Bus()
         self.bus.register(OPERATOR_ID)
-        self.kg = KgAgent(self.bus, store, data_graph,
+        self.kg = KgAgent(self.bus, store, DATA_GRAPH,
                           clock=lambda: self.world.tick)
-        specs = generate_agents(store, setup_graph,
-                                known_schemes=self.registry.schemes())
-        known_ids = {spec.agent_id for spec in specs}
+        blueprints = generate_agents(store, SETUP_GRAPH,
+                                     known_schemes=self.registry.schemes())
+        known_ids = {blueprint.agent_id for blueprint in blueprints}
         overrides = dict(transport_overrides or {})
         for asset_id, scheme in overrides.items():
             if asset_id not in known_ids:
@@ -84,14 +81,14 @@ class Scenario:
                 raise ValidationError(
                     f"transport override uses unknown scheme {scheme!r}")
         self.handles: dict[str, AgentHandle] = {}
-        for spec in specs:
-            if instantiate_only is not None and spec.agent_id not in instantiate_only:
+        for blueprint in blueprints:
+            agent_id = blueprint.agent_id
+            if instantiate_only is not None and agent_id not in instantiate_only:
                 continue
-            handle = instantiate(
-                spec, bus=self.bus, store=store, data_graph=data_graph,
+            self.handles[agent_id] = instantiate(
+                blueprint, bus=self.bus, store=store, data_graph=DATA_GRAPH,
                 world=world, registry=self.registry,
-                transport_override=overrides.get(spec.agent_id))
-            self.handles[spec.agent_id] = handle
+                transport_override=overrides.get(agent_id))
         self._published: dict[str, str] = {}
         self._publish_pallets()
         self._closed = False
@@ -110,7 +107,7 @@ class Scenario:
         positions = self.world.pallet_positions()
         for pallet_id, position in positions.items():
             if self._published.get(pallet_id) != position:
-                self.store.replace(self.data_graph, kgmas(pallet_id), {
+                self.store.replace(DATA_GRAPH, kgmas(pallet_id), {
                     AT_POSITION: [Literal(position)],
                 })
         self._published = positions
@@ -135,7 +132,6 @@ class Scenario:
 
     def run_task(self, task_name: str, params: dict | None = None, *,
                  deadline_ms: int | None = None,
-                 max_ticks: int | None = None,
                  on_tick=None) -> RunResult:
         """Drive one task from operator request to a final status.
 
@@ -146,7 +142,7 @@ class Scenario:
         params = {k: str(v) for k, v in (params or {}).items()}
         if deadline_ms is None:
             deadline_ms = self.deadline_ms
-        protocol = load_protocol(self.store, self.setup_graph, task_name)
+        protocol = load_protocol(self.store, SETUP_GRAPH, task_name)
         task = self.kg.create_task(protocol, params)
         conversation = task.conversation_id
         initiator = protocol.agent_for(protocol.initiator_role)
@@ -155,22 +151,21 @@ class Scenario:
                                  conversation))
         deadline_ticks = max(0, int(deadline_ms) // TICK_MS)
         if deadline_ticks == 0:
-            mark_failed(self.store, self.data_graph, task, task.index)
+            mark_failed(self.store, DATA_GRAPH, task, task.index)
         start_tick = self.world.tick
-        cap = max_ticks if max_ticks is not None else \
-            (deadline_ticks + 1) * (len(protocol.steps) + 2) + 100
+        cap = (deadline_ticks + 1) * (len(protocol.steps) + 2) + 100
         violations: list[int] = []
         marker = (task.index, task.status)
         last_progress = self.world.tick
         while not task.finished or not self.bus.idle():
             if self.world.tick - start_tick >= cap:
                 if not task.finished:
-                    mark_failed(self.store, self.data_graph, task, task.index)
+                    mark_failed(self.store, DATA_GRAPH, task, task.index)
                 log.info("run of %s hit the tick cap", task.task_id)
                 break
             self.iterate()
             violations.append(
-                len(check_world_consistency(self.store, self.data_graph)))
+                len(check_world_consistency(self.store, DATA_GRAPH)))
             if on_tick is not None:
                 on_tick(self)
             current = (task.index, task.status)
@@ -180,7 +175,7 @@ class Scenario:
             if task.finished:
                 continue
             if self.world.tick - last_progress >= deadline_ticks:
-                mark_failed(self.store, self.data_graph, task, task.index)
+                mark_failed(self.store, DATA_GRAPH, task, task.index)
         return RunResult(
             status=task.status,
             stalled_step=task.failed_step,
@@ -198,7 +193,7 @@ class Scenario:
         self._closed = True
         for agent_id in sorted(self.handles):
             shutdown(self.handles[agent_id], bus=self.bus, store=self.store,
-                     data_graph=self.data_graph)
+                     data_graph=DATA_GRAPH)
         self.bus.unregister(self.kg.agent_id)
         self.bus.unregister(OPERATOR_ID)
 

@@ -26,6 +26,12 @@ def agent_id_of(asset: Iri) -> str:
     return asset.local_name.lower()
 
 
+# bus ids no asset agent may take
+KG_AGENT_ID = "kg"
+OPERATOR_ID = "operator"
+RESERVED_AGENT_IDS = frozenset({KG_AGENT_ID, OPERATOR_ID})
+
+
 # graph names
 SETUP_GRAPH = kgmas("setup")
 DATA_GRAPH = kgmas("data")

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from helpers import grow_setup, random_setup
-from kgmas.errors import BlueprintError, UnknownAssetError
+from kgmas.agents import emit_specs, generate_agents, spec_to_dict
+from kgmas.cli import main
+from kgmas.errors import BlueprintError, GenerationError, UnknownAssetError
 from kgmas.rami import extract_blueprint, list_assets, validate_setup
 from kgmas.store import NamedGraphStore
-from kgmas.terms import Iri, Literal, Triple
+from kgmas.terms import Iri, Literal, Triple, triple_key
 from kgmas.vocab import (
+    HAS_ASSET_KIND,
     HAS_CAPABILITY,
     HAS_COORDINATION_ROLE,
     HAS_PROTOCOL,
@@ -179,3 +183,99 @@ def test_random_setups_validate_and_list(tmp_path):
         assert report.ok, report.issues
         assets = list_assets(store, SETUP_GRAPH)
         assert sorted(a.local_name.lower() for a in assets) == agent_ids
+
+
+# -- validation accepts exactly what generation builds ---------------------
+
+
+def with_literal(triples, subject: Iri, predicate: Iri) -> list[Triple]:
+    """The triples with the iri objects of one pair turned into literals."""
+    return [Triple(t.subject, t.predicate, Literal(t.object.local_name))
+            if (t.subject, t.predicate) == (subject, predicate) else t
+            for t in triples]
+
+
+def renamed(triples, old: Iri, new: Iri) -> list[Triple]:
+    def swap(term):
+        return new if term == old else term
+    return [Triple(swap(t.subject), t.predicate, swap(t.object)) for t in triples]
+
+
+def mutate(rng: random.Random, triples: list[Triple]) -> list[Triple]:
+    """One seeded edit: drop a triple, turn an iri object into a literal,
+    or rename an asset to an iri whose agent id is reserved."""
+    edit = rng.choice(("drop", "literal", "rename"))
+    if edit == "drop":
+        gone = triples[rng.randrange(len(triples))]
+        return [t for t in triples if t != gone]
+    if edit == "literal":
+        pick = rng.choice([t for t in triples if isinstance(t.object, Iri)])
+        return [Triple(t.subject, t.predicate, Literal(t.object.local_name))
+                if t == pick else t for t in triples]
+    assets = sorted({t.subject for t in triples if t.predicate == HAS_ASSET_KIND},
+                    key=lambda a: a.value)
+    return renamed(triples, rng.choice(assets),
+                   rng.choice((kgmas("Kg"), kgmas("Operator"))))
+
+
+def store_of(triples) -> NamedGraphStore:
+    store = NamedGraphStore()
+    for triple in triples:
+        store.insert(SETUP_GRAPH, triple)
+    return store
+
+
+def base_triples(store: NamedGraphStore) -> list[Triple]:
+    return sorted(store.triples(SETUP_GRAPH), key=triple_key)
+
+
+def test_validation_accepts_exactly_the_setups_generation_builds(setup_store,
+                                                                 tmp_path):
+    base = base_triples(setup_store)
+    rng = random.Random(8)
+    for case in range(300):
+        store = store_of(mutate(rng, base))
+        report = validate_setup(store, SETUP_GRAPH)
+        if not report.ok:
+            with pytest.raises(GenerationError) as err:
+                generate_agents(store, SETUP_GRAPH)
+            assert tuple(err.value.violations) == report.issues
+            continue
+        blueprints = generate_agents(store, SETUP_GRAPH)
+        assert len(blueprints) == len(list_assets(store, SETUP_GRAPH))
+        paths = emit_specs(blueprints, tmp_path / str(case))
+        assert len(paths) == len(blueprints)
+        for blueprint, path in zip(blueprints, paths):
+            with open(path, encoding="utf-8") as fh:
+                assert json.load(fh) == spec_to_dict(blueprint)
+
+
+# Setups validation once passed although generation refused them (and, for
+# a literal asset kind, crashed while emitting the specs).
+DISAGREEMENTS = {
+    "reserved_agent_id": (
+        "agent-id", lambda ts: renamed(ts, TURTLEBOT, kgmas("Kg"))),
+    "literal_role": (
+        "role", lambda ts: with_literal(ts, TURTLEBOT, HAS_COORDINATION_ROLE)),
+    "literal_capability": (
+        "capability", lambda ts: with_literal(ts, TURTLEBOT, HAS_CAPABILITY)),
+    "literal_asset_kind": (
+        "asset-kind", lambda ts: with_literal(ts, TURTLEBOT, HAS_ASSET_KIND)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISAGREEMENTS))
+def test_validate_and_generate_give_one_answer(case, setup_store, tmp_path,
+                                               capsys):
+    rule, edit = DISAGREEMENTS[case]
+    store = store_of(edit(base_triples(setup_store)))
+    path = tmp_path / "setup.ttl"
+    path.write_text(store.dump_turtle(SETUP_GRAPH), encoding="utf-8")
+    validated = main(["validate", "--setup", str(path)])
+    out = capsys.readouterr().out
+    generated = main(["generate", "--setup", str(path),
+                      "--emit", str(tmp_path / "specs")])
+    err = capsys.readouterr().err
+    assert validated == generated == 1
+    assert f"{rule}\t" in out and f"{rule}\t" in err
+    assert "Traceback" not in err

@@ -73,7 +73,7 @@ def test_events_recorded_at_their_ticks():
 def test_mirror_tracks_world_every_tick():
     """After every tick the data graph agrees with the simulation."""
     with fresh() as scenario:
-        assets = {agent_id: handle.spec.blueprint.asset_id
+        assets = {agent_id: handle.blueprint.asset_id
                   for agent_id, handle in scenario.handles.items()}
 
         def position_in_graph(subject):
@@ -102,7 +102,7 @@ def assert_mirror_matches_world(scenario: Scenario) -> None:
     """The data graph says exactly what the world holds, fact for fact."""
     connected = {agent_id: handle for agent_id, handle in scenario.handles.items()
                  if handle.connection is not None}
-    assets = {agent_id: handle.spec.blueprint.asset_id
+    assets = {agent_id: handle.blueprint.asset_id
               for agent_id, handle in connected.items()}
     # A device between two native commands of one invocation is still busy.
     working = {agent_id for agent_id, handle in connected.items()
