@@ -38,7 +38,6 @@ from .store import NamedGraphStore
 from .terms import Iri, Literal
 from .transports import Endpoint, TransportRegistry
 from .vocab import (
-    AT_POSITION,
     HAS_REALM,
     HAS_STATUS,
     KG_AGENT_ID,
@@ -61,7 +60,7 @@ def spec_to_dict(bp: AgentBlueprint) -> dict:
         "asset": bp.asset_id.value,
         "asset_kind": bp.asset_kind.value,
         "realm": bp.realm,
-        "binding": {"scheme": bp.binding.scheme, "endpoint": bp.binding.endpoint},
+        "binding": {"scheme": bp.binding.scheme, "endpoint": bp.binding.address},
         "channels": [
             {"topic": c.topic, "direction": c.direction,
              "message_kind": c.message_kind.value}
@@ -360,32 +359,29 @@ def instantiate(blueprint: AgentBlueprint, *, bus: Bus, store: NamedGraphStore,
                 transport_override: str | None = None) -> AgentHandle:
     """Build the live agent for a blueprint.
 
-    Registers the bus identity, opens transport adapters for both sides of
-    the asset's channels, attaches the device connection when the world has
-    a matching device, and mirrors the initial state into the data graph.
+    Registers the bus identity, opens the agent's channel and then, when
+    the world has a matching device, the device connection, which mirrors
+    its device's state itself; the realm is mirrored here.
     """
     agent_id = blueprint.agent_id
-    scheme = transport_override or blueprint.binding.scheme
-    endpoint = Endpoint(scheme, blueprint.binding.endpoint)
+    endpoint = blueprint.binding
+    if transport_override is not None:
+        endpoint = Endpoint(transport_override, endpoint.address)
     bus.register(agent_id)
-    connection = None
+    channel = connection = None
     try:
+        channel = AgentChannel(blueprint, registry.resolve(endpoint))
         if agent_id in world.devices:
             connection = ConnectionComponent(
                 blueprint, registry.resolve(endpoint), world, store, data_graph)
-        channel = AgentChannel(blueprint, registry.resolve(endpoint))
     except Exception:
-        if connection is not None:
-            connection.close()
+        if channel is not None:
+            channel.close()
         bus.unregister(agent_id)
         raise
-    facts = {
-        HAS_STATUS: [Literal(STATUS_IDLE)],
-        HAS_REALM: [kgmas(blueprint.realm)],
-    }
-    if agent_id in world.devices:
-        cell = world.devices[agent_id].cell
-        facts[AT_POSITION] = [Literal(world.position_literal(cell))]
+    facts = {HAS_REALM: [kgmas(blueprint.realm)]}
+    if connection is None:
+        facts[HAS_STATUS] = [Literal(STATUS_IDLE)]
     store.replace(data_graph, blueprint.asset_id, facts)
     agent = GenericAgent(agent_id, bus, channel)
     return AgentHandle(blueprint, agent, connection)

@@ -24,15 +24,17 @@ from .agents import emit_specs, generate_agents
 from .errors import (
     GenerationError,
     KgmasError,
+    ProtocolError,
     TurtleParseError,
     ValidationError,
     WorldError,
 )
-from .protocol import COMPLETED, check_world_consistency
+from .protocol import COMPLETED, check_world_consistency, load_protocol
 from .rami import validate_setup
 from .runtime import DEFAULT_DEADLINE_MS, Scenario
 from .store import NamedGraphStore
-from .vocab import DATA_GRAPH, SETUP_GRAPH
+from .terms import Literal
+from .vocab import DATA_GRAPH, FOR_TASK, SETUP_GRAPH
 from .world import WarehouseWorld
 
 log = logging.getLogger("kgmas.cli")
@@ -78,13 +80,23 @@ def _parse_pairs(pairs, what: str) -> dict[str, str]:
 
 
 def cmd_validate(args) -> int:
+    """Check the asset descriptions, then every protocol ``run`` can load."""
     store = _load_graph(args.setup, SETUP_GRAPH)
-    report = validate_setup(store, SETUP_GRAPH)
-    if report.ok:
+    lines = [f"{issue.rule}\t{issue.subject}\t{issue.message}"
+             for issue in validate_setup(store, SETUP_GRAPH).issues]
+    tasks = {task.lexical
+             for protocol in store.subjects(SETUP_GRAPH, FOR_TASK)
+             for task in store.objects(SETUP_GRAPH, protocol, FOR_TASK)
+             if isinstance(task, Literal)}
+    for task in sorted(tasks):
+        try:
+            load_protocol(store, SETUP_GRAPH, task)
+        except ProtocolError as exc:
+            lines.append(f"protocol\t{task}\t{exc}")
+    if not lines:
         print(f"setup ok ({len(store.triples(SETUP_GRAPH))} triples)")
         return 0
-    for issue in report.issues:
-        print(f"{issue.rule}\t{issue.subject}\t{issue.message}")
+    print("\n".join(lines))
     return 1
 
 

@@ -3,10 +3,12 @@
 The connection component owns the device-facing side of an asset's channels.
 It accepts abstract capability invocations, translates them into native
 command sequences, feeds them to the world one at a time, and publishes the
-resulting observations back on the asset's outbound channels.  It also
-mirrors device state into the data graph when it changes.  While open, it is
-the only writer of its asset's state predicates, so a tick that changes none
-of the values it last wrote writes nothing.
+resulting observations back on the asset's outbound channels.  It keeps only
+its command batch and the outcome it echoes; the world says what the device
+is doing, and the adapter whether the channel is closed.  It writes the
+device's full state into the data graph when it opens and from then on is the
+only writer of its asset's state predicates, so a tick that changes none of
+the values it last wrote writes nothing.
 """
 
 from __future__ import annotations
@@ -121,16 +123,12 @@ class ConnectionComponent:
         self.store = store
         self.data_graph = data_graph
         self._batch: _Batch | None = None
-        self._active: NativeCommand | None = None
-        self._done_id: int | None = None
-        self._failed_id: int | None = None
-        self._error: str | None = None
-        self._last_payload: dict | None = None
+        self._outcome: dict = {"done_id": None, "failed_id": None}
         self._mirrored: tuple | None = None
         self._obs_topics = blueprint.observation_topics
-        self._closed = False
         for topic in blueprint.command_topics:
             self.adapter.subscribe(topic, self._on_command_text)
+        self._write_state(world.device_busy(self.asset_id))
 
     # -- command lifecycle -------------------------------------------------
 
@@ -141,16 +139,12 @@ class ConnectionComponent:
             return
         if not isinstance(payload, dict) or payload.get("op") != "invoke":
             return
-        self._begin_batch(payload)
-
-    def _begin_batch(self, payload: dict) -> None:
         command_id = int(payload.get("id", 0))
         capability = str(payload.get("capability", ""))
         params = payload.get("params") or {}
-        if self._batch is not None or self._active is not None:
+        if self._batch is not None:
             # Refuse the newcomer without disturbing the batch in flight.
-            self._failed_id = command_id
-            self._error = "device busy"
+            self._outcome.update(failed_id=command_id, error="device busy")
             return
         kind = self.world.devices[self.asset_id].kind
         try:
@@ -158,16 +152,12 @@ class ConnectionComponent:
         except (ValidationError, WorldError) as exc:
             self._fail(command_id, str(exc))
             return
-        self._done_id = None
-        self._failed_id = None
-        self._error = None
+        self._outcome = {"done_id": None, "failed_id": None}
         self._batch = _Batch(command_id, deque(natives))
 
     def _fail(self, command_id: int, error: str) -> None:
         self._batch = None
-        self._active = None
-        self._failed_id = command_id
-        self._error = error
+        self._outcome.update(failed_id=command_id, error=error)
 
     def _gate_open(self, command: NativeCommand) -> bool:
         # An arm only closes its gripper once a pallet is actually sensed in
@@ -176,68 +166,56 @@ class ConnectionComponent:
             return True
         if self.world.devices[self.asset_id].kind != KIND_ROBOTIC_ARM:
             return True
-        if self._last_payload is None:
-            return False
-        return bool(self._last_payload.get("pallets_in_reach"))
+        return bool(self.world.pallets_in_reach(self.asset_id))
 
     def dispatch(self) -> None:
         """Feed the next native command to the world if the device is free."""
-        if self._closed or self._batch is None or self._active is not None:
+        batch = self._batch
+        if (batch is None or not batch.pending or self.adapter.closed
+                or self.world.device_busy(self.asset_id)):
             return
-        if not self._batch.pending:
-            return
-        head = self._batch.pending[0]
+        head = batch.pending[0]
         if not self._gate_open(head):
             return
-        self._batch.pending.popleft()
+        batch.pending.popleft()
         if not self.world.apply(self.asset_id, head):
-            self._fail(self._batch.command_id, f"{head.verb} rejected")
-            return
-        self._active = head
+            self._fail(batch.command_id, f"{head.verb} rejected")
 
     def observe(self, observation: Observation) -> None:
         """Digest a world observation, then publish and mirror it."""
-        if self._closed:
+        if self.adapter.closed:
             return
         payload = dict(observation.payload)
-        if self._active is not None and not payload["busy"]:
+        batch = self._batch
+        if batch is not None and not payload["busy"]:
             failed = payload.get("failed")
-            batch = self._batch
-            self._active = None
-            if failed is not None and batch is not None:
+            if failed is not None:
                 self._fail(batch.command_id, f"{failed} failed")
-            elif batch is not None and not batch.pending:
-                self._done_id = batch.command_id
+            elif not batch.pending:
+                self._outcome["done_id"] = batch.command_id
                 self._batch = None
         payload["tick"] = observation.tick
         payload["device"] = observation.device_id
-        payload["done_id"] = self._done_id
-        payload["failed_id"] = self._failed_id
-        if self._error is not None:
-            payload["error"] = self._error
+        payload.update(self._outcome)
         payload["busy"] = payload["busy"] or self._batch is not None
-        self._last_payload = payload
-        self._publish(payload)
-        self._write_state(payload)
-
-    def _publish(self, payload: dict) -> None:
         text = canonical_json(payload)
         for topic in self._obs_topics:
             self.adapter.publish(topic, text)
+        self._write_state(payload["busy"])
 
     # -- graph mirroring ---------------------------------------------------
 
-    def _write_state(self, payload: dict) -> None:
+    def _write_state(self, busy: bool) -> None:
         device = self.world.devices[self.asset_id]
         arm = device.kind == KIND_ROBOTIC_ARM
         # The world moves an arm's joints in place, so the record keeps a copy.
-        mirrored = (payload["busy"], device.cell, device.holding,
+        mirrored = (busy, device.cell, device.holding,
                     tuple(device.joints) if arm else None,
                     device.gripper if arm else None)
         if mirrored == self._mirrored:
             return
         self._mirrored = mirrored
-        status = STATUS_BUSY if payload["busy"] else STATUS_IDLE
+        status = STATUS_BUSY if busy else STATUS_IDLE
         facts: dict[Iri, list] = {
             HAS_STATUS: [Literal(status)],
             AT_POSITION: [Literal(self.world.position_literal(device.cell))],
@@ -250,9 +228,6 @@ class ConnectionComponent:
         self.store.replace(self.data_graph, self.blueprint.asset_id, facts)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
         self.adapter.close()
 
 
@@ -263,7 +238,6 @@ class AgentChannel:
         self.adapter = adapter
         self._command_topics = blueprint.command_topics
         self._cached: dict | None = None
-        self._closed = False
         for topic in blueprint.observation_topics:
             self.adapter.subscribe(topic, self._on_observation_text)
 
@@ -276,15 +250,12 @@ class AgentChannel:
             self._cached = payload
 
     def send_command(self, payload: dict) -> None:
-        if self._closed or not self._command_topics:
+        if self.adapter.closed or not self._command_topics:
             raise TransportError("no command channel")
         self.adapter.publish(self._command_topics[0], canonical_json(payload))
 
     def latest_observation(self) -> dict | None:
-        return None if self._closed else self._cached
+        return None if self.adapter.closed else self._cached
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
         self.adapter.close()

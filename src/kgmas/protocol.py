@@ -82,13 +82,6 @@ class ProtocolDefinition:
     def initiator_role(self) -> Iri:
         return self.steps[0].role
 
-    def report_event_after(self, role: Iri, index: int) -> str | None:
-        """Event name of the first report step for a role at or past index."""
-        for step in self.steps[index - 1:]:
-            if step.kind == REPORT_EVENT and step.role == role:
-                return event_name_of(step)
-        return None
-
 
 @dataclass
 class TaskState:
@@ -161,7 +154,8 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
     """Read one protocol out of the setup graph and validate it.
 
     Checks: contiguous 1-based step indexes, step roles declared on the
-    protocol, request targets declared, every role bound to exactly one
+    protocol, request targets declared, every perform step directly
+    followed by its role's report step, every role bound to exactly one
     asset that really has the role's required capability.
     """
     objects = functools.partial(store.objects, graph_id)
@@ -253,6 +247,10 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
                     f"step {step.index}: request target role missing or unbound")
         if step.kind == REPORT_EVENT:
             event_name_of(step)
+        behind = [(s.kind, s.role) for s in steps[step.index:step.index + 1]]
+        if step.kind == PERFORM_ACTION and behind != [(REPORT_EVENT, step.role)]:
+            raise ProtocolError(f"step {step.index}: a perform step must be followed "
+                                f"directly by a report step of the same role")
 
     return ProtocolDefinition(protocol, tasks[0], tuple(steps), roles, role_assets)
 
@@ -275,7 +273,7 @@ def _instruction_for(protocol: ProtocolDefinition, task: TaskState,
         return {"action": "perform",
                 "capability": capability.local_name,
                 "params": params,
-                "report": protocol.report_event_after(step.role, step.index)}
+                "report": event_name_of(protocol.steps[step.index])}
     return {"action": "report", "event": event_name_of(step)}
 
 

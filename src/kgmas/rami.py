@@ -18,7 +18,7 @@ from . import vocab
 from .errors import BlueprintError, UnknownAssetError
 from .store import NamedGraphStore
 from .terms import Iri, Literal
-from .transports import default_registry
+from .transports import Endpoint, default_registry
 
 _DIRECTIONS = (("publishes", vocab.PUBLISHES_ON), ("subscribes", vocab.SUBSCRIBES_TO))
 
@@ -33,19 +33,13 @@ class Channel:
 
 
 @dataclass(frozen=True)
-class CommunicationBinding:
-    scheme: str
-    endpoint: str
-
-
-@dataclass(frozen=True)
 class AgentBlueprint:
     """Everything needed to build an agent for one asset."""
 
     asset_id: Iri
     asset_kind: Iri
     realm: str
-    binding: CommunicationBinding
+    binding: Endpoint
     channels: tuple[Channel, ...]
     capabilities: tuple[Iri, ...]
     coordination_role: Iri
@@ -119,6 +113,11 @@ def _read_asset(objects, asset: Iri):
     endpoints = _literals(objects, asset, vocab.HAS_ENDPOINT)
     if not protocols or not endpoints:
         issue("binding", asset, "asset needs a connection scheme and endpoint")
+    elif len(protocols) > 1 or len(endpoints) > 1:
+        issue("binding", asset, f"expected one connection scheme and one endpoint, "
+                                f"found {len(protocols)} and {len(endpoints)}")
+    elif not protocols[0] or not endpoints[0]:
+        issue("binding", asset, "connection scheme and endpoint must be non-empty")
     channels = []
     seen: set[tuple[str, str]] = set()
     for direction, predicate in _DIRECTIONS:
@@ -155,7 +154,7 @@ def _read_asset(objects, asset: Iri):
         asset_id=asset,
         asset_kind=kinds[0],
         realm=vocab.REALMS[realms[0]],
-        binding=CommunicationBinding(scheme=protocols[0], endpoint=endpoints[0]),
+        binding=Endpoint(protocols[0], endpoints[0]),
         channels=tuple(sorted(channels, key=lambda c: (c.direction, c.topic))),
         capabilities=capabilities,
         coordination_role=roles[0],
@@ -185,7 +184,7 @@ def validate_setup(store: NamedGraphStore, graph_id,
         _, protocols, found = _read_asset(objects, asset)
         issues.extend(found)
         for scheme in protocols:
-            if scheme not in schemes:
+            if scheme and scheme not in schemes:
                 issue("binding", asset, f"unrecognized connection scheme {scheme!r}")
         agent_id = vocab.agent_id_of(asset)
         if agent_id in vocab.RESERVED_AGENT_IDS:

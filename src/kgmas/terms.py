@@ -100,10 +100,6 @@ class Pattern:
         if not isinstance(self.object, (Iri, Literal, Variable)):
             raise ValidationError("pattern object must be a term or variable")
 
-    def variables(self) -> set[str]:
-        return {t.name for t in (self.subject, self.predicate, self.object)
-                if isinstance(t, Variable)}
-
 
 def term_key(term: Term) -> tuple:
     """Total order over ground terms: iris before literals, then text."""

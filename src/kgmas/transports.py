@@ -143,17 +143,18 @@ class Adapter:
     """An asset's handle on one hub.
 
     Tracks its own subscriptions so ``close`` can detach them without
-    touching other users of the hub.
+    touching other users of the hub. ``closed`` tells the adapter's
+    owners whether the channel is still open.
     """
 
     def __init__(self, endpoint: Endpoint, hub):
         self.endpoint = endpoint
         self._hub = hub
         self._subscriptions: list[tuple[str, object]] = []
-        self._closed = False
+        self.closed = False
 
     def _check_open(self):
-        if self._closed:
+        if self.closed:
             raise TransportError("adapter is closed")
 
     def publish(self, topic: str, payload: str):
@@ -170,12 +171,12 @@ class Adapter:
         return self._hub.request(path, payload)
 
     def close(self):
-        if self._closed:
+        if self.closed:
             return
         for topic, handler in self._subscriptions:
             self._hub.unsubscribe(topic, handler)
         self._subscriptions.clear()
-        self._closed = True
+        self.closed = True
 
 
 class TransportRegistry:

@@ -10,7 +10,6 @@ from .terms import Iri
 
 KGMAS_NS = "http://kgmas.example/vocab#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
-RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
 
 def kgmas(local: str) -> Iri:
@@ -53,7 +52,6 @@ AGGREGATES = kgmas("aggregates")
 HAS_COORDINATION_ROLE = kgmas("hasCoordinationRole")
 
 # coordination protocol
-PROTOCOL_CLASS = kgmas("Protocol")
 FOR_TASK = kgmas("forTask")
 HAS_STEP = kgmas("hasStep")
 STEP_INDEX = kgmas("stepIndex")

@@ -2,9 +2,12 @@
 
 The world is a discrete-time simulation. Commands are validated on
 ``apply`` and queued per device; ``step`` advances every queue by one
-tick and returns one observation per device. Mechanics contain no
-randomness, so a fixed command script always produces the same
-observation stream; the fixture seed is recorded for provenance.
+tick and returns one observation per device. The world alone says what
+a device is doing: whether a command runs, which pallets an arm can
+reach, and what failed, reported on the tick of the failure only.
+Mechanics contain no randomness, so a fixed command script always
+produces the same observation stream; the fixture seed is recorded for
+provenance.
 
 Movement is one cell per tick. Arm joints move at most 0.1 rad per
 tick per joint. A pallet is always in exactly one place: on a cell or
@@ -115,7 +118,6 @@ class WarehouseWorld:
                 raise WorldError(f"duplicate device id {device.device_id}")
             self.devices[device.device_id] = device
         self._queues: dict[str, deque] = {d: deque() for d in self.devices}
-        self._failures: dict[str, str | None] = {d: None for d in self.devices}
 
     # -- fixture loading --------------------------------------------------
 
@@ -205,6 +207,13 @@ class WarehouseWorld:
     def device_busy(self, device_id: str) -> bool:
         return bool(self._queues[device_id])
 
+    def pallets_in_reach(self, device_id: str) -> dict[str, list[int]]:
+        """Pallets lying on a cell an arm can reach, by id."""
+        reach = self.devices[device_id].reach
+        return {pallet_id: list(location[1])
+                for pallet_id, location in sorted(self.pallet_locations.items())
+                if location[0] == "cell" and location[1] in reach}
+
     # -- commands ---------------------------------------------------------
 
     def apply(self, device_id: str, command: NativeCommand) -> bool:
@@ -274,14 +283,14 @@ class WarehouseWorld:
     def step(self) -> list[Observation]:
         """Advance one tick: progress every device queue, then observe."""
         self.tick += 1
-        for device_id in sorted(self.devices):
-            queue = self._queues[device_id]
-            if queue:
-                self._progress(device_id, self.devices[device_id], queue)
-        return [self._observe(device_id) for device_id in sorted(self.devices)]
+        failed = {device_id: self._progress(device_id, self.devices[device_id],
+                                            self._queues[device_id])
+                  for device_id in sorted(self.devices) if self._queues[device_id]}
+        return [self._observe(device_id, failed.get(device_id))
+                for device_id in sorted(self.devices)]
 
-    def _progress(self, device_id: str, device, queue: deque):
-        self._failures[device_id] = None
+    def _progress(self, device_id: str, device, queue: deque) -> str | None:
+        """Advance a device's head command; returns the verb that failed, if any."""
         command = queue[0]
         verb = command.verb
         if verb == "goto_cell":
@@ -322,8 +331,7 @@ class WarehouseWorld:
         elif verb == "grip":
             queue.popleft()
             if not self._ready_now(device, command):
-                self._failures[device_id] = "grip"
-                return
+                return "grip"
             if device.kind == KIND_MOBILE_ROBOT:
                 pallet_id = self._pallet_on_cell(device.cell)
             else:
@@ -337,8 +345,7 @@ class WarehouseWorld:
         elif verb == "release":
             queue.popleft()
             if not self._ready_now(device, command):
-                self._failures[device_id] = "release"
-                return
+                return "release"
             cell = command.args.get("cell")
             target = tuple(cell) if cell is not None else device.cell
             self.pallet_locations[device.holding] = ("cell", target)
@@ -346,13 +353,13 @@ class WarehouseWorld:
             if device.kind == KIND_ROBOTIC_ARM:
                 device.gripper = "open"
 
-    def _observe(self, device_id: str) -> Observation:
+    def _observe(self, device_id: str, failed: str | None) -> Observation:
         device = self.devices[device_id]
         payload = {
             "kind": device.kind,
             "busy": self.device_busy(device_id),
             "holding": device.holding,
-            "failed": self._failures[device_id],
+            "failed": failed,
         }
         if device.kind == KIND_MOBILE_ROBOT:
             payload["cell"] = [device.x, device.y]
@@ -360,9 +367,5 @@ class WarehouseWorld:
         else:
             payload["joints"] = [round(j, 6) for j in device.joints]
             payload["gripper"] = device.gripper
-            payload["pallets_in_reach"] = {
-                pallet_id: list(location[1])
-                for pallet_id, location in sorted(self.pallet_locations.items())
-                if location[0] == "cell" and location[1] in device.reach
-            }
+            payload["pallets_in_reach"] = self.pallets_in_reach(device_id)
         return Observation(device_id, self.tick, payload)

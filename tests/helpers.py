@@ -34,6 +34,20 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def setup_with_step_inside_pair() -> str:
+    """The fixture setup with a mover query step between step 3 (a perform)
+    and its report, which becomes step 5."""
+    text = fixture_text("fig3_setup.ttl")
+    for index in (7, 6, 5, 4):
+        text = text.replace(f"MovePalletStep{index}", f"MovePalletStep{index + 1}")
+        text = text.replace(f'"{index}"^^xsd:integer', f'"{index + 1}"^^xsd:integer')
+    return text + (
+        "kgmas:MovePalletProtocol kgmas:hasStep kgmas:MovePalletStep4 .\n"
+        'kgmas:MovePalletStep4 kgmas:stepIndex "4"^^xsd:integer .\n'
+        "kgmas:MovePalletStep4 kgmas:stepRole kgmas:MoverRole .\n"
+        "kgmas:MovePalletStep4 kgmas:actionKind kgmas:queryNext .\n")
+
+
 # -- brute-force pattern matching ------------------------------------------
 
 

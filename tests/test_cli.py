@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import fixture_path, fixture_text
+from helpers import fixture_path, fixture_text, setup_with_step_inside_pair
 from kgmas.cli import main
 
 
@@ -170,6 +170,47 @@ def test_run_literal_protocol_step_exits_one(tmp_path, capsys):
     args = ["run", "--setup", str(path), "--world", WORLD, "--task", "move_pallet"]
     assert main(args) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def write_setup(tmp_path, text: str) -> str:
+    path = tmp_path / "setup.ttl"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def exit_codes(setup: str) -> tuple[int, int, int]:
+    """Exit codes of validate, generate and run on one setup."""
+    return (main(["validate", "--setup", setup]),
+            main(["generate", "--setup", setup]),
+            main(["run", "--setup", setup, "--world", WORLD,
+                  "--task", "move_pallet"]))
+
+
+def test_empty_endpoint_is_a_no_everywhere(tmp_path, capsys):
+    """A readable setup with an empty endpoint exits 1, never 2."""
+    setup = write_setup(tmp_path, fixture_text("fig3_setup.ttl").replace(
+        'kgmas:Turtlebot kgmas:hasEndpoint "localhost:9090"',
+        'kgmas:Turtlebot kgmas:hasEndpoint ""'))
+    assert exit_codes(setup) == (1, 1, 1)
+    assert "endpoint must be non-empty" in capsys.readouterr().out
+
+
+def test_validate_refuses_a_step_between_perform_and_report(tmp_path, capsys):
+    setup = write_setup(tmp_path, setup_with_step_inside_pair())
+    assert exit_codes(setup) == (1, 0, 1)
+    out = capsys.readouterr().out
+    assert "protocol\tmove_pallet\tstep 3: a perform step must be followed" in out
+
+
+def test_validate_loads_every_protocol_run_loads(tmp_path, capsys):
+    setup = write_setup(tmp_path, fixture_text("fig3_setup.ttl").replace(
+        'kgmas:MovePalletStep3 kgmas:stepIndex "3"^^xsd:integer .\n', ""))
+    assert main(["validate", "--setup", setup]) == 1
+    assert capsys.readouterr().out == (
+        "protocol\tmove_pallet\thttp://kgmas.example/vocab#MovePalletStep3: "
+        "expected one step index\n")
+    assert main(["run", "--setup", setup, "--world", WORLD,
+                 "--task", "move_pallet"]) == 1
 
 
 def test_dump_is_a_fixed_point(tmp_path, capsys):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from helpers import consistency_oracle, fixture_text
+from helpers import consistency_oracle, fixture_text, setup_with_step_inside_pair
 from kgmas import vocab
 from kgmas.errors import EventRejectedError, ProtocolError
 from kgmas.protocol import (
@@ -125,6 +125,15 @@ def test_load_rejects_literal_step(setup_text):
     store.load_turtle(SETUP_GRAPH, setup_text.replace(
         "kgmas:hasStep kgmas:MovePalletStep1", 'kgmas:hasStep "MovePalletStep1"'))
     with pytest.raises(ProtocolError, match="step must be an iri"):
+        load_protocol(store, SETUP_GRAPH, task_name="move_pallet")
+
+
+def test_load_rejects_a_perform_without_its_report_behind_it():
+    """A step between a perform and its report would stall the task."""
+    store = NamedGraphStore()
+    store.load_turtle(SETUP_GRAPH, setup_with_step_inside_pair())
+    with pytest.raises(ProtocolError, match="step 3: a perform step must be "
+                                            "followed directly by a report"):
         load_protocol(store, SETUP_GRAPH, task_name="move_pallet")
 
 

@@ -18,6 +18,7 @@ from kgmas.vocab import (
     HAS_ASSET_KIND,
     HAS_CAPABILITY,
     HAS_COORDINATION_ROLE,
+    HAS_ENDPOINT,
     HAS_PROTOCOL,
     HAS_REALM,
     HAS_TOPIC,
@@ -134,6 +135,23 @@ def test_issue_order_is_deterministic(setup_store):
     assert [i.rule for i in first] == sorted(i.rule for i in first)
 
 
+@pytest.mark.parametrize("predicate,removed,added", [
+    (HAS_PROTOCOL, None, "mqtt"),
+    (HAS_ENDPOINT, None, "elsewhere:1"),
+    (HAS_ENDPOINT, "localhost:9090", ""),
+    (HAS_PROTOCOL, "ros+ws", ""),
+], ids=["two_schemes", "two_endpoints", "empty_endpoint", "empty_scheme"])
+def test_binding_is_one_nonempty_declaration(setup_store, predicate, removed, added):
+    """Scheme and endpoint come from one non-empty declaration each."""
+    if removed is not None:
+        setup_store.remove(SETUP_GRAPH, Triple(TURTLEBOT, predicate, Literal(removed)))
+    setup_store.insert(SETUP_GRAPH, Triple(TURTLEBOT, predicate, Literal(added)))
+    report = validate_setup(setup_store, SETUP_GRAPH)
+    assert [issue.rule for issue in report.issues] == ["binding"]
+    with pytest.raises(BlueprintError, match="communication layer"):
+        extract_blueprint(setup_store, SETUP_GRAPH, TURTLEBOT)
+
+
 # -- blueprints -------------------------------------------------------------
 
 
@@ -142,7 +160,7 @@ def test_blueprint_contents(setup_store):
     assert blueprint.agent_id == "turtlebot"
     assert blueprint.realm == "physical"
     assert blueprint.binding.scheme == "ros+ws"
-    assert blueprint.binding.endpoint == "localhost:9090"
+    assert blueprint.binding.address == "localhost:9090"
     assert [(c.direction, c.topic) for c in blueprint.channels] == [
         ("publishes", "/pose"), ("subscribes", "/cmd_vel")]
     assert blueprint.capabilities == (kgmas("MotionControl"),)

@@ -21,7 +21,6 @@ from kgmas.vocab import (
     HAS_GRIPPER_STATE,
     HAS_JOINT_STATES,
     HAS_STATUS,
-    HOLDS,
     SETUP_GRAPH,
     XSD_INTEGER,
     kgmas,
@@ -158,22 +157,37 @@ def test_an_idle_tick_writes_nothing():
         assert_mirror_matches_world(scenario)
 
 
-def test_first_tick_writes_every_device_in_full(monkeypatch):
-    """A new connection has written nothing, so its first write is whole."""
+def test_a_new_scenario_holds_every_device_in_full():
+    """A connection writes its device's whole state when it opens."""
+    with fresh() as scenario:
+        assert scenario.world.tick == 0
+        assert_mirror_matches_world(scenario)
+        triples = scenario.store.triples(DATA_GRAPH)
+
+        def predicates(asset):
+            return {t.predicate for t in triples if t.subject == asset}
+
+        mobile = {HAS_STATUS, AT_POSITION}
+        assert predicates(kgmas("Turtlebot")) >= mobile
+        assert predicates(kgmas("RoboticArm")) >= (
+            mobile | {HAS_JOINT_STATES, HAS_GRIPPER_STATE})
+
+
+def test_first_tick_writes_no_device_facts(monkeypatch):
+    """What the connections wrote at open still holds after an idle tick."""
     with fresh() as scenario:
         writes = []
         replace = scenario.store.replace
 
         def spy(graph_id, subject, facts):
-            writes.append((subject, frozenset(facts)))
+            writes.append(subject)
             return replace(graph_id, subject, facts)
 
         monkeypatch.setattr(scenario.store, "replace", spy)
         scenario.iterate()
-        mobile = {HAS_STATUS, AT_POSITION, HOLDS}
-        assert (kgmas("Turtlebot"), mobile) in writes
-        assert (kgmas("RoboticArm"),
-                mobile | {HAS_JOINT_STATES, HAS_GRIPPER_STATE}) in writes
+        assert kgmas("Turtlebot") not in writes
+        assert kgmas("RoboticArm") not in writes
+        assert_mirror_matches_world(scenario)
 
 
 def test_zero_deadline_fails_without_progress():

@@ -93,6 +93,10 @@ def test_arm_observation_lists_reachable_pallets():
     world = make_world(pallets={"P": (3, 2), "Q": (0, 0)}, devices=[arm()])
     (obs,) = world.step()
     assert obs.payload["pallets_in_reach"] == {"P": [3, 2]}
+    assert world.pallets_in_reach("arm") == {"P": [3, 2]}
+    assert world.apply("arm", cmd("grip", cell=(3, 2)))
+    world.step()
+    assert world.pallets_in_reach("arm") == {}
 
 
 def test_goto_current_cell_finishes_without_moving():
@@ -164,7 +168,10 @@ def test_failed_grip_flagged_for_one_execution():
     (obs,) = world.step()
     assert obs.payload["failed"] == "grip"
     assert obs.payload["holding"] is None
-    # the flag resets as soon as the device executes again
+    # the failure shows on its own tick only, not on the idle tick after it
+    (obs,) = world.step()
+    assert (obs.payload["busy"], obs.payload["failed"]) == (False, None)
+    # the flag stays clear when the device executes again
     assert world.apply("bot", cmd("goto_cell", cell=(0, 0)))
     (obs,) = world.step()
     assert obs.payload["failed"] is None
