@@ -119,7 +119,7 @@ def _read_asset(objects, asset: Iri):
     elif not protocols[0] or not endpoints[0]:
         issue("binding", asset, "connection scheme and endpoint must be non-empty")
     channels = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[str] = set()
     for direction, predicate in _DIRECTIONS:
         for node in objects(asset, predicate):
             if not isinstance(node, Iri):
@@ -134,10 +134,10 @@ def _read_asset(objects, asset: Iri):
                 issue("channel", node, "channel needs exactly one message kind")
             else:
                 channels.append(Channel(topics[0], direction, message_kinds[0]))
-            if (topics[0], direction) in seen:
-                issue("channel", asset,
-                      f"duplicate {direction} channel for topic {topics[0]!r}")
-            seen.add((topics[0], direction))
+            # one channel per topic: a transport binds a topic once per asset
+            if topics[0] in seen:
+                issue("channel", asset, f"more than one channel on topic {topics[0]!r}")
+            seen.add(topics[0])
     capabilities = objects(asset, vocab.HAS_CAPABILITY)
     if not capabilities:
         issue("capability", asset, "asset declares no capability")

@@ -13,10 +13,10 @@ Deliberately absent: blank nodes, language tags, predicate/object lists
 and ``@base``. Anything outside the subset raises ``TurtleParseError``
 with a 1-based line and column.
 
-The reader is one compiled pattern, ``_TOKEN``, after the tokenizer recipe
-in the ``re`` docs: a match skips blanks and comments and takes one token,
-which ``parse_turtle`` turns into a term at once. Only when a token does
-not fit does ``_syntax_error`` look again to say why and where.
+The reader is one compiled pattern, ``_STATEMENT``, whose match takes a
+whole statement or ``@prefix`` directive; ``parse_turtle`` turns its groups
+into terms at once. Only a statement that does not match, or holds a bad
+term, is walked again one ``_TOKEN`` at a time, to say why and where.
 """
 
 from __future__ import annotations
@@ -29,22 +29,34 @@ from .vocab import KGMAS_NS, XSD_NS
 
 _SPACE = r"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*"
 _NAME = r"[A-Za-z0-9_.-]*"
-# a local name does not end in '.': that dot closes the statement
-_LOCAL = r"[A-Za-z0-9_-]*(?:\.(?=[A-Za-z0-9_.-])[A-Za-z0-9_-]*)*"
+# a local name does not end in '.': that dot closes the statement; nor is
+# it ever cut short, so a statement cannot backtrack into a shorter one
+_LOCAL = (r"[A-Za-z0-9_-]*(?:\.(?=[A-Za-z0-9_.-])[A-Za-z0-9_-]*)*"
+          r"(?![A-Za-z0-9_-]|\.[A-Za-z0-9_.-])")
 _IRI_BODY = r"[^>\r\n]*"
 _LITERAL_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
+_PREFIX = rf"@prefix{_SPACE}(?P<name>{_NAME}):{_SPACE}<(?P<ns>{_IRI_BODY})>{_SPACE}\."
+
+
+def _terms(tag: str) -> tuple[str, str, str]:
+    """Iri ref, prefixed name and literal; group names start with ``tag``."""
+    iri = rf"<(?P<{tag}ref>{_IRI_BODY})>"
+    # a term's prefix is not empty and does not start with '_' (a blank node)
+    pname = rf"(?P<{tag}pfx>[A-Za-z0-9.-]{_NAME}):(?P<{tag}local>{_LOCAL})"
+    return iri, pname, (rf'"(?P<{tag}lex>{_LITERAL_BODY})"(?:\^\^(?:<(?P<{tag}dt_ref>'
+                        rf"{_IRI_BODY})>|(?P<{tag}dt_pfx>{_NAME}):(?P<{tag}dt_local>"
+                        rf"{_LOCAL}))|(?![@^]))")
+
 
 _TOKEN = re.compile(
-    _SPACE + "(?:"
-    rf"(?P<iri><(?P<ref>{_IRI_BODY})>)"
-    # a term's prefix is not empty and does not start with '_' (a blank node)
-    rf"|(?P<pname>(?P<pfx>[A-Za-z0-9.-]{_NAME}):(?P<local>{_LOCAL}))"
-    rf'|(?P<literal>"(?P<lex>{_LITERAL_BODY})"(?:\^\^(?:<(?P<dt_ref>{_IRI_BODY})>'
-    rf"|(?P<dt_pfx>{_NAME}):(?P<dt_local>{_LOCAL}))|(?![@^])))"
-    rf"|(?P<prefix>@prefix{_SPACE}(?P<name>{_NAME}):{_SPACE}"
-    rf"<(?P<ns>{_IRI_BODY})>{_SPACE}\.)"
-    r"|(?P<end>[.;,])|(?P<eof>\Z)|(?P<other>))", re.DOTALL)
-
+    _SPACE + "(?:(?P<iri>{})|(?P<pname>{})|(?P<literal>{})".format(*_terms(""))
+    + rf"|(?P<prefix>{_PREFIX})|(?P<end>[.;,])|(?P<other>))", re.DOTALL)
+# A directive, or subject, predicate, object and '.'; else nothing, so that a
+# match always starts where the last one ended, and no search runs past a bad one.
+_STATEMENT = re.compile(
+    rf"{_SPACE}(?:{_PREFIX}|(?:{'|'.join(_terms('s_')[:2])}){_SPACE}"
+    rf"(?:{'|'.join(_terms('p_')[:2])}){_SPACE}(?:{'|'.join(_terms('o_'))}){_SPACE}\.|)",
+    re.DOTALL)
 _SKIP_SPACE = re.compile(_SPACE).match
 _SKIP_NAME = re.compile(_NAME).match
 _SKIP_IRI_BODY = re.compile(_IRI_BODY).match
@@ -127,32 +139,50 @@ def parse_turtle(text: str) -> list[Triple]:
     The whole document is parsed before anything is returned, so a
     syntax error never yields partial results.
     """
-    match = _TOKEN.match
     prefixes: dict[str, str] = {}
     iris = _Iris()
     triples: list[Triple] = []
-    pos = 0
-    while True:
-        m = match(text, pos)
-        kind = m.lastgroup
-        if kind == "eof":
-            return triples
-        if kind == "prefix":
-            prefixes[m["name"]] = _to_iri(text, m, "ns", iris).value
-            pos = m.end()
-            continue
-        subject = _term(text, m, prefixes, iris, "subject")
-        m = match(text, m.end())
-        predicate = _term(text, m, prefixes, iris, "predicate")
-        m = match(text, m.end())
-        obj = _term(text, m, prefixes, iris, "object")
-        m = match(text, m.end())
+    for m in _STATEMENT.finditer(text):
+        (name, ns, s_ref, s_pfx, s_local, p_ref, p_pfx, p_local, o_ref, o_pfx,
+         o_local, lex, dt_ref, dt_pfx, dt_local) = m.groups()
+        try:
+            if p_ref is None and p_pfx is None:
+                if ns is None:
+                    break
+                prefixes[name] = iris[ns].value
+                continue
+            if lex is None:
+                obj = iris[o_ref if o_pfx is None else prefixes[o_pfx] + o_local]
+            else:
+                if "\\" in lex:
+                    lex = _ESCAPE.sub(_unescape, lex)
+                if dt_pfx is not None:
+                    dt_ref = prefixes[dt_pfx] + dt_local
+                obj = Literal(lex, None if dt_ref is None else iris[dt_ref])
+            triples.append(Triple(iris[s_ref if s_pfx is None else prefixes[s_pfx] + s_local],
+                                  iris[p_ref if p_pfx is None else prefixes[p_pfx] + p_local],
+                                  obj))
+        except (KeyError, ValueError, ValidationError):
+            break
+    if m.lastindex is None and m.end() == len(text):
+        return triples
+    raise _statement_error(text, m.start(), prefixes, iris)
+
+
+def _statement_error(text: str, at: int, prefixes: dict, iris: _Iris) -> TurtleParseError:
+    """Walk the statement at ``at`` token by token to say why it does not
+    parse; a bad term in it raises at once."""
+    m = _TOKEN.match(text, at)
+    if m.lastgroup == "prefix":
+        _to_iri(text, m, "ns", iris)
+    else:
+        for position in ("subject", "predicate", "object"):
+            _term(text, m, prefixes, iris, position)
+            m = _TOKEN.match(text, m.end())
         # the token here may be a name that starts with the closing '.'
-        pos = m.start(m.lastgroup)
-        if not text.startswith(".", pos):
-            raise _syntax_error(text, pos, "end", iris)
-        triples.append(Triple(subject, predicate, obj))
-        pos += 1
+        if not text.startswith(".", m.start(m.lastgroup)):
+            return _syntax_error(text, m.start(m.lastgroup), "end", iris)
+    raise RuntimeError(f"_STATEMENT refused the statement at {at} that _TOKEN takes")
 
 
 def _syntax_error(text: str, at: int, expected: str, iris: _Iris) -> TurtleParseError:

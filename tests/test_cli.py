@@ -195,6 +195,20 @@ def test_empty_endpoint_is_a_no_everywhere(tmp_path, capsys):
     assert "endpoint must be non-empty" in capsys.readouterr().out
 
 
+def test_one_topic_in_both_directions_is_a_no(tmp_path, capsys):
+    """A transport binds a topic once per asset, so validation refuses an
+    asset that publishes on and subscribes to one topic."""
+    setup = write_setup(tmp_path, fixture_text("fig3_setup.ttl").replace(
+        '"/pose"', '"/cmd_vel"'))
+    assert main(["validate", "--setup", setup]) == 1
+    assert main(["generate", "--setup", setup]) == 1
+    captured = capsys.readouterr()
+    issue = ("channel\thttp://kgmas.example/vocab#Turtlebot\t"
+             "more than one channel on topic '/cmd_vel'\n")
+    assert issue in captured.out and issue in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_validate_refuses_a_step_between_perform_and_report(tmp_path, capsys):
     setup = write_setup(tmp_path, setup_with_step_inside_pair())
     assert exit_codes(setup) == (1, 0, 1)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from helpers import fixture_text, random_triples
+from kgmas import turtle
 from kgmas.errors import TurtleParseError
 from kgmas.terms import Iri, Literal, Triple
 from kgmas.turtle import parse_turtle, serialize_turtle
@@ -119,6 +121,7 @@ def test_rejected_syntax(bad):
 
 
 P = f"@prefix kgmas: <{NS}> .\n"
+TWO_GOOD = P + "kgmas:a kgmas:p kgmas:b .\n" + '<http://e/s> <http://e/p> "ok" .\n'
 
 
 # (document, message, line, column) for every kind of rejection; a bad
@@ -166,7 +169,30 @@ REJECTIONS = [
     ('<http://e/s> <http://e/p> "abc\\', "dangling escape", 1, 31),
     # beyond the last code point
     ('<http://e/s> <http://e/p> "\\U00110000" .', "bad \\U escape", 1, 28),
-]
+] + [(TWO_GOOD + third + "\n", message, 4, column) for third, message, column in [
+    # found in the third statement, after two were matched and built
+    ("q:a kgmas:p kgmas:b .", "undeclared prefix 'q'", 1),
+    ("kgmas:a q:p kgmas:b .", "undeclared prefix 'q'", 9),
+    ("kgmas:a kgmas:p q:b .", "undeclared prefix 'q'", 17),
+    ('kgmas:a kgmas:p "1"^^q:int .', "undeclared prefix 'q'", 22),
+    ("<http://e/a b> kgmas:p kgmas:b .", "iri contains whitespace: 'http://e/a b'", 1),
+    ('kgmas:a <http://e/a"b> kgmas:b .',
+     "iri contains forbidden character: 'http://e/a\"b'", 9),
+    ("kgmas:a kgmas:p <http://e/a<b> .",
+     "iri contains forbidden character: 'http://e/a<b'", 17),
+    ('kgmas:a kgmas:p "x"^^<http://e/a b> .',
+     "iri contains whitespace: 'http://e/a b'", 22),
+    ("@prefix k: <http://e/a b> .", "iri contains whitespace: 'http://e/a b'", 12),
+    ("<> kgmas:p kgmas:b .", "empty iri", 3),
+    ("kgmas:a <> kgmas:b .", "empty iri", 11),
+    ('kgmas:a kgmas:p "x"^^<> .', "empty iri", 24),
+    ("@prefix k: <> .", "empty iri", 14),
+    ('kgmas:a kgmas:p "a\\qb" .', "unknown escape \\q", 19),
+    ('kgmas:a kgmas:p "\\U00110000" .', "bad \\U escape", 18),
+    ('kgmas:a kgmas:p "x"@en .', "language tags are not supported", 20),
+    ("kgmas:a kgmas:p kgmas:b ; kgmas:q kgmas:c .",
+     "predicate/object lists are not supported", 25),
+]]
 
 
 @pytest.mark.parametrize("text,message,line,column", REJECTIONS)
@@ -175,6 +201,15 @@ def test_rejection_message_and_position(text, message, line, column):
         parse_turtle(text)
     assert str(err.value) == f"line {line}, column {column}: {message}"
     assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("statement", [
+    "<http://e/s> <http://e/p> <http://e/o> .", "@prefix e: <http://e/> ."])
+def test_token_walk_that_finds_no_error_fails_loudly(statement):
+    """The token walk runs only on a statement the statement pattern refused;
+    finding nothing wrong there means the two grammars differ."""
+    with pytest.raises(RuntimeError):
+        turtle._statement_error(statement, 0, {}, turtle._Iris())
 
 
 @pytest.mark.parametrize("bad", ["a b", "a\tb", "a\u00a0b", 'a"b', "a<b"])
@@ -186,24 +221,80 @@ def test_bad_iri_character_is_a_parse_error(bad):
     assert repr(f"http://e/{bad}") in str(err.value)
 
 
-def test_single_character_edits_parse_or_raise_parse_errors():
-    text = fixture_text("fig3_setup.ttl")
-    refs = [at for at, c in enumerate(text) if c == "<"]
-    rng = random.Random(31)
+def single_character_edits(text: str, seed: int, anchors: str, count: int = 1000):
+    """``count`` seeded one-character insertions and deletions of ``text``.
+
+    Every other edit lands in or just after one of the characters in
+    ``anchors``, so the rarer constructs get their share of damage.
+    """
+    spots = [at for at, c in enumerate(text) if c in anchors]
+    rng = random.Random(seed)
     inserted = ' \t\n\r"<>:._#@^\\;,?xU0\u00a0'
-    for _ in range(1000):
-        # every other edit lands in or just after an iri ref: the fixture
-        # has only two, and a bad character there is a parse error too
+    for _ in range(count):
         at = (rng.randrange(len(text) + 1) if rng.random() < 0.5
-              else rng.choice(refs) + rng.randrange(40))
+              else rng.choice(spots) + rng.randrange(40))
         if rng.random() < 0.5:
-            edited = text[:at] + rng.choice(inserted) + text[at:]
+            yield text[:at] + rng.choice(inserted) + text[at:]
         else:
-            edited = text[:at] + text[at + 1:]
+            yield text[:at] + text[at + 1:]
+
+
+def test_single_character_edits_parse_or_raise_parse_errors():
+    # the fixture has only two iri refs, and a bad character there is a
+    # parse error too
+    for edited in single_character_edits(fixture_text("fig3_setup.ttl"), 31, "<"):
         try:
             parse_turtle(edited)
         except TurtleParseError:
             pass
+
+
+def inventory_like_document(seed: int, count: int) -> str:
+    """Statements in the shapes of a data-graph dump and then some: full and
+    prefixed iris, both datatype forms, every escape, CRLF line ends and
+    comments."""
+    rng = random.Random(seed)
+    lexicals = ["plain", 'q:\\" b:\\\\', "n:\\n t:\\t r:\\r", "u:\\u00e9",
+                "U:\\U0001F916", "# not a comment", "dot .", "", "b:\\b f:\\f"]
+    objects = ["kgmas:o{n}", f"<{NS}o{{n}}>", '"{lex}"', '"{lex}"^^xsd:integer',
+               f'"{{lex}}"^^<{XSD}string>', "kgmas:o.{n}"]
+    lines = [f"@prefix kgmas: <{NS}> .", f"@prefix xsd: <{XSD}> ."]
+    for n in range(count):
+        subject = rng.choice(["kgmas:item{n}", f"<{NS}item{{n}}>", "kgmas:a.b{n}"])
+        obj = rng.choice(objects).format(n=n, lex=rng.choice(lexicals))
+        line = f"{subject.format(n=n)} kgmas:p{rng.randrange(4)} {obj} ."
+        if rng.random() < 0.2:
+            line += "  # trailing comment"
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append("# a comment line")
+    return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+
+
+def outcome(text: str) -> str:
+    """The triples a document parses to, or its error's message and position."""
+    try:
+        return repr(parse_turtle(text))
+    except TurtleParseError as err:
+        return str(err)
+
+
+# sha256 over every outcome of the documents below, taken with the token
+# reader that parsed one term per match; any change of a triple, an error
+# message, a line or a column changes it
+OUTCOMES_SHA256 = "30ee4e59823fc27bde2460a82f3823aa67abba8f1b4b7fcd12703e8036bae582"
+
+
+def test_outcomes_of_seeded_edits_are_pinned():
+    fixture = fixture_text("fig3_setup.ttl")
+    inventory = inventory_like_document(41, 60)
+    documents = [fixture, inventory,
+                 *single_character_edits(fixture, 31, "<"),
+                 *single_character_edits(inventory, 43, '<"\\')]
+    digest = hashlib.sha256()
+    for text in documents:
+        digest.update(outcome(text).encode("utf-8") + b"\0")
+    assert digest.hexdigest() == OUTCOMES_SHA256
 
 
 def test_serializer_emits_prefixes_and_sorted_triples():
