@@ -127,8 +127,6 @@ def cmd_run(args) -> int:
         transport_overrides=overrides,
         deadline_ms=args.deadline_ms,
     )
-    if args.seed is not None:
-        scenario.world.seed = args.seed
     result = scenario.run_task(args.task, params)
     scenario.close()
     if args.out:
@@ -216,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True)
     p.add_argument("--param", action="append", metavar="K=V",
                    help="task parameter, repeatable")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deadline-ms", type=int, default=DEFAULT_DEADLINE_MS,
                    help="per-step progress deadline in logical ms")
     p.add_argument("--out", metavar="DIR",

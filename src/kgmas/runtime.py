@@ -80,6 +80,7 @@ class Scenario:
             if scheme not in self.registry.schemes():
                 raise ValidationError(
                     f"transport override uses unknown scheme {scheme!r}")
+        # Blueprints come sorted by agent id, so handles are walked in id order.
         self.handles: dict[str, AgentHandle] = {}
         for blueprint in blueprints:
             agent_id = blueprint.agent_id
@@ -115,12 +116,11 @@ class Scenario:
     def iterate(self) -> None:
         """One full cycle: think, act, move, sense."""
         self.kg.activate()
-        for agent_id in sorted(self.handles):
-            self.handles[agent_id].agent.activate()
-        for agent_id in sorted(self.handles):
-            connection = self.handles[agent_id].connection
-            if connection is not None:
-                connection.dispatch()
+        for handle in self.handles.values():
+            handle.agent.activate()
+        for handle in self.handles.values():
+            if handle.connection is not None:
+                handle.connection.dispatch()
         observations = self.world.step()
         for observation in observations:
             handle = self.handles.get(observation.device_id)
@@ -191,9 +191,8 @@ class Scenario:
         if self._closed:
             return
         self._closed = True
-        for agent_id in sorted(self.handles):
-            shutdown(self.handles[agent_id], bus=self.bus, store=self.store,
-                     data_graph=DATA_GRAPH)
+        for handle in self.handles.values():
+            shutdown(handle, bus=self.bus, store=self.store, data_graph=DATA_GRAPH)
         self.bus.unregister(self.kg.agent_id)
         self.bus.unregister(OPERATOR_ID)
 

@@ -2,16 +2,19 @@
 
 The world is a discrete-time simulation. Commands are validated on
 ``apply`` and queued per device; ``step`` advances every queue by one
-tick and returns one observation per device. The world alone says what
-a device is doing: whether a command runs, which pallets an arm can
-reach, and what failed, reported on the tick of the failure only.
-Mechanics contain no randomness, so a fixed command script always
-produces the same observation stream; the fixture seed is recorded for
-provenance.
+tick and returns one observation per device, both in device id order.
+The world alone says what a device is doing: whether a command runs,
+which pallets an arm can reach, and what failed, reported on the tick of
+the failure only. Mechanics contain no randomness, so a fixed command
+script always produces the same observation stream.
 
-Movement is one cell per tick. Arm joints move at most 0.1 rad per
-tick per joint. A pallet is always in exactly one place: on a cell or
-held by one device.
+A robot moves one cell per tick; arm joints move at most 0.1 rad per
+tick per joint. One rule, ``_target``, decides which pallet a grip takes
+and which cell a release fills, both for ``apply`` and when the command
+runs: a robot acts on its own cell, an arm on a cell in its reach. A
+pallet is always in exactly one place: on a cell, or held by the one
+device whose ``holding`` names it. Construction rejects a device off
+the grid and arm joints beyond the limits.
 """
 
 from __future__ import annotations
@@ -30,9 +33,16 @@ KIND_MOBILE_ROBOT = "mobile_robot"
 KIND_ROBOTIC_ARM = "robotic_arm"
 
 _VERBS = {
-    KIND_MOBILE_ROBOT: {"set_velocity", "goto_cell", "grip", "release"},
+    KIND_MOBILE_ROBOT: {"goto_cell", "grip", "release"},
     KIND_ROBOTIC_ARM: {"set_joints", "grip", "release"},
 }
+
+
+def _joints_ok(joints) -> bool:
+    """Four numbers, each within the joint limit."""
+    return (isinstance(joints, (tuple, list)) and len(joints) == 4
+            and all(isinstance(j, (int, float)) and abs(j) <= JOINT_LIMIT
+                    for j in joints))
 
 
 @dataclass
@@ -73,7 +83,6 @@ class RoboticArmSim:
     base: tuple[int, int]
     reach: frozenset[tuple[int, int]]
     joints: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.0, 0.0])
-    gripper: str = "open"
     holding: str | None = None
 
     kind = KIND_ROBOTIC_ARM
@@ -82,18 +91,21 @@ class RoboticArmSim:
     def cell(self) -> tuple[int, int]:
         return self.base
 
+    @property
+    def gripper(self) -> str:
+        return "closed" if self.holding is not None else "open"
+
 
 class WarehouseWorld:
     """Grid world with stations, pallets and commandable devices."""
 
     def __init__(self, width: int, height: int, stations: dict[str, tuple[int, int]],
-                 pallets: dict[str, tuple[int, int]], devices: list, seed: int = 0):
+                 pallets: dict[str, tuple[int, int]], devices: list):
         if width < 1 or height < 1:
             raise WorldError("grid must be at least 1x1")
         self.width = width
         self.height = height
         self.stations = dict(stations)
-        self.seed = seed
         self.tick = 0
         by_cell: dict[tuple[int, int], str] = {}
         for label, cell in self.stations.items():
@@ -105,17 +117,24 @@ class WarehouseWorld:
             by_cell[cell] = label
             self.stations[label] = cell
         self._station_by_cell = by_cell
-        # pallet location: ("cell", (x, y)) or ("held", device_id)
-        self.pallet_locations: dict[str, tuple] = {}
+        # Cells of the pallets lying on the grid; a held pallet is only in
+        # its holder's ``holding``.
+        self._pallet_cells: dict[str, tuple[int, int]] = {}
         for pallet_id, cell in pallets.items():
             cell = tuple(cell)
             if not self.in_grid(cell):
                 raise WorldError(f"pallet {pallet_id} outside the grid")
-            self.pallet_locations[pallet_id] = ("cell", cell)
+            self._pallet_cells[pallet_id] = cell
         self.devices: dict[str, object] = {}
-        for device in devices:
+        for device in sorted(devices, key=lambda d: d.device_id):
             if device.device_id in self.devices:
                 raise WorldError(f"duplicate device id {device.device_id}")
+            cells = [device.cell, *getattr(device, "reach", ())]
+            if not all(self.in_grid(cell) for cell in cells):
+                raise WorldError(f"device {device.device_id} outside the grid")
+            if device.kind == KIND_ROBOTIC_ARM and not _joints_ok(device.joints):
+                raise WorldError(f"arm {device.device_id} needs 4 joints "
+                                 f"within +-{JOINT_LIMIT} rad")
             self.devices[device.device_id] = device
         self._queues: dict[str, deque] = {d: deque() for d in self.devices}
 
@@ -137,7 +156,7 @@ class WarehouseWorld:
                 else:
                     pallets[pallet_id] = tuple(where)
             devices = []
-            for device_id, spec in sorted(doc.get("devices", {}).items()):
+            for device_id, spec in doc.get("devices", {}).items():
                 kind = spec["kind"]
                 if kind == KIND_MOBILE_ROBOT:
                     x, y = spec["start"]
@@ -149,8 +168,7 @@ class WarehouseWorld:
                     devices.append(arm)
                 else:
                     raise WorldError(f"unknown device kind {kind!r}")
-            return cls(grid["width"], grid["height"], stations, pallets,
-                       devices, seed=doc.get("seed", 0))
+            return cls(grid["width"], grid["height"], stations, pallets, devices)
         except (KeyError, TypeError, ValueError) as exc:
             raise WorldError(f"bad world fixture: {exc}") from exc
 
@@ -169,6 +187,11 @@ class WarehouseWorld:
         x, y = cell
         return 0 <= x < self.width and 0 <= y < self.height
 
+    def _grid_cell(self, value) -> bool:
+        """A command's cell argument: an [x, y] pair on the grid."""
+        return (isinstance(value, (tuple, list)) and len(value) == 2
+                and self.in_grid(tuple(value)))
+
     def position_literal(self, cell: tuple[int, int]) -> str:
         """Station label if the cell hosts one, else ``cell:x,y``."""
         label = self._station_by_cell.get(tuple(cell))
@@ -185,24 +208,18 @@ class WarehouseWorld:
             return (x, y)
         raise WorldError(f"bad position literal {text!r}")
 
-    def device_cell(self, device_id: str) -> tuple[int, int]:
-        return self.devices[device_id].cell
-
     def pallet_positions(self) -> dict[str, str]:
         """Pallet id to position literal; held pallets ride their holder."""
-        out = {}
-        for pallet_id, location in sorted(self.pallet_locations.items()):
-            if location[0] == "cell":
-                out[pallet_id] = self.position_literal(location[1])
-            else:
-                out[pallet_id] = self.position_literal(self.device_cell(location[1]))
-        return out
+        cells = dict(self._pallet_cells)
+        for device in self.devices.values():
+            if device.holding is not None:
+                cells[device.holding] = device.cell
+        return {pallet_id: self.position_literal(cell)
+                for pallet_id, cell in sorted(cells.items())}
 
     def _pallet_on_cell(self, cell: tuple[int, int]) -> str | None:
-        for pallet_id, location in sorted(self.pallet_locations.items()):
-            if location == ("cell", tuple(cell)):
-                return pallet_id
-        return None
+        return min((pallet_id for pallet_id, at in self._pallet_cells.items()
+                    if at == cell), default=None)
 
     def device_busy(self, device_id: str) -> bool:
         return bool(self._queues[device_id])
@@ -210,9 +227,9 @@ class WarehouseWorld:
     def pallets_in_reach(self, device_id: str) -> dict[str, list[int]]:
         """Pallets lying on a cell an arm can reach, by id."""
         reach = self.devices[device_id].reach
-        return {pallet_id: list(location[1])
-                for pallet_id, location in sorted(self.pallet_locations.items())
-                if location[0] == "cell" and location[1] in reach}
+        return {pallet_id: list(cell)
+                for pallet_id, cell in sorted(self._pallet_cells.items())
+                if cell in reach}
 
     # -- commands ---------------------------------------------------------
 
@@ -220,9 +237,9 @@ class WarehouseWorld:
         """Validate and queue a command. Returns False when rejected.
 
         Structural checks (verb/argument shape, grid bounds) always run.
-        State-dependent preconditions for grip and release are checked
-        immediately only when the device queue is empty; queued behind
-        other commands they are judged at execution time instead.
+        A grip or release must also find its target (``_target``) at once
+        when the device queue is empty; queued behind other commands it is
+        judged at execution time instead.
         """
         if device_id not in self.devices:
             raise WorldError(f"unknown device {device_id!r}")
@@ -231,65 +248,53 @@ class WarehouseWorld:
             return False
         args = command.args
         if command.verb == "goto_cell":
-            cell = args.get("cell")
-            if (not isinstance(cell, (tuple, list)) or len(cell) != 2
-                    or not self.in_grid(tuple(cell))):
-                return False
-        elif command.verb == "set_velocity":
-            if (args.get("dx") not in (-1, 0, 1) or args.get("dy") not in (-1, 0, 1)
-                    or not isinstance(args.get("ticks"), int) or args["ticks"] < 1):
+            if not self._grid_cell(args.get("cell")):
                 return False
         elif command.verb == "set_joints":
-            joints = args.get("joints")
-            if (not isinstance(joints, (tuple, list)) or len(joints) != 4
-                    or not all(isinstance(j, (int, float)) for j in joints)
-                    or any(abs(j) > JOINT_LIMIT for j in joints)):
+            if not _joints_ok(args.get("joints")):
                 return False
-        elif command.verb in ("grip", "release"):
+        else:
             cell = args.get("cell")
-            if cell is not None and (not isinstance(cell, (tuple, list))
-                                     or len(cell) != 2
-                                     or not self.in_grid(tuple(cell))):
+            if cell is not None and not self._grid_cell(cell):
                 return False
-            if not self._queues[device_id] and not self._ready_now(device, command):
+            if not self._queues[device_id] and self._target(device, command) is None:
                 return False
         self._queues[device_id].append(command)
         return True
 
-    def _ready_now(self, device, command: NativeCommand) -> bool:
+    def _target(self, device, command: NativeCommand) -> str | tuple[int, int] | None:
+        """The pallet a grip takes or the cell a release fills; None when
+        the command cannot run now. An arm's release needs a cell, and its
+        grip without one takes the first pallet in sorted reach."""
         cell = command.args.get("cell")
         cell = tuple(cell) if cell is not None else None
+        if device.kind == KIND_MOBILE_ROBOT:
+            cells = [device.cell] if cell in (None, device.cell) else []
+        elif cell is not None:
+            cells = [cell] if cell in device.reach else []
+        else:
+            cells = sorted(device.reach) if command.verb == "grip" else []
         if command.verb == "grip":
             if device.holding is not None:
-                return False
-            if device.kind == KIND_MOBILE_ROBOT:
-                return self._pallet_on_cell(device.cell) is not None
-            if device.gripper != "open":
-                return False
-            targets = [cell] if cell is not None else sorted(device.reach)
-            return any(c in device.reach and self._pallet_on_cell(c)
-                       for c in targets)
-        # release
+                return None
+            return next((p for p in map(self._pallet_on_cell, cells) if p is not None),
+                        None)
         if device.holding is None:
-            return False
-        if device.kind == KIND_MOBILE_ROBOT:
-            return self._pallet_on_cell(device.cell) is None
-        if cell is None or cell not in device.reach:
-            return False
-        return self._pallet_on_cell(cell) is None
+            return None
+        return next((c for c in cells if self._pallet_on_cell(c) is None), None)
 
     # -- time -------------------------------------------------------------
 
     def step(self) -> list[Observation]:
         """Advance one tick: progress every device queue, then observe."""
         self.tick += 1
-        failed = {device_id: self._progress(device_id, self.devices[device_id],
-                                            self._queues[device_id])
-                  for device_id in sorted(self.devices) if self._queues[device_id]}
+        failed = {device_id: self._progress(device, self._queues[device_id])
+                  for device_id, device in self.devices.items()
+                  if self._queues[device_id]}
         return [self._observe(device_id, failed.get(device_id))
-                for device_id in sorted(self.devices)]
+                for device_id in self.devices]
 
-    def _progress(self, device_id: str, device, queue: deque) -> str | None:
+    def _progress(self, device, queue: deque) -> str | None:
         """Advance a device's head command; returns the verb that failed, if any."""
         command = queue[0]
         verb = command.verb
@@ -307,15 +312,6 @@ class WarehouseWorld:
             device.heading = HEADINGS.get((dx, dy), device.heading)
             if device.cell == target:
                 queue.popleft()
-        elif verb == "set_velocity":
-            dx, dy = command.args["dx"], command.args["dy"]
-            nx, ny = device.x + dx, device.y + dy
-            if self.in_grid((nx, ny)):
-                device.x, device.y = nx, ny
-                device.heading = HEADINGS.get((dx, dy), device.heading)
-            command.args["ticks"] -= 1
-            if command.args["ticks"] <= 0:
-                queue.popleft()
         elif verb == "set_joints":
             targets = command.args["joints"]
             done = True
@@ -328,30 +324,17 @@ class WarehouseWorld:
                     device.joints[i] = float(target)
             if done:
                 queue.popleft()
-        elif verb == "grip":
+        else:
             queue.popleft()
-            if not self._ready_now(device, command):
-                return "grip"
-            if device.kind == KIND_MOBILE_ROBOT:
-                pallet_id = self._pallet_on_cell(device.cell)
+            target = self._target(device, command)
+            if target is None:
+                return verb
+            if verb == "grip":
+                del self._pallet_cells[target]
+                device.holding = target
             else:
-                cell = command.args.get("cell")
-                cells = [tuple(cell)] if cell is not None else sorted(device.reach)
-                pallet_id = next(p for p in (self._pallet_on_cell(c) for c in cells)
-                                 if p is not None)
-                device.gripper = "closed"
-            device.holding = pallet_id
-            self.pallet_locations[pallet_id] = ("held", device_id)
-        elif verb == "release":
-            queue.popleft()
-            if not self._ready_now(device, command):
-                return "release"
-            cell = command.args.get("cell")
-            target = tuple(cell) if cell is not None else device.cell
-            self.pallet_locations[device.holding] = ("cell", target)
-            device.holding = None
-            if device.kind == KIND_ROBOTIC_ARM:
-                device.gripper = "open"
+                self._pallet_cells[device.holding] = target
+                device.holding = None
 
     def _observe(self, device_id: str, failed: str | None) -> Observation:
         device = self.devices[device_id]

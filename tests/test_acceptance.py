@@ -51,7 +51,7 @@ from kgmas.vocab import (
 SETUP = fixture_path("fig3_setup.ttl")
 WORLD = fixture_path("warehouse_world.json")
 RUN_ARGS = ["run", "--setup", SETUP, "--world", WORLD, "--task", "move_pallet",
-            "--param", "from=P1", "--param", "to=P2", "--seed", "0"]
+            "--param", "from=P1", "--param", "to=P2"]
 
 TASK_REQUEST_CONTENT = {"task": "move_pallet", "from": "P1", "to": "P2"}
 EVENT_CONTENT = {"event": "pallet_placed"}

@@ -156,6 +156,20 @@ def test_run_bad_world_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("device,field,value", [
+    ("roboticarm", "joints", [0, 0, 0]),
+    ("turtlebot", "start", [9, 9]),
+])
+def test_run_bad_world_device_exits_two(tmp_path, capsys, device, field, value):
+    doc = json.loads(fixture_text("warehouse_world.json"))
+    doc["devices"][device][field] = value
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(RUN_ARGS[:4] + [str(path)] + RUN_ARGS[5:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_run_unknown_task_exits_one(capsys):
     args = ["run", "--setup", SETUP, "--world", WORLD, "--task", "paint_fence"]
     assert main(args) == 1

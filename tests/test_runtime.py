@@ -89,7 +89,7 @@ def test_mirror_tracks_world_every_tick():
             for pallet_id, position in s.world.pallet_positions().items():
                 assert position_in_graph(kgmas(pallet_id)) == position
             for agent_id, asset in assets.items():
-                cell = s.world.device_cell(agent_id)
+                cell = s.world.devices[agent_id].cell
                 assert position_in_graph(asset) == s.world.position_literal(cell)
 
         result = scenario.run_task("move_pallet", PARAMS, on_tick=check)

@@ -107,22 +107,10 @@ def test_goto_current_cell_finishes_without_moving():
     assert not obs.payload["busy"]
 
 
-def test_set_velocity_walks_and_clips_at_walls():
-    world = make_world(devices=[robot(1, 0)])
-    assert world.apply("bot", cmd("set_velocity", dx=-1, dy=0, ticks=3))
-    cells = [tuple(world.step()[0].payload["cell"]) for _ in range(3)]
-    # hits the wall on the second tick and stays put
-    assert cells == [(0, 0), (0, 0), (0, 0)]
-    assert not world.device_busy("bot")
-
-
 @pytest.mark.parametrize("verb,args", [
     ("set_joints", {"joints": [0, 0, 0, 0]}),      # wrong kind
     ("goto_cell", {"cell": (9, 0)}),               # outside the grid
     ("goto_cell", {"cell": (1,)}),
-    ("set_velocity", {"dx": 2, "dy": 0, "ticks": 1}),
-    ("set_velocity", {"dx": 1, "dy": 0, "ticks": 0}),
-    ("set_velocity", {"dx": 1, "dy": 0, "ticks": "3"}),
     ("grip", {"cell": (9, 9)}),
     ("fly", {}),
 ])
@@ -177,6 +165,38 @@ def test_failed_grip_flagged_for_one_execution():
     assert obs.payload["failed"] is None
 
 
+def test_robot_grips_and_releases_only_on_its_own_cell():
+    """A grip or release naming another cell is refused, not carried out there."""
+    world = make_world(pallets={"P": (0, 0), "Q": (4, 4)}, devices=[robot()])
+    assert world.apply("bot", cmd("grip", cell=[4, 4])) is False
+    assert world.apply("bot", cmd("grip"))
+    world.step()
+    assert world.apply("bot", cmd("release", cell=[4, 4])) is False
+    assert world.apply("bot", cmd("release", cell=[1, 0])) is False
+    (obs,) = world.step()
+    assert obs.payload["holding"] == "P"
+    assert world.pallet_positions() == {"P": "cell:0,0", "Q": "cell:4,4"}
+    # queued behind a move, the same release fails when it runs
+    assert world.apply("bot", cmd("goto_cell", cell=(1, 0)))
+    assert world.apply("bot", cmd("release", cell=[4, 4]))
+    world.step()
+    (obs,) = world.step()
+    assert (obs.payload["failed"], obs.payload["holding"]) == ("release", "P")
+    assert world.pallet_positions() == {"P": "cell:1,0", "Q": "cell:4,4"}
+    # naming the cell it stands on is the same as naming none
+    assert world.apply("bot", cmd("release", cell=[1, 0]))
+    world.step()
+    assert world.pallet_positions() == {"P": "cell:1,0", "Q": "cell:4,4"}
+    assert world.devices["bot"].holding is None
+
+
+def test_devices_step_and_report_in_id_order():
+    world = make_world(pallets={"P": (3, 2)},
+                      devices=[MobileRobotSim("zed", 0, 0), robot(3, 2), arm()])
+    assert list(world.devices) == ["arm", "bot", "zed"]
+    assert [o.device_id for o in world.step()] == ["arm", "bot", "zed"]
+
+
 def test_racing_grips_leave_exactly_one_holder():
     """Two devices grip the same pallet in one tick; one wins, one fails."""
     world = make_world(pallets={"P": (3, 2)},
@@ -219,13 +239,14 @@ def test_pallet_conservation_under_random_commands():
                       devices=[robot(), arm(base=(1, 1),
                                             reach=((1, 1), (0, 1), (2, 1)))])
     pool = [cmd("grip"), cmd("release"), cmd("goto_cell", cell=(1, 1)),
-            cmd("goto_cell", cell=(0, 0)), cmd("set_velocity", dx=1, dy=0, ticks=2),
+            cmd("goto_cell", cell=(0, 0)), cmd("goto_cell", cell=(0, 1)),
             cmd("grip", cell=(1, 1)), cmd("release", cell=(0, 1)),
             cmd("set_joints", joints=[0.3, -0.3, 0.1, 0.0])]
     for _ in range(150):
         target = rng.choice(("bot", "arm"))
         choice = rng.choice(pool)
         world.apply(target, NativeCommand(choice.verb, dict(choice.args)))
+        holders = {d.holding: d for d in world.devices.values() if d.holding}
         world.step()
         positions = world.pallet_positions()
         assert sorted(positions) == ["P1", "P2", "P3"]
@@ -233,6 +254,12 @@ def test_pallet_conservation_under_random_commands():
         assert len(held) == len(set(held))
         for device in world.devices.values():
             assert world.in_grid(device.cell)
+        lying = [positions[p] for p in positions if p not in held]
+        assert len(lying) == len(set(lying))
+        for pallet_id, holder in holders.items():
+            if pallet_id not in held:
+                cell = world.parse_position(positions[pallet_id])
+                assert cell in getattr(holder, "reach", {holder.cell})
 
 
 # -- fixture loading --------------------------------------------------------
@@ -254,6 +281,12 @@ def test_fixture_round_trip():
     lambda d: d["devices"]["turtlebot"].update({"kind": "drone"}),
     lambda d: d["stations"].update({"P3": [99, 0]}),
     lambda d: d["stations"].update({"P3": [1, 1]}),
+    lambda d: d["devices"]["turtlebot"].update({"start": [9, 9]}),
+    lambda d: d["devices"]["roboticarm"].update({"base": [6, 2]}),
+    lambda d: d["devices"]["roboticarm"]["reach"].append([0, 4]),
+    lambda d: d["devices"]["roboticarm"].update({"joints": [0, 0, 0]}),
+    lambda d: d["devices"]["roboticarm"].update({"joints": [0, 0, 0, "x"]}),
+    lambda d: d["devices"]["roboticarm"].update({"joints": [0, 0, 0, 1.6]}),
 ])
 def test_bad_fixture_documents_raise(mutate):
     with open(fixture_path("warehouse_world.json"), encoding="utf-8") as fh:
