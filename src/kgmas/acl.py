@@ -137,14 +137,17 @@ class Bus:
     """In-process message bus with per-agent FIFO inboxes.
 
     Send validates, logs and enqueues under one lock, so the global
-    sequence order, the log and inbox order always agree. Receivers can
-    block with a timeout; ``None`` signals expiry.
+    sequence order, the log and inbox order always agree. The same lock
+    keeps ``waiting``, the set of ids whose inbox holds mail, which
+    callers only read. Receivers can block with a timeout; ``None``
+    signals expiry.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._inboxes: dict[str, deque] = {}
+        self.waiting: set[str] = set()
         self._log: list[tuple[int, AclMessage]] = []
         self._reply_ids: dict[str, set[str]] = {}
 
@@ -159,6 +162,7 @@ class Bus:
     def unregister(self, agent_id: str) -> int:
         """Drop an inbox; returns the number of undelivered messages."""
         with self._lock:
+            self.waiting.discard(agent_id)
             return len(self._inboxes.pop(agent_id, ()))
 
     def send(self, message: AclMessage) -> int:
@@ -187,6 +191,7 @@ class Bus:
             seq = len(self._log) + 1
             self._log.append((seq, message))
             self._inboxes[message.receiver].append(message)
+            self.waiting.add(message.receiver)
             self._ready.notify_all()
             return seq
 
@@ -198,7 +203,12 @@ class Bus:
                 raise UnknownReceiverError(f"no inbox for {agent_id!r}")
             if not inbox and timeout is not None and timeout > 0:
                 self._ready.wait_for(lambda: bool(inbox), timeout)
-            return inbox.popleft() if inbox else None
+            if not inbox:
+                return None
+            message = inbox.popleft()
+            if not inbox:
+                self.waiting.discard(agent_id)
+            return message
 
     def try_receive(self, agent_id: str) -> AclMessage | None:
         return self.receive(agent_id, timeout=None)
@@ -206,7 +216,7 @@ class Bus:
     def idle(self) -> bool:
         """True when every inbox has been drained."""
         with self._lock:
-            return all(not inbox for inbox in self._inboxes.values())
+            return not self.waiting
 
     def delivery_log(self) -> list[tuple[int, AclMessage]]:
         with self._lock:

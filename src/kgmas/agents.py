@@ -108,11 +108,8 @@ class GenericAgent:
         self._reply_counter = itertools.count(1)
         self._command_counter = itertools.count(1)
         self._task: dict | None = None
-        self._perform: dict | None = None
-
-    @property
-    def performing(self) -> bool:
-        return self._perform is not None
+        # The device command in flight: its id, report and conversation.
+        self.performing: dict | None = None
 
     def _reply_id(self) -> str:
         return f"{self.agent_id}-{next(self._reply_counter)}"
@@ -136,7 +133,7 @@ class GenericAgent:
         """Drain the inbox, then check on any command in flight."""
         while (message := self.bus.try_receive(self.agent_id)) is not None:
             self._handle(message)
-        if self._perform is not None and self.channel is not None:
+        if self.performing is not None and self.channel is not None:
             self._poll_device()
 
     def _handle(self, message: AclMessage) -> None:
@@ -162,9 +159,9 @@ class GenericAgent:
         elif performative in (Performative.REFUSE, Performative.FAILURE):
             log.info("%s: %s from %s: %s", self.agent_id, performative.value,
                      message.sender, content)
-            if (self._perform is not None and message.sender == self.mediator
-                    and message.conversation_id == self._perform["conversation"]):
-                self._perform = None
+            if (self.performing is not None and message.sender == self.mediator
+                    and message.conversation_id == self.performing["conversation"]):
+                self.performing = None
         else:
             log.debug("%s: ignoring %s from %s", self.agent_id,
                       performative.value, message.sender)
@@ -197,7 +194,7 @@ class GenericAgent:
                 self._send(Performative.FAILURE, self.mediator,
                            {"error": str(exc), "task": task_name}, conversation)
                 return
-            self._perform = {
+            self.performing = {
                 "id": command_id,
                 "report": content.get("report") or "action_completed",
                 "conversation": conversation,
@@ -215,16 +212,16 @@ class GenericAgent:
         observation = self.channel.latest_observation()
         if observation is None:
             return
-        context = self._perform
+        context = self.performing
         if observation.get("done_id") == context["id"]:
-            self._perform = None
+            self.performing = None
             content = {"event": context["report"]}
             if self._task is not None:
                 content["task"] = self._task["name"]
             self._send(Performative.INFORM, self.mediator, content,
                        context["conversation"])
         elif observation.get("failed_id") == context["id"]:
-            self._perform = None
+            self.performing = None
             self._send(Performative.FAILURE, self.mediator,
                        {"error": observation.get("error") or "command_failed",
                         "task": self._task["name"] if self._task else None},

@@ -174,6 +174,10 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
     if len(tasks) != 1:
         raise ProtocolError(f"{protocol.value}: expected one task name")
 
+    bound: dict[Iri, list[Iri]] = {}
+    for asset in store.subjects(graph_id, vocab.HAS_COORDINATION_ROLE):
+        for role in objects(asset, vocab.HAS_COORDINATION_ROLE):
+            bound.setdefault(role, []).append(asset)
     roles: dict[Iri, Iri] = {}
     role_assets: dict[Iri, Iri] = {}
     for role in objects(protocol, vocab.BINDS_ROLE):
@@ -186,8 +190,7 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
                 f"{role.value}: expected one required capability, "
                 f"found {len(capabilities)}")
         roles[role] = capabilities[0]
-        assets = [asset for asset in store.subjects(graph_id, vocab.HAS_COORDINATION_ROLE)
-                  if role in objects(asset, vocab.HAS_COORDINATION_ROLE)]
+        assets = bound.get(role, [])
         if len(assets) != 1:
             raise ProtocolError(
                 f"{role.value}: bound to {len(assets)} assets, expected one")

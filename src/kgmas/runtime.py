@@ -1,11 +1,14 @@
 """Single-threaded scenario driver.
 
-Everything that moves, moves here, in a fixed order: mediator first, asset
-agents by id, then device dispatch, one world tick, observation fan-out and
-state mirroring, which writes only what changed; the scenario is the only
-writer of pallet ``atPosition``.  Time is the tick counter; nothing reads a
-wall clock, so two runs of the same scenario produce byte-identical traces
-and dumps.
+Everything that moves, moves here, in a fixed order: mediator first, then
+the asset agents with work, by id, then device dispatch, one world tick,
+observation fan-out and state mirroring, which writes only what changed; the
+scenario is the only writer of pallet ``atPosition``.  An asset agent has
+work while its inbox holds mail or one of its device commands is in flight.
+That is tested when the walk reaches the agent, so mail sent earlier in the
+same tick still wakes it; an agent without work, whose turn would do
+nothing, is skipped.  Time is the tick counter; nothing reads a wall clock,
+so two runs of the same scenario produce byte-identical traces and dumps.
 """
 
 from __future__ import annotations
@@ -90,6 +93,9 @@ class Scenario:
                 blueprint, bus=self.bus, store=store, data_graph=DATA_GRAPH,
                 world=world, registry=self.registry,
                 transport_override=overrides.get(agent_id))
+        self._agents = [handle.agent for handle in self.handles.values()]
+        self._connections = [handle.connection for handle in self.handles.values()
+                             if handle.connection is not None]
         self._published: dict[str, str] = {}
         self._publish_pallets()
         self._closed = False
@@ -116,11 +122,12 @@ class Scenario:
     def iterate(self) -> None:
         """One full cycle: think, act, move, sense."""
         self.kg.activate()
-        for handle in self.handles.values():
-            handle.agent.activate()
-        for handle in self.handles.values():
-            if handle.connection is not None:
-                handle.connection.dispatch()
+        waiting = self.bus.waiting
+        for agent in self._agents:
+            if agent.agent_id in waiting or agent.performing is not None:
+                agent.activate()
+        for connection in self._connections:
+            connection.dispatch()
         observations = self.world.step()
         for observation in observations:
             handle = self.handles.get(observation.device_id)

@@ -13,8 +13,9 @@ tick per joint. One rule, ``_target``, decides which pallet a grip takes
 and which cell a release fills, both for ``apply`` and when the command
 runs: a robot acts on its own cell, an arm on a cell in its reach. A
 pallet is always in exactly one place: on a cell, or held by the one
-device whose ``holding`` names it. Construction rejects a device off
-the grid and arm joints beyond the limits.
+device whose ``holding`` names it, and no two pallets share a cell.
+Construction rejects a cell that is not a pair of integers, two pallets
+on one cell, a device off the grid and arm joints beyond the limits.
 """
 
 from __future__ import annotations
@@ -96,6 +97,14 @@ class RoboticArmSim:
         return "closed" if self.holding is not None else "open"
 
 
+def _integer_cell(value, what: str) -> tuple[int, int]:
+    """An [x, y] pair of integers, as a tuple."""
+    cell = tuple(value)
+    if len(cell) != 2 or not all(type(v) is int for v in cell):
+        raise WorldError(f"{what} needs an integer [x, y] cell, got {value!r}")
+    return cell
+
+
 class WarehouseWorld:
     """Grid world with stations, pallets and commandable devices."""
 
@@ -109,7 +118,7 @@ class WarehouseWorld:
         self.tick = 0
         by_cell: dict[tuple[int, int], str] = {}
         for label, cell in self.stations.items():
-            cell = tuple(cell)
+            cell = _integer_cell(cell, f"station {label}")
             if not self.in_grid(cell):
                 raise WorldError(f"station {label} outside the grid")
             if cell in by_cell:
@@ -120,16 +129,22 @@ class WarehouseWorld:
         # Cells of the pallets lying on the grid; a held pallet is only in
         # its holder's ``holding``.
         self._pallet_cells: dict[str, tuple[int, int]] = {}
+        pallet_by_cell: dict[tuple[int, int], str] = {}
         for pallet_id, cell in pallets.items():
-            cell = tuple(cell)
+            cell = _integer_cell(cell, f"pallet {pallet_id}")
             if not self.in_grid(cell):
                 raise WorldError(f"pallet {pallet_id} outside the grid")
+            if cell in pallet_by_cell:
+                raise WorldError(f"pallets {pallet_by_cell[cell]} and "
+                                 f"{pallet_id} share a cell")
+            pallet_by_cell[cell] = pallet_id
             self._pallet_cells[pallet_id] = cell
         self.devices: dict[str, object] = {}
         for device in sorted(devices, key=lambda d: d.device_id):
             if device.device_id in self.devices:
                 raise WorldError(f"duplicate device id {device.device_id}")
-            cells = [device.cell, *getattr(device, "reach", ())]
+            cells = [_integer_cell(cell, f"device {device.device_id}")
+                     for cell in (device.cell, *getattr(device, "reach", ()))]
             if not all(self.in_grid(cell) for cell in cells):
                 raise WorldError(f"device {device.device_id} outside the grid")
             if device.kind == KIND_ROBOTIC_ARM and not _joints_ok(device.joints):

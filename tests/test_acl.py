@@ -179,6 +179,49 @@ def test_bus_idle():
     assert bus.idle()
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_bus_waiting_names_exactly_the_inboxes_with_mail(seed):
+    """After every operation, ``waiting`` holds the ids whose inbox holds
+    mail, and ``idle`` says that no inbox does."""
+    rng = random.Random(seed)
+    ids = [f"a{k}" for k in range(5)]
+    bus, inboxes = Bus(), {}
+    for _ in range(400):
+        op = rng.choice(("register", "send", "send", "try_receive", "receive",
+                         "unregister"))
+        agent_id = rng.choice(ids)
+        if op == "register":
+            if agent_id in inboxes:
+                with pytest.raises(DuplicateAgentError):
+                    bus.register(agent_id)
+            else:
+                bus.register(agent_id)
+                inboxes[agent_id] = []
+        elif op == "send":
+            sender = rng.choice([i for i in ids if i != agent_id])
+            message = AclMessage(Performative.INFORM, sender, agent_id, {},
+                                 "conv-1")
+            if agent_id in inboxes and sender in inboxes:
+                bus.send(message)
+                inboxes[agent_id].append(message)
+            else:
+                with pytest.raises(UnknownReceiverError):
+                    bus.send(message)
+        elif op == "unregister":
+            assert bus.unregister(agent_id) == len(inboxes.pop(agent_id, ()))
+        elif agent_id not in inboxes:
+            with pytest.raises(UnknownReceiverError):
+                bus.try_receive(agent_id)
+        else:
+            expected = inboxes[agent_id].pop(0) if inboxes[agent_id] else None
+            got = (bus.try_receive(agent_id) if op == "try_receive"
+                   else bus.receive(agent_id, timeout=0.0))
+            assert got is expected
+        with_mail = {i for i, inbox in inboxes.items() if inbox}
+        assert bus.waiting == with_mail
+        assert bus.idle() == (not with_mail)
+
+
 def test_bus_threaded_exactly_once_and_sender_fifo():
     """Four producers, one consumer, nothing lost or reordered per sender."""
     bus = make_bus("sink", "p0", "p1", "p2", "p3")
@@ -201,6 +244,7 @@ def test_bus_threaded_exactly_once_and_sender_fifo():
     for thread in threads:
         thread.join()
     assert bus.try_receive("sink") is None
+    assert bus.idle() and not bus.waiting
     for k in range(4):
         sequence = [m.content["n"] for m in received if m.sender == f"p{k}"]
         assert sequence == list(range(per_sender))

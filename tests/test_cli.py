@@ -159,6 +159,7 @@ def test_run_bad_world_file(tmp_path, capsys):
 @pytest.mark.parametrize("device,field,value", [
     ("roboticarm", "joints", [0, 0, 0]),
     ("turtlebot", "start", [9, 9]),
+    ("turtlebot", "start", [0.5, 0]),
 ])
 def test_run_bad_world_device_exits_two(tmp_path, capsys, device, field, value):
     doc = json.loads(fixture_text("warehouse_world.json"))
@@ -168,6 +169,15 @@ def test_run_bad_world_device_exits_two(tmp_path, capsys, device, field, value):
     assert main(RUN_ARGS[:4] + [str(path)] + RUN_ARGS[5:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_run_two_pallets_on_one_cell_exits_two(tmp_path, capsys):
+    doc = json.loads(fixture_text("warehouse_world.json"))
+    doc["pallets"]["Pallet0"] = "P1"
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(RUN_ARGS[:4] + [str(path)] + RUN_ARGS[5:]) == 2
+    assert "share a cell" in capsys.readouterr().err
 
 
 def test_run_unknown_task_exits_one(capsys):

@@ -120,6 +120,21 @@ def test_load_rejects_capability_mismatch(setup_store):
         load_protocol(setup_store, SETUP_GRAPH, task_name="move_pallet")
 
 
+@pytest.mark.parametrize("removed, added, count", [
+    (Triple(kgmas("Turtlebot"), vocab.HAS_COORDINATION_ROLE, MOVER), None, 0),
+    (None, Triple(kgmas("RoboticArm"), vocab.HAS_COORDINATION_ROLE, MOVER), 2),
+])
+def test_load_rejects_a_role_not_bound_to_one_asset(setup_store, removed, added,
+                                                     count):
+    if removed is not None:
+        setup_store.remove(SETUP_GRAPH, removed)
+    if added is not None:
+        setup_store.insert(SETUP_GRAPH, added)
+    with pytest.raises(ProtocolError, match=f"MoverRole: bound to {count} "
+                                            f"assets, expected one"):
+        load_protocol(setup_store, SETUP_GRAPH, task_name="move_pallet")
+
+
 def test_load_rejects_literal_step(setup_text):
     store = NamedGraphStore()
     store.load_turtle(SETUP_GRAPH, setup_text.replace(

@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import json
+import random
+import types
 
 import pytest
 
-from helpers import fixture_path, fixture_text, graph_facts, world_state_facts
+from helpers import (
+    fixture_path,
+    fixture_text,
+    graph_facts,
+    random_asset_block,
+    world_state_facts,
+)
 from kgmas.acl import AclMessage, Performative, format_trace
+from kgmas.agents import GenericAgent
 from kgmas.connection import PICK_POSTURE
 from kgmas.errors import ValidationError
 from kgmas.protocol import derive_trace_skeleton, load_protocol
@@ -21,6 +30,8 @@ from kgmas.vocab import (
     HAS_GRIPPER_STATE,
     HAS_JOINT_STATES,
     HAS_STATUS,
+    KG_AGENT_ID,
+    OPERATOR_ID,
     SETUP_GRAPH,
     XSD_INTEGER,
     kgmas,
@@ -302,3 +313,104 @@ def test_close_is_idempotent():
     scenario.close()
     assert scenario.store.revision == revision
     assert all(h.state == "stopped" for h in scenario.handles.values())
+
+
+# -- the wake rule ------------------------------------------------------------
+
+
+def reference_iterate(scenario: Scenario) -> None:
+    """One tick in which every asset agent takes its turn, in id order."""
+    scenario.kg.activate()
+    for handle in scenario.handles.values():
+        handle.agent.activate()
+    for handle in scenario.handles.values():
+        if handle.connection is not None:
+            handle.connection.dispatch()
+    for observation in scenario.world.step():
+        handle = scenario.handles.get(observation.device_id)
+        if handle is not None and handle.connection is not None:
+            handle.connection.observe(observation)
+    scenario._publish_pallets()
+
+
+def scenario_with_extras(rng: random.Random, extras: int,
+                         mover: str = "Turtlebot") -> Scenario:
+    """The fixture plus ``extras`` idle assets, named to sort anywhere
+    among the task's agents; ``mover`` renames the turtlebot."""
+    setup = fixture_text("fig3_setup.ttl").replace("Turtlebot", mover)
+    lines = []
+    for index in range(extras):
+        name = f"{rng.choice(('Aa', 'Mid', 'Sa', 'Zz'))}Extra{index}"
+        lines += random_asset_block(rng, name)
+        lines.append(f"kgmas:WarehouseSystem kgmas:aggregates kgmas:{name} .")
+    store = NamedGraphStore()
+    store.load_turtle(SETUP_GRAPH, setup + "\n".join(lines) + "\n")
+    doc = json.loads(fixture_text("warehouse_world.json"))
+    doc["devices"][mover.lower()] = doc["devices"].pop("turtlebot")
+    return Scenario(store, WarehouseWorld.from_fixture(doc))
+
+
+def run_with_strays(seed: int, extras: int, mover: str, reference: bool):
+    """Run the fixture task while the operator sends stray messages to idle
+    assets and to the mediator; returns everything a run leaves behind."""
+    rng = random.Random(seed)
+    scenario = scenario_with_extras(rng, extras, mover)
+    if reference:
+        scenario.iterate = types.MethodType(reference_iterate, scenario)
+    targets = [KG_AGENT_ID] + [agent_id for agent_id in scenario.handles
+                               if "extra" in agent_id]
+    replies = []
+
+    def stray(s: Scenario):
+        while (reply := s.bus.try_receive(OPERATOR_ID)) is not None:
+            replies.append(reply)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            performative = rng.choice(list(Performative))
+            content = rng.choice(({"task": "move_pallet"}, {"event": "x"},
+                                  {"query": "next_action", "task": "move_pallet"},
+                                  {"reason": "stray"}))
+            conversation = rng.choice(("conv-Task_move_pallet_1", "conv-stray"))
+            s.bus.send(AclMessage(performative, OPERATOR_ID, rng.choice(targets),
+                                  content, conversation))
+
+    with scenario:
+        result = scenario.run_task("move_pallet", PARAMS, on_tick=stray)
+        return (result.status, result.ticks, result.violations_per_tick,
+                format_trace(scenario.bus.delivery_log()),
+                scenario.store.dump_turtle(DATA_GRAPH),
+                format_trace(enumerate(replies)))
+
+
+@pytest.mark.parametrize("mover", ["Turtlebot", "Alphabot"],
+                         ids=["mover_after_placer", "mover_before_placer"])
+@pytest.mark.parametrize("seed", range(6))
+def test_waking_only_agents_with_work_changes_nothing(seed, mover):
+    """Skipping agents without work leaves the trace, the data graph and the
+    violations exactly as when every agent takes every turn.  With the mover
+    sorted before the placer, its peer request wakes the placer on the tick
+    it is sent."""
+    extras = random.Random(seed).randint(0, 30)
+    woken = run_with_strays(seed, extras, mover, reference=False)
+    everyone = run_with_strays(seed, extras, mover, reference=True)
+    assert woken == everyone
+    assert woken[0] == "completed"
+
+
+def test_idle_assets_take_no_turns(monkeypatch):
+    """Agent turns on the fixture task do not grow with idle assets."""
+    turns = {"count": 0}
+    activate = GenericAgent.activate
+
+    def counting(agent):
+        turns["count"] += 1
+        activate(agent)
+
+    monkeypatch.setattr(GenericAgent, "activate", counting)
+    counts = []
+    for extras in (0, 100):
+        turns["count"] = 0
+        with scenario_with_extras(random.Random(5), extras) as scenario:
+            result = scenario.run_task("move_pallet", PARAMS)
+        assert (result.status, result.ticks) == ("completed", 21)
+        counts.append(turns["count"])
+    assert counts[0] == counts[1] > 0

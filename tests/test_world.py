@@ -265,6 +265,11 @@ def test_pallet_conservation_under_random_commands():
 # -- fixture loading --------------------------------------------------------
 
 
+def fixture_doc() -> dict:
+    with open(fixture_path("warehouse_world.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_fixture_round_trip():
     world = WarehouseWorld.from_file(fixture_path("warehouse_world.json"))
     assert world.width == 6 and world.height == 4
@@ -289,10 +294,35 @@ def test_fixture_round_trip():
     lambda d: d["devices"]["roboticarm"].update({"joints": [0, 0, 0, 1.6]}),
 ])
 def test_bad_fixture_documents_raise(mutate):
-    with open(fixture_path("warehouse_world.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = fixture_doc()
     mutate(doc)
     with pytest.raises(WorldError):
+        WarehouseWorld.from_fixture(doc)
+
+
+@pytest.mark.parametrize("what, mutate", [
+    ("station P1", lambda d: d["stations"].update({"P1": [1.5, 1]})),
+    ("pallet Pallet1", lambda d: d["pallets"].update({"Pallet1": [1.5, 1]})),
+    ("device turtlebot",
+     lambda d: d["devices"]["turtlebot"].update({"start": [0.5, 0]})),
+    ("device roboticarm",
+     lambda d: d["devices"]["roboticarm"].update({"base": [4, 2.0]})),
+    ("device roboticarm",  # a bool is an int to Python, not to a fixture
+     lambda d: d["devices"]["roboticarm"]["reach"].append([3, True])),
+], ids=["station", "pallet", "robot_start", "arm_base", "reach_cell"])
+def test_non_integer_cells_raise(what, mutate):
+    """A cell off the integer grid would load and then never be reached."""
+    doc = fixture_doc()
+    mutate(doc)
+    with pytest.raises(WorldError, match=f"{what} needs an integer"):
+        WarehouseWorld.from_fixture(doc)
+
+
+@pytest.mark.parametrize("where", ["P1", [1, 1]], ids=["station", "cell"])
+def test_two_pallets_on_one_cell_raise(where):
+    doc = fixture_doc()
+    doc["pallets"]["Pallet0"] = where
+    with pytest.raises(WorldError, match="pallets Pallet1 and Pallet0 share a cell"):
         WarehouseWorld.from_fixture(doc)
 
 
