@@ -292,7 +292,7 @@ class KgAgent:
         is_failure = performative is Performative.FAILURE
         if is_failure and role is not None:
             if not task.finished:
-                mark_failed(self.store, self.data_graph, task, task.index)
+                mark_failed(self.store, self.data_graph, task)
                 log.info("kg: task %s failed at step %d: %s",
                          task.task_id, task.index, content)
             return

@@ -402,10 +402,10 @@ def record_event(store: NamedGraphStore, graph_id,
     return write_task_state(store, graph_id, task)
 
 
-def mark_failed(store: NamedGraphStore, graph_id,
-                task: TaskState, stalled_step: int) -> int:
+def mark_failed(store: NamedGraphStore, graph_id, task: TaskState) -> int:
+    """Fail the task at its current step."""
     task.status = FAILED
-    task.failed_step = stalled_step
+    task.failed_step = task.index
     return write_task_state(store, graph_id, task)
 
 

@@ -98,7 +98,6 @@ class Scenario:
                              if handle.connection is not None]
         self._published: dict[str, str] = {}
         self._publish_pallets()
-        self._closed = False
 
     @classmethod
     def from_files(cls, setup_path, world_path, **kwargs) -> "Scenario":
@@ -138,17 +137,15 @@ class Scenario:
     # -- task runs ---------------------------------------------------------
 
     def run_task(self, task_name: str, params: dict | None = None, *,
-                 deadline_ms: int | None = None,
                  on_tick=None) -> RunResult:
         """Drive one task from operator request to a final status.
 
         A task fails when its step cursor makes no progress for a whole
         deadline window. The loop keeps going after the final status until
-        the bus drains, so trailing confirmations still make the trace.
+        the bus drains, so trailing confirmations still make the trace;
+        mail to the operator is logged and dropped after each tick.
         """
         params = {k: str(v) for k, v in (params or {}).items()}
-        if deadline_ms is None:
-            deadline_ms = self.deadline_ms
         protocol = load_protocol(self.store, SETUP_GRAPH, task_name)
         task = self.kg.create_task(protocol, params)
         conversation = task.conversation_id
@@ -156,9 +153,9 @@ class Scenario:
         self.bus.send(AclMessage(Performative.REQUEST, OPERATOR_ID, initiator,
                                  {"task": task.task_name, **params},
                                  conversation))
-        deadline_ticks = max(0, int(deadline_ms) // TICK_MS)
+        deadline_ticks = max(0, int(self.deadline_ms) // TICK_MS)
         if deadline_ticks == 0:
-            mark_failed(self.store, DATA_GRAPH, task, task.index)
+            mark_failed(self.store, DATA_GRAPH, task)
         start_tick = self.world.tick
         cap = (deadline_ticks + 1) * (len(protocol.steps) + 2) + 100
         violations: list[int] = []
@@ -167,7 +164,7 @@ class Scenario:
         while not task.finished or not self.bus.idle():
             if self.world.tick - start_tick >= cap:
                 if not task.finished:
-                    mark_failed(self.store, DATA_GRAPH, task, task.index)
+                    mark_failed(self.store, DATA_GRAPH, task)
                 log.info("run of %s hit the tick cap", task.task_id)
                 break
             self.iterate()
@@ -175,6 +172,8 @@ class Scenario:
                 len(check_world_consistency(self.store, DATA_GRAPH)))
             if on_tick is not None:
                 on_tick(self)
+            while OPERATOR_ID in self.bus.waiting:
+                log.info("operator got %s", self.bus.receive(OPERATOR_ID))
             current = (task.index, task.status)
             if current != marker:
                 marker = current
@@ -182,7 +181,7 @@ class Scenario:
             if task.finished:
                 continue
             if self.world.tick - last_progress >= deadline_ticks:
-                mark_failed(self.store, DATA_GRAPH, task, task.index)
+                mark_failed(self.store, DATA_GRAPH, task)
         return RunResult(
             status=task.status,
             stalled_step=task.failed_step,
@@ -195,9 +194,6 @@ class Scenario:
 
     def close(self) -> None:
         """Stop all agents and free their transports; safe to repeat."""
-        if self._closed:
-            return
-        self._closed = True
         for handle in self.handles.values():
             shutdown(handle, bus=self.bus, store=self.store, data_graph=DATA_GRAPH)
         self.bus.unregister(self.kg.agent_id)

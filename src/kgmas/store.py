@@ -4,10 +4,11 @@ Each graph is an index that every write updates in place: subject ->
 predicate -> the stored triples sorted by object, and predicate ->
 subjects. Writes touch only the entries they name and ``objects``,
 ``subjects`` and ``query`` read the index, so costs follow the facts
-involved, not the size of the graph. ``triples`` and ``snapshot`` hand out
-immutable frozensets, built at most once per revision from the stored
-triples and shared until a write changes the graph. A store-wide revision
-counter advances on every successful mutating call. Writers serialize on
+involved, not the size of the graph. The index is the only copy of a
+graph: ``triples`` builds an immutable frozenset from it on each call.
+A store-wide revision counter advances by exactly one on every write
+call that names at least one triple or fact, whether or not the graph
+changes; a call that names nothing leaves it alone. Writers serialize on
 one lock; ``atomic_update`` applies removals then insertions as one
 revision step, so state publication never exposes a half-updated entity.
 """
@@ -36,23 +37,17 @@ def _object_key(triple: Triple) -> tuple:
 
 
 class _Graph:
-    """One graph's index, keyed by iri text, and its frozenset (None when stale)."""
+    """One graph's index, keyed by iri text."""
 
-    __slots__ = ("spo", "subjects", "frozen")
+    __slots__ = ("spo", "subjects")
 
     def __init__(self):
         self.spo: dict[str, dict[str, tuple[Triple, ...]]] = {}
         self.subjects: dict[str, dict[str, Iri]] = {}
-        self.frozen: frozenset[Triple] | None = frozenset()
 
     def __iter__(self) -> Iterator[Triple]:
         return (t for predicates in self.spo.values()
                 for triples in predicates.values() for t in triples)
-
-    def snapshot(self) -> frozenset[Triple]:
-        if self.frozen is None:
-            self.frozen = frozenset(self)
-        return self.frozen
 
     def match(self, subject, predicate) -> Iterable[Triple]:
         """Triples with the given subject and predicate; None matches any."""
@@ -73,7 +68,6 @@ class _Graph:
         predicates = self.spo.get(s)
         if triples == (predicates or {}).get(p, ()):
             return
-        self.frozen = None
         if triples:
             if predicates is None:
                 predicates = self.spo[s] = {}
@@ -85,22 +79,22 @@ class _Graph:
             del self.spo[s]
         del self.subjects[p][s]
 
-    def apply(self, removals: Iterable[Triple], insertions: Iterable[Triple]) -> bool:
-        """Remove then insert one triple at a time; True if anything changed."""
+    def apply(self, removals: Iterable[Triple], insertions: Iterable[Triple]) -> int:
+        """Remove then insert one triple at a time; returns how many changed the graph."""
         # An entry is sorted by object, which alone tells its triples apart.
-        changed = False
+        changed = 0
         for t in removals:
             old = self.match(t.subject, t.predicate)
             i = bisect.bisect_left(old, term_key(t.object), key=_object_key)
             if i < len(old) and old[i] == t:
                 self.put(t.subject, t.predicate, old[:i] + old[i + 1:])
-                changed = True
+                changed += 1
         for t in insertions:
             old = self.match(t.subject, t.predicate)
             i = bisect.bisect_left(old, term_key(t.object), key=_object_key)
             if i == len(old) or old[i] != t:
                 self.put(t.subject, t.predicate, old[:i] + (t,) + old[i:])
-                changed = True
+                changed += 1
         return changed
 
 
@@ -125,16 +119,10 @@ class NamedGraphStore:
             return sorted(self._graphs)
 
     def triples(self, graph_id: Iri | str) -> frozenset[Triple]:
-        """Snapshot of one graph; empty for unknown graph names."""
+        """Immutable copy of one graph; empty for unknown graph names."""
         key = _graph_key(graph_id)
         with self._lock:
-            return self._graphs.get(key, _NO_GRAPH).snapshot()
-
-    def snapshot(self) -> tuple[int, Mapping[str, frozenset[Triple]]]:
-        """Consistent (revision, graphs) pair."""
-        with self._lock:
-            return self._revision, {key: graph.snapshot()
-                                    for key, graph in self._graphs.items()}
+            return frozenset(self._graphs.get(key, _NO_GRAPH))
 
     def objects(self, graph_id: Iri | str, subject: Iri, predicate: Iri) -> tuple[Term, ...]:
         """Objects of the (subject, predicate) pair, in term order."""
@@ -160,40 +148,38 @@ class NamedGraphStore:
     # -- mutation ---------------------------------------------------------
 
     def insert(self, graph_id: Iri | str, triple: Triple) -> bool:
-        """Add one triple. Returns False (revision untouched) if present."""
-        return self._update(graph_id, (), [triple], always=False)[0]
+        """Add one triple as one revision step. Returns False if present."""
+        return self._update(graph_id, (), [triple])[0] > 0
 
     def remove(self, graph_id: Iri | str, triple: Triple) -> bool:
-        """Remove one triple. Returns False (revision untouched) if absent."""
-        return self._update(graph_id, [triple], (), always=False)[0]
+        """Remove one triple as one revision step. Returns False if absent."""
+        return self._update(graph_id, [triple], ())[0] > 0
 
     def atomic_update(self, graph_id: Iri | str,
                       removals: Iterable[Triple],
                       insertions: Iterable[Triple]) -> int:
         """Apply removals then insertions as one revision step.
 
-        The revision advances whenever either argument is non-empty,
-        even if the resulting triple set is unchanged, so repeated
-        identical state publications remain observable. Returns the
-        revision after the update.
+        Even a write that leaves the triple set unchanged is a step, so
+        repeated identical state publications remain observable. Returns
+        the revision after the update.
         """
-        return self._update(graph_id, removals, insertions, always=True)[1]
+        return self._update(graph_id, removals, insertions)[1]
 
     def _update(self, graph_id: Iri | str, removals: Iterable[Triple],
-                insertions: Iterable[Triple], always: bool) -> tuple[bool, int]:
-        """One write step; returns (graph changed, revision after)."""
+                insertions: Iterable[Triple]) -> tuple[int, int]:
+        """One write step; returns (triples that changed the graph, revision after)."""
         key = _graph_key(graph_id)
         removals, insertions = list(removals), list(insertions)
         for triple in (*removals, *insertions):
             if not isinstance(triple, Triple):
                 raise ValidationError(f"not a triple: {triple!r}")
         with self._lock:
-            graph = self._graphs.get(key) or _Graph()
-            changed = graph.apply(removals, insertions)
-            if changed or (always and (removals or insertions)):
-                self._graphs[key] = graph
-                self._revision += 1
-            return changed, self._revision
+            if not (removals or insertions):
+                return 0, self._revision
+            self._revision += 1
+            graph = self._graphs[key] = self._graphs.get(key) or _Graph()
+            return graph.apply(removals, insertions), self._revision
 
     def replace(self, graph_id: Iri | str,
                 subject: Iri, facts: Mapping[Iri, Iterable]) -> int:
@@ -209,11 +195,10 @@ class NamedGraphStore:
                    for predicate, objects in facts.items()]
         with self._lock:
             if entries:
-                graph = self._graphs.get(key) or _Graph()
+                self._revision += 1
+                graph = self._graphs[key] = self._graphs.get(key) or _Graph()
                 for predicate, triples in entries:
                     graph.put(subject, predicate, triples)
-                self._graphs[key] = graph
-                self._revision += 1
             return self._revision
 
     # -- serialization ----------------------------------------------------
@@ -223,14 +208,10 @@ class NamedGraphStore:
 
         Parsing happens entirely before the store is touched, so a
         syntax error leaves both graph and revision unchanged. Returns
-        the number of distinct triples the document contributes.
+        the number of triples the document added to the graph.
         """
         _graph_key(graph_id)  # a bad graph id fails before the document is parsed
-        parsed = parse_turtle(text)
-        distinct = len(set(parsed))
-        if distinct:
-            self._update(graph_id, (), parsed, always=True)
-        return distinct
+        return self._update(graph_id, (), parse_turtle(text))[0]
 
     def dump_turtle(self, graph_id: Iri | str) -> str:
         key = _graph_key(graph_id)

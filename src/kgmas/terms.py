@@ -17,7 +17,7 @@ _HAS_SPACE = re.compile(r"\s").search  # `\s` is exactly str.isspace()
 _HAS_FORBIDDEN = re.compile(r'[<>"]').search
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Iri:
     """An absolute identifier, stored as its full text."""
 
@@ -40,7 +40,7 @@ class Iri:
         return self.value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Literal:
     """A datatyped string value. No language tags."""
 
@@ -52,7 +52,7 @@ class Literal:
             raise ValidationError("literal lexical form must be a string")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Variable:
     """A named query variable."""
 

@@ -126,19 +126,17 @@ class WarehouseWorld:
             by_cell[cell] = label
             self.stations[label] = cell
         self._station_by_cell = by_cell
-        # Cells of the pallets lying on the grid; a held pallet is only in
+        # The pallets lying on the grid, by cell; a held pallet is only in
         # its holder's ``holding``.
-        self._pallet_cells: dict[str, tuple[int, int]] = {}
-        pallet_by_cell: dict[tuple[int, int], str] = {}
+        self._pallet_by_cell: dict[tuple[int, int], str] = {}
         for pallet_id, cell in pallets.items():
             cell = _integer_cell(cell, f"pallet {pallet_id}")
             if not self.in_grid(cell):
                 raise WorldError(f"pallet {pallet_id} outside the grid")
-            if cell in pallet_by_cell:
-                raise WorldError(f"pallets {pallet_by_cell[cell]} and "
+            if cell in self._pallet_by_cell:
+                raise WorldError(f"pallets {self._pallet_by_cell[cell]} and "
                                  f"{pallet_id} share a cell")
-            pallet_by_cell[cell] = pallet_id
-            self._pallet_cells[pallet_id] = cell
+            self._pallet_by_cell[cell] = pallet_id
         self.devices: dict[str, object] = {}
         for device in sorted(devices, key=lambda d: d.device_id):
             if device.device_id in self.devices:
@@ -225,16 +223,12 @@ class WarehouseWorld:
 
     def pallet_positions(self) -> dict[str, str]:
         """Pallet id to position literal; held pallets ride their holder."""
-        cells = dict(self._pallet_cells)
+        cells = {pallet_id: cell for cell, pallet_id in self._pallet_by_cell.items()}
         for device in self.devices.values():
             if device.holding is not None:
                 cells[device.holding] = device.cell
         return {pallet_id: self.position_literal(cell)
                 for pallet_id, cell in sorted(cells.items())}
-
-    def _pallet_on_cell(self, cell: tuple[int, int]) -> str | None:
-        return min((pallet_id for pallet_id, at in self._pallet_cells.items()
-                    if at == cell), default=None)
 
     def device_busy(self, device_id: str) -> bool:
         return bool(self._queues[device_id])
@@ -242,9 +236,9 @@ class WarehouseWorld:
     def pallets_in_reach(self, device_id: str) -> dict[str, list[int]]:
         """Pallets lying on a cell an arm can reach, by id."""
         reach = self.devices[device_id].reach
-        return {pallet_id: list(cell)
-                for pallet_id, cell in sorted(self._pallet_cells.items())
-                if cell in reach}
+        found = {pallet_id: list(cell) for cell, pallet_id in self._pallet_by_cell.items()
+                 if cell in reach}
+        return dict(sorted(found.items()))
 
     # -- commands ---------------------------------------------------------
 
@@ -277,10 +271,11 @@ class WarehouseWorld:
         self._queues[device_id].append(command)
         return True
 
-    def _target(self, device, command: NativeCommand) -> str | tuple[int, int] | None:
-        """The pallet a grip takes or the cell a release fills; None when
-        the command cannot run now. An arm's release needs a cell, and its
-        grip without one takes the first pallet in sorted reach."""
+    def _target(self, device, command: NativeCommand) -> tuple[int, int] | None:
+        """The cell a grip takes its pallet from or a release fills; None
+        when the command cannot run now. An arm's release needs a cell, and
+        its grip without one takes from the first occupied cell in sorted
+        reach."""
         cell = command.args.get("cell")
         cell = tuple(cell) if cell is not None else None
         if device.kind == KIND_MOBILE_ROBOT:
@@ -292,11 +287,10 @@ class WarehouseWorld:
         if command.verb == "grip":
             if device.holding is not None:
                 return None
-            return next((p for p in map(self._pallet_on_cell, cells) if p is not None),
-                        None)
+            return next((c for c in cells if c in self._pallet_by_cell), None)
         if device.holding is None:
             return None
-        return next((c for c in cells if self._pallet_on_cell(c) is None), None)
+        return next((c for c in cells if c not in self._pallet_by_cell), None)
 
     # -- time -------------------------------------------------------------
 
@@ -345,10 +339,9 @@ class WarehouseWorld:
             if target is None:
                 return verb
             if verb == "grip":
-                del self._pallet_cells[target]
-                device.holding = target
+                device.holding = self._pallet_by_cell.pop(target)
             else:
-                self._pallet_cells[device.holding] = target
+                self._pallet_by_cell[target] = device.holding
                 device.holding = None
 
     def _observe(self, device_id: str, failed: str | None) -> Observation:

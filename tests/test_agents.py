@@ -395,7 +395,7 @@ def test_query_moves_the_task_of_its_conversation(two_moves):
 
 def test_stale_event_on_a_failed_task_moves_no_other_task(two_moves, setup_store):
     bus, kg, first, second = two_moves
-    mark_failed(setup_store, DATA_GRAPH, first, first.index)
+    mark_failed(setup_store, DATA_GRAPH, first)
     second.index, second.status = 3, IN_PROGRESS
     bus.send(AclMessage(Performative.INFORM, "turtlebot", "kg",
                         {"event": "pallet_delivered", "task": MOVE},

@@ -304,7 +304,7 @@ def test_task_state_written_single_valued(protocol):
 def test_mark_failed_records_the_stalled_step(protocol):
     store = NamedGraphStore()
     task = make_task(index=2, status=IN_PROGRESS)
-    mark_failed(store, DATA_GRAPH, task, 2)
+    mark_failed(store, DATA_GRAPH, task)
     assert task.status == FAILED
     assert task.failed_step == 2
     assert Triple(task.iri, vocab.TASK_STATUS,

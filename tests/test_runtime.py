@@ -202,8 +202,8 @@ def test_first_tick_writes_no_device_facts(monkeypatch):
 
 
 def test_zero_deadline_fails_without_progress():
-    with fresh() as scenario:
-        result = scenario.run_task("move_pallet", PARAMS, deadline_ms=0)
+    with fresh(deadline_ms=0) as scenario:
+        result = scenario.run_task("move_pallet", PARAMS)
     assert (result.status, result.stalled_step) == ("failed", 1)
     assert scenario.world.pallet_positions() == {"Pallet1": "P1"}
 
@@ -237,6 +237,21 @@ def test_stray_refuse_keeps_the_command_in_flight(performative, sender,
     stray_entry = (performative.value, sender, "turtlebot")
     skeleton = [entry for entry in result.skeleton() if entry != stray_entry]
     assert skeleton == derive_trace_skeleton(protocol)
+
+
+def test_a_reply_to_the_operator_does_not_keep_the_task_ticking():
+    """The mediator's answer to a stray operator request is drained, so the
+    run ends when the task does and leaves an idle bus."""
+    def stray(scenario: Scenario):
+        if scenario.world.tick == 3:
+            scenario.bus.send(AclMessage(Performative.REQUEST, OPERATOR_ID, KG_AGENT_ID,
+                                         {"query": "next_action"},
+                                         "conv-Task_move_pallet_1"))
+
+    with fresh() as scenario:
+        result = scenario.run_task("move_pallet", PARAMS, on_tick=stray)
+        assert (result.status, result.ticks) == ("completed", 21)
+        assert scenario.bus.idle()
 
 
 def test_transport_choice_does_not_change_the_outcome():

@@ -25,25 +25,22 @@ def t(s: str, p: str, o) -> Triple:
 
 
 def test_insert_remove_and_revision_replay():
-    """Random op sequence must agree with a plain set and hand-counted revisions."""
+    """Random op sequence must agree with a plain set; every call is one
+    revision step, whether or not it changes the graph."""
     rng = random.Random(11)
     universe = [t(f"s{i}", f"p{i % 3}", f"o{i % 5}") for i in range(12)]
     store = NamedGraphStore()
+    # A write that changes nothing still names its graph.
+    assert store.remove("g", universe[0]) is False
+    assert (store.revision, store.graph_ids()) == (1, ["g"])
     shadow: set[Triple] = set()
-    revision = 0
-    for _ in range(400):
+    for revision in range(2, 402):
         triple = rng.choice(universe)
         if rng.random() < 0.5:
-            changed = store.insert("g", triple)
-            assert changed == (triple not in shadow)
-            if changed:
-                revision += 1
+            assert store.insert("g", triple) == (triple not in shadow)
             shadow.add(triple)
         else:
-            changed = store.remove("g", triple)
-            assert changed == (triple in shadow)
-            if changed:
-                revision += 1
+            assert store.remove("g", triple) == (triple in shadow)
             shadow.discard(triple)
         assert store.triples("g") == frozenset(shadow)
         assert store.revision == revision
@@ -105,17 +102,6 @@ def test_replace_with_empty_values_deletes():
     assert not any(tr.predicate == iri("holds") for tr in store.triples("g"))
 
 
-def test_snapshot_isolation():
-    store = NamedGraphStore()
-    store.insert("g", t("a", "p", "b"))
-    revision, graphs = store.snapshot()
-    frozen = graphs["g"]
-    store.insert("g", t("c", "p", "d"))
-    store.remove("g", t("a", "p", "b"))
-    assert frozen == frozenset({t("a", "p", "b")})
-    assert revision < store.revision
-
-
 def test_graphs_are_independent():
     store = NamedGraphStore()
     store.insert("one", t("a", "p", "b"))
@@ -147,7 +133,9 @@ def test_load_turtle_error_rolls_back():
 
 
 def test_index_reads_agree_with_scans_under_random_writes():
-    """After every write, index reads equal a scan of the snapshot."""
+    """After every write, index reads equal a scan of ``triples``, a write
+    call that names something is one revision step and lists its graph,
+    and a frozenset taken before the write is unchanged by it."""
     rng = random.Random(16)
     subjects = [iri(f"s{i}") for i in range(4)]
     predicates = [iri(f"p{i}") for i in range(3)]
@@ -169,8 +157,8 @@ def test_index_reads_agree_with_scans_under_random_writes():
                 shadow.setdefault(g, set()).add(triple)
             else:
                 assert store.remove(g, triple) == present
-                shadow.get(g, set()).discard(triple)
-            revision += (op == "insert") != present
+                shadow.setdefault(g, set()).discard(triple)
+            revision += 1
         elif op == "atomic_update":
             removals = rng.sample(universe, rng.randrange(0, 3))
             insertions = rng.sample(universe, rng.randrange(0, 3))
@@ -193,7 +181,8 @@ def test_index_reads_agree_with_scans_under_random_writes():
                 revision += 1
         else:
             chosen = rng.sample(universe, rng.randrange(0, 4))
-            assert store.load_turtle(g, serialize_turtle(chosen)) == len(chosen)
+            added = len(set(chosen) - shadow.get(g, set()))
+            assert store.load_turtle(g, serialize_turtle(chosen)) == added
             if chosen:
                 shadow.setdefault(g, set()).update(chosen)
                 revision += 1
