@@ -3,12 +3,15 @@
 The connection component owns the device-facing side of an asset's channels.
 It accepts abstract capability invocations, translates them into native
 command sequences, feeds them to the world one at a time, and publishes the
-resulting observations back on the asset's outbound channels.  It keeps only
-its command batch and the outcome it echoes; the world says what the device
-is doing, and the adapter whether the channel is closed.  It writes the
-device's full state into the data graph when it opens and from then on is the
-only writer of its asset's state predicates, so a tick that changes none of
-the values it last wrote writes nothing.
+resulting observations back on the asset's outbound channels.  It keeps its
+command batch, the outcome it echoes and one record, the last state it
+reported; the world says what the device is doing, and the adapter whether
+the channel is closed.  It reports by exception: an observation is published
+only on a tick whose state differs from that record, stamped with that tick,
+so ``tick`` is the tick the state was first reported.  It writes the device's
+full state into the data graph when it opens and from then on is the only
+writer of its asset's state predicates, rewriting only those whose values
+changed since the last report.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .acl import canonical_json
 from .errors import TransportError, ValidationError, WorldError
 from .rami import AgentBlueprint
 from .store import NamedGraphStore
-from .terms import Iri, Literal
+from .terms import Literal
 from .transports import Adapter
 from .vocab import (
     AT_POSITION,
@@ -39,6 +42,7 @@ from .world import (
     NativeCommand,
     Observation,
     WarehouseWorld,
+    integer_cell,
 )
 
 CAP_MOTION = "MotionControl"
@@ -48,12 +52,21 @@ CAP_GRIPPER = "GripperControl"
 PICK_POSTURE = [0.3, 0.2, -0.2, 0.1]
 PLACE_POSTURE = [-0.3, 0.1, 0.2, 0.0]
 
+# The mirrored state fields: payload key, predicate, objects of a value.
+_FACTS = (
+    ("busy", HAS_STATUS, lambda v, w: [Literal(STATUS_BUSY if v else STATUS_IDLE)]),
+    ("cell", AT_POSITION, lambda v, w: [Literal(w.position_literal(v))]),
+    ("holding", HOLDS, lambda v, w: [kgmas(v)] if v else []),
+    ("joints", HAS_JOINT_STATES, lambda v, w: [Literal(",".join(f"{j:g}" for j in v))]),
+    ("gripper", HAS_GRIPPER_STATE, lambda v, w: [Literal(v)]),
+)
+
 
 def _parse_cell(value, world: WarehouseWorld) -> tuple[int, int]:
     if isinstance(value, str):
         return world.parse_position(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return int(value[0]), int(value[1])
+    if isinstance(value, (list, tuple)):
+        return integer_cell(value, "a command")
     raise ValidationError(f"cannot interpret {value!r} as a cell")
 
 
@@ -124,11 +137,13 @@ class ConnectionComponent:
         self.data_graph = data_graph
         self._batch: _Batch | None = None
         self._outcome: dict = {"done_id": None, "failed_id": None}
-        self._mirrored: tuple | None = None
         self._obs_topics = blueprint.observation_topics
         for topic in blueprint.command_topics:
             self.adapter.subscribe(topic, self._on_command_text)
-        self._write_state(world.device_busy(self.asset_id))
+        # Mirrored in full but never published: the first tick always reports.
+        self._reported: dict = {}
+        self._mirror({"cell": world.devices[self.asset_id].cell,
+                      **world.observe(self.asset_id).payload})
 
     # -- command lifecycle -------------------------------------------------
 
@@ -139,9 +154,11 @@ class ConnectionComponent:
             return
         if not isinstance(payload, dict) or payload.get("op") != "invoke":
             return
-        command_id = int(payload.get("id", 0))
+        command_id = payload.get("id", 0)
         capability = str(payload.get("capability", ""))
         params = payload.get("params") or {}
+        if type(command_id) is not int or not isinstance(params, dict):
+            return
         if self._batch is not None:
             # Refuse the newcomer without disturbing the batch in flight.
             self._outcome.update(failed_id=command_id, error="device busy")
@@ -182,7 +199,7 @@ class ConnectionComponent:
             self._fail(batch.command_id, f"{head.verb} rejected")
 
     def observe(self, observation: Observation) -> None:
-        """Digest a world observation, then publish and mirror it."""
+        """Digest a world observation; publish and mirror it if it changed."""
         if self.adapter.closed:
             return
         payload = dict(observation.payload)
@@ -194,38 +211,28 @@ class ConnectionComponent:
             elif not batch.pending:
                 self._outcome["done_id"] = batch.command_id
                 self._batch = None
-        payload["tick"] = observation.tick
         payload["device"] = observation.device_id
         payload.update(self._outcome)
         payload["busy"] = payload["busy"] or self._batch is not None
-        text = canonical_json(payload)
+        if payload == self._reported:
+            return
+        text = canonical_json({**payload, "tick": observation.tick})
         for topic in self._obs_topics:
             self.adapter.publish(topic, text)
-        self._write_state(payload["busy"])
+        self._mirror(payload)
 
     # -- graph mirroring ---------------------------------------------------
 
-    def _write_state(self, busy: bool) -> None:
-        device = self.world.devices[self.asset_id]
-        arm = device.kind == KIND_ROBOTIC_ARM
-        # The world moves an arm's joints in place, so the record keeps a copy.
-        mirrored = (busy, device.cell, device.holding,
-                    tuple(device.joints) if arm else None,
-                    device.gripper if arm else None)
-        if mirrored == self._mirrored:
-            return
-        self._mirrored = mirrored
-        status = STATUS_BUSY if busy else STATUS_IDLE
-        facts: dict[Iri, list] = {
-            HAS_STATUS: [Literal(status)],
-            AT_POSITION: [Literal(self.world.position_literal(device.cell))],
-            HOLDS: [kgmas(device.holding)] if device.holding else [],
-        }
-        if arm:
-            joints = ",".join(f"{round(j, 6):g}" for j in device.joints)
-            facts[HAS_JOINT_STATES] = [Literal(joints)]
-            facts[HAS_GRIPPER_STATE] = [Literal(device.gripper)]
-        self.store.replace(self.data_graph, self.blueprint.asset_id, facts)
+    def _mirror(self, state: dict) -> None:
+        """Write the state predicates whose values differ from the record,
+        then make ``state`` the record."""
+        last = self._reported
+        facts = {predicate: objects(state[key], self.world)
+                 for key, predicate, objects in _FACTS
+                 if key in state and (key not in last or state[key] != last[key])}
+        if facts:
+            self.store.replace(self.data_graph, self.blueprint.asset_id, facts)
+        self._reported = state
 
     def close(self) -> None:
         self.adapter.close()

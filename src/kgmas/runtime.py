@@ -1,9 +1,9 @@
 """Single-threaded scenario driver.
 
 Everything that moves, moves here, in a fixed order: mediator first, then
-the asset agents with work, by id, then device dispatch, one world tick,
-observation fan-out and state mirroring, which writes only what changed; the
-scenario is the only writer of pallet ``atPosition``.  An asset agent has
+the asset agents with work, by id, then device dispatch, one world tick, and
+the fan-out and mirroring of each device state that changed; the scenario is
+the only writer of pallet ``atPosition``.  An asset agent has
 work while its inbox holds mail or one of its device commands is in flight.
 That is tested when the walk reaches the agent, so mail sent earlier in the
 same tick still wakes it; an agent without work, whose turn would do

@@ -97,7 +97,7 @@ class RoboticArmSim:
         return "closed" if self.holding is not None else "open"
 
 
-def _integer_cell(value, what: str) -> tuple[int, int]:
+def integer_cell(value, what: str) -> tuple[int, int]:
     """An [x, y] pair of integers, as a tuple."""
     cell = tuple(value)
     if len(cell) != 2 or not all(type(v) is int for v in cell):
@@ -118,7 +118,7 @@ class WarehouseWorld:
         self.tick = 0
         by_cell: dict[tuple[int, int], str] = {}
         for label, cell in self.stations.items():
-            cell = _integer_cell(cell, f"station {label}")
+            cell = integer_cell(cell, f"station {label}")
             if not self.in_grid(cell):
                 raise WorldError(f"station {label} outside the grid")
             if cell in by_cell:
@@ -130,7 +130,7 @@ class WarehouseWorld:
         # its holder's ``holding``.
         self._pallet_by_cell: dict[tuple[int, int], str] = {}
         for pallet_id, cell in pallets.items():
-            cell = _integer_cell(cell, f"pallet {pallet_id}")
+            cell = integer_cell(cell, f"pallet {pallet_id}")
             if not self.in_grid(cell):
                 raise WorldError(f"pallet {pallet_id} outside the grid")
             if cell in self._pallet_by_cell:
@@ -141,7 +141,7 @@ class WarehouseWorld:
         for device in sorted(devices, key=lambda d: d.device_id):
             if device.device_id in self.devices:
                 raise WorldError(f"duplicate device id {device.device_id}")
-            cells = [_integer_cell(cell, f"device {device.device_id}")
+            cells = [integer_cell(cell, f"device {device.device_id}")
                      for cell in (device.cell, *getattr(device, "reach", ()))]
             if not all(self.in_grid(cell) for cell in cells):
                 raise WorldError(f"device {device.device_id} outside the grid")
@@ -300,7 +300,7 @@ class WarehouseWorld:
         failed = {device_id: self._progress(device, self._queues[device_id])
                   for device_id, device in self.devices.items()
                   if self._queues[device_id]}
-        return [self._observe(device_id, failed.get(device_id))
+        return [self.observe(device_id, failed.get(device_id))
                 for device_id in self.devices]
 
     def _progress(self, device, queue: deque) -> str | None:
@@ -344,7 +344,8 @@ class WarehouseWorld:
                 self._pallet_by_cell[target] = device.holding
                 device.holding = None
 
-    def _observe(self, device_id: str, failed: str | None) -> Observation:
+    def observe(self, device_id: str, failed: str | None = None) -> Observation:
+        """What a device reports now; ``failed`` names a verb that failed this tick."""
         device = self.devices[device_id]
         payload = {
             "kind": device.kind,

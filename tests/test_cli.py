@@ -130,6 +130,26 @@ def test_run_unknown_position_fails_and_writes_artifacts(tmp_path, capsys):
         "consistency.txt", "data.ttl", "trace.log"]
 
 
+@pytest.mark.parametrize("cell", ['["x",2]', "[null,2]", "[1.5,2]", "[true,2]"])
+def test_run_non_integer_template_cell_fails_and_writes_artifacts(tmp_path, capsys,
+                                                                  cell):
+    """A perform template whose cell is not a pair of integers fails its step
+    through the device's refusal instead of aborting or truncating."""
+    step3_to = '\\"to\\":\\"cell:3,2\\"'
+    text = fixture_text("fig3_setup.ttl")
+    assert text.count(step3_to) == 1
+    setup = write_setup(tmp_path, text.replace(
+        step3_to, '\\"to\\":' + cell.replace('"', '\\"')))
+    assert main(["validate", "--setup", setup]) == 0
+    out_dir = tmp_path / "run"
+    args = ["run", "--setup", setup, "--world", WORLD, "--task", "move_pallet",
+            "--param", "from=P1", "--param", "to=P2", "--out", str(out_dir)]
+    assert main(args) == 1
+    assert "failed at step 3" in capsys.readouterr().out
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "consistency.txt", "data.ttl", "trace.log"]
+
+
 def test_run_rejects_malformed_param(capsys):
     args = ["run", "--setup", SETUP, "--world", WORLD, "--task", "move_pallet",
             "--param", "oops"]

@@ -15,7 +15,7 @@ from helpers import (
     random_asset_block,
     world_state_facts,
 )
-from kgmas.acl import AclMessage, Performative, format_trace
+from kgmas.acl import AclMessage, Performative, canonical_json, format_trace
 from kgmas.agents import GenericAgent
 from kgmas.connection import PICK_POSTURE
 from kgmas.errors import ValidationError
@@ -349,9 +349,12 @@ def reference_iterate(scenario: Scenario) -> None:
 
 
 def scenario_with_extras(rng: random.Random, extras: int,
-                         mover: str = "Turtlebot") -> Scenario:
+                         mover: str = "Turtlebot", doc: dict | None = None,
+                         **kwargs) -> Scenario:
     """The fixture plus ``extras`` idle assets, named to sort anywhere
-    among the task's agents; ``mover`` renames the turtlebot."""
+    among the task's agents; ``mover`` renames the turtlebot.  ``doc`` is
+    the world document, the fixture's by default, and ``kwargs`` go to the
+    scenario."""
     setup = fixture_text("fig3_setup.ttl").replace("Turtlebot", mover)
     lines = []
     for index in range(extras):
@@ -360,9 +363,9 @@ def scenario_with_extras(rng: random.Random, extras: int,
         lines.append(f"kgmas:WarehouseSystem kgmas:aggregates kgmas:{name} .")
     store = NamedGraphStore()
     store.load_turtle(SETUP_GRAPH, setup + "\n".join(lines) + "\n")
-    doc = json.loads(fixture_text("warehouse_world.json"))
+    doc = doc or json.loads(fixture_text("warehouse_world.json"))
     doc["devices"][mover.lower()] = doc["devices"].pop("turtlebot")
-    return Scenario(store, WarehouseWorld.from_fixture(doc))
+    return Scenario(store, WarehouseWorld.from_fixture(doc), **kwargs)
 
 
 def run_with_strays(seed: int, extras: int, mover: str, reference: bool):
@@ -429,3 +432,179 @@ def test_idle_assets_take_no_turns(monkeypatch):
         assert (result.status, result.ticks) == ("completed", 21)
         counts.append(turns["count"])
     assert counts[0] == counts[1] > 0
+
+
+# -- report by exception --------------------------------------------------------
+
+
+def reference_observe(connection, observation) -> None:
+    """Publish and mirror the device's whole state every tick, changed or not."""
+    if connection.adapter.closed:
+        return
+    payload = dict(observation.payload)
+    batch = connection._batch
+    if batch is not None and not payload["busy"]:
+        if payload["failed"] is not None:
+            connection._fail(batch.command_id, f"{payload['failed']} failed")
+        elif not batch.pending:
+            connection._outcome["done_id"] = batch.command_id
+            connection._batch = None
+    payload.update(connection._outcome, tick=observation.tick,
+                   device=observation.device_id)
+    payload["busy"] = payload["busy"] or connection._batch is not None
+    for topic in connection.blueprint.observation_topics:
+        connection.adapter.publish(topic, canonical_json(payload))
+    asset = connection.blueprint.asset_id
+    working = {connection.asset_id} if connection._batch is not None else set()
+    facts = world_state_facts(connection.world, {connection.asset_id: asset}, working)
+    connection.store.replace(DATA_GRAPH, asset, {
+        predicate: objects for (subject, predicate), objects in facts.items()
+        if subject == asset})
+
+
+def use_reference_connections(scenario: Scenario) -> None:
+    for handle in scenario.handles.values():
+        if handle.connection is not None:
+            handle.connection.observe = types.MethodType(reference_observe,
+                                                         handle.connection)
+
+
+def without_tick(observation: dict | None) -> dict | None:
+    if observation is None:
+        return None
+    return {key: value for key, value in observation.items() if key != "tick"}
+
+
+REPORT_CASES = ("fixture", "idle_extras", *SCHEMES,
+                "bad_params", "missing_device", "zero_deadline")
+
+
+def run_reporting(case: str, seed: int, reference: bool):
+    """Run one seeded case; returns the outcome and, per tick, the data graph
+    and what every agent last heard from its device."""
+    rng = random.Random(seed)
+    extras = 0 if case == "fixture" else rng.randint(1, 20)
+    doc = json.loads(fixture_text("warehouse_world.json"))
+    params, kwargs = PARAMS, {}
+    if case in SCHEMES:
+        kwargs["transport_overrides"] = {"turtlebot": case, "roboticarm": case}
+    elif case == "bad_params":
+        params = {"from": "P9", "to": "P2"}
+    elif case == "missing_device":
+        del doc["devices"]["roboticarm"]
+    elif case == "zero_deadline":
+        kwargs["deadline_ms"] = 0
+    scenario = scenario_with_extras(rng, extras, doc=doc, **kwargs)
+    if reference:
+        use_reference_connections(scenario)
+    seen = []
+
+    def snapshot(s: Scenario):
+        heard = {agent_id: without_tick(handle.agent.channel.latest_observation())
+                 for agent_id, handle in s.handles.items()
+                 if handle.agent.channel is not None}
+        seen.append((s.store.dump_turtle(DATA_GRAPH), heard))
+
+    with scenario:
+        result = scenario.run_task("move_pallet", params, on_tick=snapshot)
+        outcome = (result.status, result.ticks, result.stalled_step,
+                   result.violations_per_tick,
+                   format_trace(scenario.bus.delivery_log()))
+    return outcome, seen
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_report_by_exception_changes_nothing_an_agent_sees(case, seed):
+    """Publishing and mirroring only on change leaves the outcome, the trace,
+    the violations, and after every tick the data graph and each agent's
+    view of its device, as when every tick is published and mirrored."""
+    outcome, seen = run_reporting(case, seed, reference=False)
+    expected, expected_seen = run_reporting(case, seed, reference=True)
+    assert outcome == expected
+    assert len(seen) == len(expected_seen) == outcome[1] > 0
+    for tick, (got, want) in enumerate(zip(seen, expected_seen), start=1):
+        assert got == want, f"tick {tick}"
+
+
+def record_publishes(scenario: Scenario) -> dict[str, list[dict]]:
+    """Every observation each connection publishes, decoded, by device."""
+    published = {}
+    for agent_id, handle in scenario.handles.items():
+        if handle.connection is None:
+            continue
+        adapter = handle.connection.adapter
+        texts = published[agent_id] = []
+
+        def publish(topic, text, adapter=adapter, texts=texts):
+            texts.append(json.loads(text))
+            type(adapter).publish(adapter, topic, text)
+
+        adapter.publish = publish
+    return published
+
+
+def publishes_over_the_fixture_task(reference: bool, **kwargs):
+    with fresh(**kwargs) as scenario:
+        if reference:
+            use_reference_connections(scenario)
+        published = record_publishes(scenario)
+        result = scenario.run_task("move_pallet", PARAMS)
+        assert (result.status, result.ticks) == ("completed", 21)
+    return published
+
+
+def test_an_unchanged_device_publishes_nothing():
+    """Each connection publishes once per state it reports: the states of an
+    every-tick stream with repeats collapsed, each stamped with the tick it
+    first appeared."""
+    published = publishes_over_the_fixture_task(reference=False)
+    every_tick = publishes_over_the_fixture_task(reference=True)
+    assert sorted(published) == ["roboticarm", "turtlebot"]
+    for device, stream in every_tick.items():
+        assert len(stream) == 21
+        changes = [report for before, report in zip([None, *stream], stream)
+                   if without_tick(report) != without_tick(before)]
+        assert published[device] == changes
+        states = [canonical_json(without_tick(report)) for report in published[device]]
+        assert len(published[device]) == len(set(states)) < 21
+
+
+def test_a_late_mqtt_subscriber_gets_the_last_reported_state():
+    """The broker retains the last report, stamped with the tick it was first
+    reported, and hands it to a subscriber that joins after the task."""
+    with fresh(transport_overrides={"turtlebot": "mqtt"}) as scenario:
+        connection = scenario.handles["turtlebot"].connection
+        published = record_publishes(scenario)
+        result = scenario.run_task("move_pallet", PARAMS)
+        assert result.status == "completed"
+        last = published["turtlebot"][-1]
+        assert last["tick"] < scenario.world.tick
+        late = scenario.registry.resolve(connection.adapter.endpoint)
+        received = []
+        for topic in connection.blueprint.observation_topics:
+            late.subscribe(topic, lambda text: received.append(json.loads(text)))
+        late.close()
+        agent_view = scenario.handles["turtlebot"].agent.channel.latest_observation()
+    assert received == [last] * len(connection.blueprint.observation_topics)
+    assert agent_view == last
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_malformed_commands_are_dropped(scheme):
+    """A command whose id is not an integer or whose params are not a map is
+    dropped like non-JSON text, on every transport kind."""
+    with fresh(transport_overrides={"roboticarm": scheme}) as scenario:
+        connection = scenario.handles["roboticarm"].connection
+        sender = scenario.registry.resolve(connection.adapter.endpoint)
+        topic = connection.blueprint.command_topics[0]
+        for payload in ({"op": "invoke", "id": "x"},
+                        {"op": "invoke", "id": None},
+                        {"op": "invoke", "id": 7, "capability": "GripperControl",
+                         "params": [1]}):
+            sender.publish(topic, canonical_json(payload))
+        sender.close()
+        assert connection._batch is None
+        assert connection._outcome == {"done_id": None, "failed_id": None}
+        result = scenario.run_task("move_pallet", PARAMS)
+    assert (result.status, result.ticks) == ("completed", 21)
