@@ -28,10 +28,9 @@ class Performative(enum.Enum):
     FAILURE = "failure"
 
 
-def canonical_json(value) -> str:
-    """Canonical text form: sorted keys, no whitespace, UTF-8 kept raw."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
+# Canonical text form: sorted keys, no whitespace, UTF-8 kept raw.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  ensure_ascii=False).encode
 
 
 def _check_json_value(value, where: str):

@@ -85,7 +85,7 @@ def cmd_validate(args) -> int:
     lines = [f"{issue.rule}\t{issue.subject}\t{issue.message}"
              for issue in validate_setup(store, SETUP_GRAPH).issues]
     tasks = {task.lexical
-             for protocol in store.subjects(SETUP_GRAPH, FOR_TASK)
+             for protocol, _ in store.rows(SETUP_GRAPH, FOR_TASK)
              for task in store.objects(SETUP_GRAPH, protocol, FOR_TASK)
              if isinstance(task, Literal)}
     for task in sorted(tasks):

@@ -159,25 +159,23 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
     asset that really has the role's required capability.
     """
     objects = functools.partial(store.objects, graph_id)
-    candidates = [c for c in store.subjects(graph_id, vocab.FOR_TASK)
-                  if any(isinstance(o, Literal) and o.lexical == task_name
-                         for o in objects(c, vocab.FOR_TASK))]
+    candidates = [(c, [t.object.lexical for t in entry if isinstance(t.object, Literal)])
+                  for c, entry in store.rows(graph_id, vocab.FOR_TASK)]
+    candidates = [(c, tasks) for c, tasks in candidates if task_name in tasks]
     if not candidates:
         raise ProtocolError("no protocol matches the requested task")
     if len(candidates) > 1:
-        names = ", ".join(c.value for c in candidates)
+        names = ", ".join(c.value for c, _ in candidates)
         raise ProtocolError(f"ambiguous protocol selection: {names}")
-    protocol = candidates[0]
-
-    tasks = [o.lexical for o in objects(protocol, vocab.FOR_TASK)
-             if isinstance(o, Literal)]
+    protocol, tasks = candidates[0]
     if len(tasks) != 1:
         raise ProtocolError(f"{protocol.value}: expected one task name")
 
-    bound: dict[Iri, list[Iri]] = {}
-    for asset in store.subjects(graph_id, vocab.HAS_COORDINATION_ROLE):
-        for role in objects(asset, vocab.HAS_COORDINATION_ROLE):
-            bound.setdefault(role, []).append(asset)
+    bound: dict[str, list[Iri]] = {}  # role iri text -> assets
+    for asset, entry in store.rows(graph_id, vocab.HAS_COORDINATION_ROLE):
+        for t in entry:
+            if isinstance(t.object, Iri):
+                bound.setdefault(t.object.value, []).append(asset)
     roles: dict[Iri, Iri] = {}
     role_assets: dict[Iri, Iri] = {}
     for role in objects(protocol, vocab.BINDS_ROLE):
@@ -190,7 +188,7 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
                 f"{role.value}: expected one required capability, "
                 f"found {len(capabilities)}")
         roles[role] = capabilities[0]
-        assets = bound.get(role, [])
+        assets = bound.get(role.value, [])
         if len(assets) != 1:
             raise ProtocolError(
                 f"{role.value}: bound to {len(assets)} assets, expected one")
@@ -420,6 +418,7 @@ class ConsistencyViolation:
     position: str
 
 
+_REALM_BY_TEXT = {iri.value: name for iri, name in vocab.REALMS.items()}
 _COLOCATION_RULES = {
     frozenset({"physical"}): "physical_colocation",
     frozenset({"physical", "digital"}): "physical_digital_colocation",
@@ -435,13 +434,14 @@ def check_world_consistency(store: NamedGraphStore, graph_id) -> list[Consistenc
     subjects carrying both a realm and a position in the data graph.
     """
     by_position: dict[str, list[tuple[str, str]]] = {}
-    for entity in store.subjects(graph_id, vocab.HAS_REALM, vocab.AT_POSITION):
-        realms = [vocab.REALMS[r] for r in store.objects(graph_id, entity, vocab.HAS_REALM)
-                  if r in vocab.REALMS]
-        for position in store.objects(graph_id, entity, vocab.AT_POSITION):
-            if realms and isinstance(position, Literal):
-                by_position.setdefault(position.lexical, []).append(
-                    (entity.value, realms[-1]))
+    for entity, realms, positions in store.rows(graph_id, vocab.HAS_REALM, vocab.AT_POSITION):
+        realm = None  # the last known realm in term order
+        for t in realms:
+            if isinstance(t.object, Iri):
+                realm = _REALM_BY_TEXT.get(t.object.value, realm)
+        for t in positions:
+            if realm and isinstance(t.object, Literal):
+                by_position.setdefault(t.object.lexical, []).append((entity.value, realm))
 
     violations = []
     for position in sorted(by_position):

@@ -74,7 +74,7 @@ class ValidationReport:
 
 def list_assets(store: NamedGraphStore, graph_id) -> list[Iri]:
     """Asset iris in the graph, sorted; an asset is anything with a kind."""
-    return store.subjects(graph_id, vocab.HAS_ASSET_KIND)
+    return [row[0] for row in store.rows(graph_id, vocab.HAS_ASSET_KIND)]
 
 
 def _literals(objects, subject: Iri, predicate: Iri) -> list[str]:
@@ -196,14 +196,14 @@ def validate_setup(store: NamedGraphStore, graph_id,
 
     # channels hanging off things that are not assets
     for _, predicate in _DIRECTIONS:
-        for subject in store.subjects(graph_id, predicate):
+        for subject, _ in store.rows(graph_id, predicate):
             if subject not in asset_set:
                 issue("channel-owner", subject,
                       "channel declared on something that is not an asset")
 
     # system aggregation: every asset in exactly one system
     memberships: dict[Iri, list[Iri]] = {}
-    for system in store.subjects(graph_id, vocab.AGGREGATES):
+    for system, _ in store.rows(graph_id, vocab.AGGREGATES):
         for member in objects(system, vocab.AGGREGATES):
             if not isinstance(member, Iri) or member not in asset_set:
                 issue("system", system, "aggregated member is not a described asset")

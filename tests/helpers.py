@@ -15,8 +15,10 @@ from kgmas.vocab import (
     AT_POSITION,
     HAS_GRIPPER_STATE,
     HAS_JOINT_STATES,
+    HAS_REALM,
     HAS_STATUS,
     HOLDS,
+    REALMS,
     kgmas,
 )
 from kgmas.world import KIND_ROBOTIC_ARM
@@ -105,6 +107,28 @@ def consistency_oracle(placements) -> list[tuple[str, str, str, str]]:
                     continue
                 out.append((rule, here[i][0], here[j][0], position))
     return out
+
+
+def consistency_scan(store, graph_id) -> list[tuple[str, str, str, str]]:
+    """Reference co-location check: a per-entity scan of the graph's triples.
+
+    An entity is a subject with both a realm and a position. Its realm is
+    the last known realm iri in term order; unknown iris and literals are
+    no realm. Only literal positions count. Pairs come from the oracle.
+    """
+    triples = store.triples(graph_id)
+
+    def values(subject, predicate):
+        return sorted((t.object for t in triples
+                       if t.subject == subject and t.predicate == predicate), key=term_key)
+
+    placements = []
+    for entity in {t.subject for t in triples}:
+        realms = [REALMS[r] for r in values(entity, HAS_REALM) if r in REALMS]
+        for position in values(entity, AT_POSITION):
+            if realms and isinstance(position, Literal):
+                placements.append((entity.value, realms[-1], position.lexical))
+    return consistency_oracle(placements)
 
 
 # -- device and pallet state read straight off the world --------------------

@@ -46,6 +46,44 @@ def test_canonical_json_is_sorted_and_compact():
     assert canonical_json({"x": "é"}) == '{"x":"é"}'
 
 
+_TEXT = 'aZ é€😀\x00\x1f\n\t"\\/\u2028'
+_LEAVES = (lambda rng: "".join(rng.choice(_TEXT) for _ in range(rng.randrange(6))),
+           lambda rng: rng.uniform(-1e6, 1e6),
+           lambda rng: rng.choice((0.1, 1e-300, 1e300, -0.0)),
+           lambda rng: rng.randrange(-10**30, 10**30),
+           lambda rng: rng.choice((True, False, None)))
+
+
+def _random_json(rng, depth=0):
+    """A seeded nested value mixing every JSON leaf kind."""
+    if depth > 2 or rng.random() < 0.3:
+        return rng.choice(_LEAVES)(rng)
+    if rng.random() < 0.5:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {_LEAVES[0](rng): _random_json(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def test_canonical_json_matches_json_dumps_and_is_thread_safe():
+    rng = random.Random(41)
+    values = [_random_json(rng) for _ in range(300)]
+    expected = [json.dumps(v, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+                for v in values]
+    assert [canonical_json(v) for v in values] == expected
+    results = [None] * 4
+    barrier = threading.Barrier(4)
+
+    def encode_all(slot):
+        barrier.wait()
+        results[slot] = [canonical_json(v) for v in values]
+
+    threads = [threading.Thread(target=encode_all, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [expected] * 4
+
+
 def test_round_trip_pinned_contents():
     for content in (TASK_REQUEST_CONTENT, EVENT_CONTENT):
         message = msg(content=content)

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
 import inspect
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from helpers import consistency_oracle, fixture_text, setup_with_step_inside_pair
+from helpers import (consistency_oracle, consistency_scan, fixture_text,
+                     setup_with_step_inside_pair)
 from kgmas import vocab
 from kgmas.errors import EventRejectedError, ProtocolError
 from kgmas.protocol import (
@@ -28,10 +33,12 @@ from kgmas.protocol import (
     substitute,
     write_task_state,
 )
+from kgmas.runtime import Scenario
 from kgmas.store import NamedGraphStore
 from kgmas.terms import Iri, Literal, Triple
 from kgmas.turtle import parse_turtle
 from kgmas.vocab import DATA_GRAPH, SETUP_GRAPH, kgmas
+from kgmas.world import WarehouseWorld
 
 MOVER = kgmas("MoverRole")
 PLACER = kgmas("PlacerRole")
@@ -340,6 +347,7 @@ def test_consistency_pinned_cases():
 def test_consistency_matches_oracle_on_random_placements():
     rng = random.Random(23)
     positions = ("P1", "P2", "cell:0,0", "cell:1,4")
+    seen = set()
     for _ in range(30):
         store = NamedGraphStore()
         rows = []
@@ -366,7 +374,57 @@ def test_consistency_matches_oracle_on_random_placements():
                  for v in check_world_consistency(store, DATA_GRAPH)]
         expected = [(rule, kgmas(a).value, kgmas(b).value, position)
                     for rule, a, b, position in consistency_oracle(rows)]
-        assert found == expected, rows
+        assert found == expected == consistency_scan(store, DATA_GRAPH), rows
+
+        # Facts no placement above makes; the reference scan says what they mean.
+        odd = rng.sample(sorted(_ODD_FACTS), rng.randrange(1, len(_ODD_FACTS) + 1))
+        for name in odd:
+            seen.add(name)
+            _ODD_FACTS[name](store, rng, positions)
+        for graph in (DATA_GRAPH, SETUP_GRAPH):
+            found = [(v.rule, v.first, v.second, v.position)
+                     for v in check_world_consistency(store, graph)]
+            assert found == consistency_scan(store, graph), (rows, odd)
+    assert seen == set(_ODD_FACTS)
+
+
+def _two_realms(store, rng, positions):
+    entity = kgmas(f"E{rng.randrange(8)}")
+    for realm in ("physical", "digital"):
+        store.insert(DATA_GRAPH, Triple(entity, vocab.HAS_REALM, kgmas(realm)))
+    store.insert(DATA_GRAPH, Triple(entity, vocab.AT_POSITION, Literal(rng.choice(positions))))
+
+
+def _unknown_realm(store, rng, positions):
+    place(store, f"U{rng.randrange(3)}", "astral", rng.choice(positions))
+
+
+def _literal_realm(store, rng, positions):
+    entity = kgmas(f"L{rng.randrange(3)}")
+    realm = rng.choice((Literal("physical"), Literal(vocab.REALM_PHYSICAL.value)))
+    store.insert(DATA_GRAPH, Triple(entity, vocab.HAS_REALM, realm))
+    store.insert(DATA_GRAPH, Triple(entity, vocab.AT_POSITION, Literal(rng.choice(positions))))
+
+
+def _iri_position(store, rng, positions):
+    entity = kgmas(f"E{rng.randrange(8)}")
+    store.insert(DATA_GRAPH, Triple(entity, vocab.HAS_REALM, vocab.REALM_PHYSICAL))
+    store.insert(DATA_GRAPH, Triple(entity, vocab.AT_POSITION, kgmas(rng.choice(positions[:2]))))
+
+
+def _no_position(store, rng, positions):
+    store.insert(DATA_GRAPH, Triple(kgmas(f"N{rng.randrange(3)}"), vocab.HAS_REALM,
+                                    vocab.REALM_PHYSICAL))
+
+
+def _other_graph(store, rng, positions):
+    for triple in store.triples(DATA_GRAPH):
+        store.insert(SETUP_GRAPH, triple)
+
+
+_ODD_FACTS = {"two_realms": _two_realms, "unknown_realm": _unknown_realm,
+              "literal_realm": _literal_realm, "iri_position": _iri_position,
+              "no_position": _no_position, "other_graph": _other_graph}
 
 
 def test_skeleton_matches_hand_derivation(protocol):
@@ -387,3 +445,44 @@ def test_skeleton_role_labels_follow_bindings(protocol):
     skeleton = derive_trace_skeleton(protocol, operator="driver", mediator="med")
     assert skeleton[0] == ("request", "driver", "turtlebot")
     assert all("kg" not in (s, r) for _, s, r in skeleton)
+
+
+_STORE_WRITES = {"insert", "remove", "atomic_update", "replace", "load_turtle"}
+
+
+def test_task_path_reads_do_not_grow_with_assets(monkeypatch):
+    """One protocol load and one co-location check read the store as many
+    times with 400 idle assets as with none."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    inputs = importlib.import_module("inputs")
+    calls = []
+
+    def counted(name, read):
+        @functools.wraps(read)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return read(*args, **kwargs)
+        return wrapper
+
+    counts = {}
+    for n in (0, 100, 400):
+        inp = inputs.make_inputs("fleet", 1, fleet=n)
+        store = NamedGraphStore()
+        store.load_turtle(SETUP_GRAPH, inp.setup_text)
+        scenario = Scenario(store, WarehouseWorld.from_fixture(json.loads(inp.world_text)),
+                            transport_overrides=inp.overrides)
+        try:
+            with monkeypatch.context() as patch:
+                for name, method in vars(NamedGraphStore).items():
+                    if callable(method) and name[0] != "_" and name not in _STORE_WRITES:
+                        patch.setattr(NamedGraphStore, name, counted(name, method))
+                calls.clear()
+                load_protocol(store, SETUP_GRAPH, "move_pallet")
+                loads = len(calls)
+                calls.clear()
+                check_world_consistency(store, DATA_GRAPH)
+                counts[n] = (loads, len(calls))
+        finally:
+            scenario.close()
+    assert counts[100] == counts[400] == counts[0], counts
+    assert calls == ["rows"]

@@ -102,6 +102,32 @@ def test_replace_with_empty_values_deletes():
     assert not any(tr.predicate == iri("holds") for tr in store.triples("g"))
 
 
+def test_replace_checks_every_term_before_writing():
+    store = NamedGraphStore()
+    a, pos = iri("a"), iri("atPosition")
+    store.insert("g", t("a", "atPosition", Literal("P0")))
+    before, held = store.revision, store.triples("g")
+    with pytest.raises(ValidationError):
+        store.replace("g", a, {pos: [Literal("P1")], "notiri": []})
+    with pytest.raises(ValidationError):
+        store.replace("g", "notiri", {pos: []})
+    assert store.revision == before
+    assert store.triples("g") == held
+
+    # Each write is one revision step; objects come back deduplicated in term order.
+    p1, p2, b = Literal("P1"), Literal("P2"), iri("b")
+    for objects, expected in (([p2, b, p1, p2, b], (b, p1, p2)),
+                              ({p2, p1}, (p1, p2)),
+                              ((o for o in [p2, Literal("P2", iri("dt")), p2]),
+                               (p2, Literal("P2", iri("dt")))),
+                              ([p1], (p1,)),
+                              ([], ())):
+        revision = store.revision
+        assert store.replace("g", a, {pos: objects}) == revision + 1
+        assert store.objects("g", a, pos) == expected
+    assert store.replace("g", a, {}) == store.revision
+
+
 def test_graphs_are_independent():
     store = NamedGraphStore()
     store.insert("one", t("a", "p", "b"))
@@ -195,15 +221,17 @@ def test_index_reads_agree_with_scans_under_random_writes():
             assert triples == frozenset(shadow.get(name, ()))
             carrying = {p: {t.subject for t in triples if t.predicate == p}
                         for p in predicates}
+            def entry(s, p):
+                return tuple(sorted((t for t in triples if t.subject == s and t.predicate == p),
+                                    key=lambda t: term_key(t.object)))
             for p in predicates:
-                assert store.subjects(name, p) == sorted(carrying[p], key=lambda s: s.value)
+                assert [row[0] for row in store.rows(name, p)] == sorted(
+                    carrying[p], key=lambda s: s.value)
                 for s in subjects:
-                    assert store.objects(name, s, p) == tuple(sorted(
-                        (t.object for t in triples
-                         if t.subject == s and t.predicate == p), key=term_key))
+                    assert store.objects(name, s, p) == tuple(t.object for t in entry(s, p))
             p, q = rng.sample(predicates, 2)
-            assert store.subjects(name, p, q) == sorted(carrying[p] & carrying[q],
-                                                        key=lambda s: s.value)
+            assert store.rows(name, p, q) == [(s, entry(s, p), entry(s, q)) for s in sorted(
+                carrying[p] & carrying[q], key=lambda s: s.value)]
             if triples:
                 patterns = [random_pattern(rng, triples) for _ in range(2)]
                 assert store.query(name, patterns) == bgp_oracle(triples, patterns)
