@@ -2,9 +2,9 @@
 
 Messages carry a performative from a closed set plus a structured JSON
 content value. The bus is an in-process post office with one FIFO inbox
-per registered agent, exactly-once delivery and an append-only log of
-every accepted send in global sequence order. That log doubles as the
-run trace.
+per registered agent, exactly-once delivery and a log per conversation,
+the FIPA unit of one task, numbered in global send order. A
+conversation's log doubles as its task's run trace.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (DuplicateAgentError, MalformedMessageError,
                      MissingFieldError, UnknownPerformativeError,
@@ -135,11 +136,12 @@ def format_trace(log) -> str:
 class Bus:
     """In-process message bus with per-agent FIFO inboxes.
 
-    Send validates, logs and enqueues under one lock, so the global
-    sequence order, the log and inbox order always agree. The same lock
-    keeps ``waiting``, the set of ids whose inbox holds mail, which
-    callers only read. Receivers can block with a timeout; ``None``
-    signals expiry.
+    Send validates, logs and enqueues under one lock, so the sequence
+    order, the logs and inbox order always agree. Each conversation has
+    one record: its ``(seq, message)`` entries in send order and its
+    ``reply_with`` ids. The same lock keeps ``waiting``, the set of ids
+    whose inbox holds mail, which callers only read. Receivers can block
+    with a timeout; ``None`` signals expiry.
     """
 
     def __init__(self):
@@ -147,8 +149,8 @@ class Bus:
         self._ready = threading.Condition(self._lock)
         self._inboxes: dict[str, deque] = {}
         self.waiting: set[str] = set()
-        self._log: list[tuple[int, AclMessage]] = []
-        self._reply_ids: dict[str, set[str]] = {}
+        self._seq = 0
+        self._conversations: dict[str, tuple[list, set[str]]] = {}
 
     def register(self, agent_id: str):
         if not agent_id or not isinstance(agent_id, str):
@@ -175,7 +177,10 @@ class Bus:
             if message.sender not in self._inboxes:
                 raise UnknownReceiverError(
                     f"sender {message.sender!r} is not registered")
-            known = self._reply_ids.setdefault(message.conversation_id, set())
+            record = self._conversations.get(message.conversation_id)
+            if record is None:
+                record = self._conversations[message.conversation_id] = ([], set())
+            entries, known = record
             if message.in_reply_to is not None and message.in_reply_to not in known:
                 raise ValidationError(
                     f"in_reply_to {message.in_reply_to!r} does not match any "
@@ -187,12 +192,12 @@ class Bus:
                         f"reply_with {message.reply_with!r} reused in "
                         f"conversation {message.conversation_id!r}")
                 known.add(message.reply_with)
-            seq = len(self._log) + 1
-            self._log.append((seq, message))
+            self._seq += 1
+            entries.append((self._seq, message))
             self._inboxes[message.receiver].append(message)
             self.waiting.add(message.receiver)
             self._ready.notify_all()
-            return seq
+            return self._seq
 
     def receive(self, agent_id: str, timeout: float | None = None) -> AclMessage | None:
         """Pop the oldest message for an agent, blocking up to timeout."""
@@ -218,9 +223,12 @@ class Bus:
             return not self.waiting
 
     def delivery_log(self) -> list[tuple[int, AclMessage]]:
+        """Every conversation's entries, merged in sequence order."""
         with self._lock:
-            return list(self._log)
+            return sorted((entry for entries, _ in self._conversations.values()
+                           for entry in entries), key=itemgetter(0))
 
     def conversation_log(self, conversation_id: str) -> list[tuple[int, AclMessage]]:
-        return [(seq, msg) for seq, msg in self.delivery_log()
-                if msg.conversation_id == conversation_id]
+        with self._lock:
+            record = self._conversations.get(conversation_id)
+            return list(record[0]) if record else []

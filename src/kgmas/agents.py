@@ -96,7 +96,9 @@ class GenericAgent:
     The agent never decides what to do on its own: task requests are turned
     into queries to the mediator, instructions from the mediator are turned
     into peer requests or device commands, and finished device commands are
-    reported back as events.
+    reported back as events.  Task memory is per conversation, dropped on
+    ``done``: the task request acted on there, which also names the task to
+    the mediator, or an empty record after a perform without one.
     """
 
     def __init__(self, agent_id: str, bus: Bus,
@@ -107,27 +109,32 @@ class GenericAgent:
         self.mediator = mediator
         self._reply_counter = itertools.count(1)
         self._command_counter = itertools.count(1)
-        self._task: dict | None = None
+        # conversation id -> the task request acted on there ({} if none)
+        self._tasks: dict[str, dict] = {}
         # The device command in flight: its id, report and conversation.
         self.performing: dict | None = None
 
-    def _reply_id(self) -> str:
-        return f"{self.agent_id}-{next(self._reply_counter)}"
-
     def _send(self, performative: Performative, receiver: str, content,
-              conversation: str, reply_with: str | None = None,
-              in_reply_to: str | None = None) -> None:
+              conversation: str, reply_with: str | None = None) -> None:
         message = AclMessage(performative, self.agent_id, receiver, content,
-                             conversation, reply_with, in_reply_to)
+                             conversation, reply_with)
         try:
             self.bus.send(message)
         except UnknownReceiverError:
             log.info("%s: dropping message to absent agent %s",
                      self.agent_id, receiver)
 
+    def _tell(self, performative: Performative, content: dict,
+              conversation: str, reply_with: str | None = None) -> None:
+        """Send to the mediator, naming the conversation's task if known."""
+        request = self._tasks.get(conversation)
+        if request:
+            content["task"] = request["task"]
+        self._send(performative, self.mediator, content, conversation, reply_with)
+
     def _query(self, query: dict, conversation: str) -> None:
-        self._send(Performative.REQUEST, self.mediator, query, conversation,
-                   reply_with=self._reply_id())
+        self._tell(Performative.REQUEST, query, conversation,
+                   f"{self.agent_id}-{next(self._reply_counter)}")
 
     def activate(self) -> None:
         """Drain the inbox, then check on any command in flight."""
@@ -139,28 +146,22 @@ class GenericAgent:
     def _handle(self, message: AclMessage) -> None:
         content = message.content if isinstance(message.content, dict) else {}
         performative = message.performative
+        conversation = message.conversation_id
         if performative is Performative.REQUEST and "task" in content:
-            self._task = {
-                "name": content["task"],
-                "params": {k: v for k, v in content.items() if k != "task"},
-            }
-            if message.sender == OPERATOR_ID:
-                query = {"query": "next_action", "task": content["task"]}
-            else:
-                query = {"query": "handle_request", "task": content["task"],
-                         "from": message.sender}
-            self._query(query, message.conversation_id)
+            self._tasks[conversation] = content
+            query = ({"query": "next_action"} if message.sender == OPERATOR_ID
+                     else {"query": "handle_request", "from": message.sender})
+            self._query(query, conversation)
         elif performative is Performative.INFORM and message.sender == self.mediator:
-            self._follow(content, message.conversation_id)
+            self._follow(content, conversation)
         elif performative is Performative.CONFIRM and message.sender == self.mediator:
-            if self._task is not None:
-                self._query({"query": "next_action", "task": self._task["name"]},
-                            message.conversation_id)
+            if conversation in self._tasks:
+                self._query({"query": "next_action"}, conversation)
         elif performative in (Performative.REFUSE, Performative.FAILURE):
             log.info("%s: %s from %s: %s", self.agent_id, performative.value,
                      message.sender, content)
             if (self.performing is not None and message.sender == self.mediator
-                    and message.conversation_id == self.performing["conversation"]):
+                    and conversation == self.performing["conversation"]):
                 self.performing = None
         else:
             log.debug("%s: ignoring %s from %s", self.agent_id,
@@ -168,19 +169,17 @@ class GenericAgent:
 
     def _follow(self, content: dict, conversation: str) -> None:
         action = content.get("action")
-        if action == "send_request" and self._task is not None:
+        request = self._tasks.get(conversation)
+        if action == "send_request" and request:
             peer = content.get("to")
             if not isinstance(peer, str) or not peer or peer == self.agent_id:
                 log.info("%s: unusable peer %r in instruction", self.agent_id, peer)
                 return
-            request = {"task": self._task["name"], **self._task["params"]}
             self._send(Performative.REQUEST, peer, request, conversation)
         elif action == "perform":
-            task_name = self._task["name"] if self._task else None
+            self._tasks.setdefault(conversation, {})
             if self.channel is None:
-                self._send(Performative.FAILURE, self.mediator,
-                           {"error": "no_device", "task": task_name},
-                           conversation)
+                self._tell(Performative.FAILURE, {"error": "no_device"}, conversation)
                 return
             command_id = next(self._command_counter)
             try:
@@ -191,8 +190,7 @@ class GenericAgent:
                     "id": command_id,
                 })
             except TransportError as exc:
-                self._send(Performative.FAILURE, self.mediator,
-                           {"error": str(exc), "task": task_name}, conversation)
+                self._tell(Performative.FAILURE, {"error": str(exc)}, conversation)
                 return
             self.performing = {
                 "id": command_id,
@@ -200,12 +198,10 @@ class GenericAgent:
                 "conversation": conversation,
             }
         elif action == "report":
-            event = {"event": content.get("event")}
-            if self._task is not None:
-                event["task"] = self._task["name"]
-            self._send(Performative.INFORM, self.mediator, event, conversation)
+            self._tell(Performative.INFORM, {"event": content.get("event")},
+                       conversation)
         elif action == "done":
-            self._task = None
+            self._tasks.pop(conversation, None)
         # "wait" and anything unknown: stay put until spoken to again
 
     def _poll_device(self) -> None:
@@ -215,16 +211,12 @@ class GenericAgent:
         context = self.performing
         if observation.get("done_id") == context["id"]:
             self.performing = None
-            content = {"event": context["report"]}
-            if self._task is not None:
-                content["task"] = self._task["name"]
-            self._send(Performative.INFORM, self.mediator, content,
+            self._tell(Performative.INFORM, {"event": context["report"]},
                        context["conversation"])
         elif observation.get("failed_id") == context["id"]:
             self.performing = None
-            self._send(Performative.FAILURE, self.mediator,
-                       {"error": observation.get("error") or "command_failed",
-                        "task": self._task["name"] if self._task else None},
+            self._tell(Performative.FAILURE,
+                       {"error": observation.get("error") or "command_failed"},
                        context["conversation"])
 
 

@@ -50,6 +50,19 @@ def setup_with_step_inside_pair() -> str:
         "kgmas:MovePalletStep4 kgmas:actionKind kgmas:queryNext .\n")
 
 
+def put_pallet_back(world, pallet_id: str = "Pallet1", station: str = "P1") -> None:
+    """Lift a pallet that lies on the grid and set it down on a station.
+
+    This edits the world's state directly, between tasks: the fixture's arm
+    cannot carry a pallet back, so several ``move_pallet`` tasks on one
+    scenario need the pallet returned by hand. The scenario mirrors the new
+    position into the data graph on its next tick.
+    """
+    cells = world._pallet_by_cell
+    del cells[next(cell for cell, held in cells.items() if held == pallet_id)]
+    cells[world.stations[station]] = pallet_id
+
+
 # -- brute-force pattern matching ------------------------------------------
 
 

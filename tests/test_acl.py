@@ -200,6 +200,60 @@ def test_bus_log_matches_delivery():
     assert len(text.splitlines()) == 3
 
 
+def test_conversation_log_reads_no_other_conversation():
+    """Looking up one conversation touches none of the others' messages."""
+    state = {"armed": False, "reads": 0}
+
+    class CountingMessage(AclMessage):
+        def __getattribute__(self, name):
+            if name == "conversation_id" and state["armed"]:
+                state["reads"] += 1
+            return super().__getattribute__(name)
+
+    bus = make_bus("a1", "a2")
+    for k in range(50):
+        bus.send(CountingMessage(Performative.INFORM, "a1", "a2", {}, f"conv-{k}"))
+    state["armed"] = True
+    assert bus.conversation_log("conv-other") == []
+    assert state["reads"] == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_conversation_logs_agree_with_the_delivery_log(seed):
+    """Random sends with reply ids over a few conversations: each
+    conversation's log is the delivery log filtered to it, sequence numbers
+    run 1..N, and a send is refused exactly when it reuses a ``reply_with``
+    or answers none of its conversation's."""
+    rng = random.Random(seed)
+    agents = ["a0", "a1", "a2", "a3"]
+    bus = make_bus(*agents)
+    conversations = [f"conv-{k}" for k in range(rng.randint(1, 5))]
+    reply_ids = {conversation: set() for conversation in conversations}
+    sent = 0
+    for _ in range(150):
+        sender, receiver = rng.sample(agents, 2)
+        conversation = rng.choice(conversations)
+        reply_with, in_reply_to = (rng.choice((None, f"r{rng.randrange(6)}"))
+                                   for _ in range(2))
+        message = AclMessage(Performative.INFORM, sender, receiver, {"n": sent},
+                             conversation, reply_with, in_reply_to)
+        known = reply_ids[conversation]
+        unmatched = in_reply_to is not None and in_reply_to not in known
+        if reply_with in known or unmatched:
+            with pytest.raises(ValidationError):
+                bus.send(message)
+        else:
+            sent += 1
+            assert bus.send(message) == sent
+            if reply_with is not None:
+                known.add(reply_with)
+        log = bus.delivery_log()
+        assert [seq for seq, _ in log] == list(range(1, sent + 1))
+        for conversation in conversations + ["conv-none"]:
+            assert bus.conversation_log(conversation) == [
+                (seq, m) for seq, m in log if m.conversation_id == conversation]
+
+
 def test_bus_unregister_reports_undelivered():
     bus = make_bus("a1", "a2")
     bus.send(msg())

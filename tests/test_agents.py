@@ -245,6 +245,27 @@ def test_generic_agent_runs_the_query_loop(setup_store):
     assert len(bus.delivery_log()) == sent_before + 1
 
 
+def test_generic_agent_keeps_task_memory_per_conversation():
+    """``done`` in one conversation clears nothing in another, and an
+    instruction to forward a request needs that conversation's request."""
+    bus = Bus()
+    for agent_id in ("m", "operator", "a", "b"):
+        bus.register(agent_id)
+    agent = GenericAgent("a", bus, None, mediator="m")
+    bus.send(AclMessage(Performative.REQUEST, "operator", "a",
+                        {"task": "t1", "from": "P1"}, "A"))
+    bus.send(AclMessage(Performative.INFORM, "m", "a",
+                        {"action": "send_request", "to": "b"}, "C"))
+    bus.send(AclMessage(Performative.INFORM, "m", "a", {"action": "done"}, "B"))
+    bus.send(AclMessage(Performative.CONFIRM, "m", "a", {"event": "x"}, "A"))
+    agent.activate()
+    queries = [bus.try_receive("m"), bus.try_receive("m")]
+    assert [(q.content, q.conversation_id) for q in queries] == [
+        ({"query": "next_action", "task": "t1"}, "A")] * 2
+    assert bus.try_receive("m") is None
+    assert bus.try_receive("b") is None
+
+
 def test_generic_agent_without_device_fails_perform(setup_store):
     bus = Bus()
     bus.register("m")

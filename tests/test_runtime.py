@@ -12,6 +12,7 @@ from helpers import (
     fixture_path,
     fixture_text,
     graph_facts,
+    put_pallet_back,
     random_asset_block,
     world_state_facts,
 )
@@ -252,6 +253,42 @@ def test_a_reply_to_the_operator_does_not_keep_the_task_ticking():
         result = scenario.run_task("move_pallet", PARAMS, on_tick=stray)
         assert (result.status, result.ticks) == ("completed", 21)
         assert scenario.bus.idle()
+
+
+def test_a_perform_pushed_without_a_peer_request_still_asks_what_next():
+    """With step 2 a ``queryNext``, the mediator pushes the arm's perform
+    without a peer request. Once its report is confirmed the arm still asks
+    ``next_action`` in that conversation, as the oracle expects."""
+    store = NamedGraphStore()
+    store.load_turtle(SETUP_GRAPH, fixture_text("fig3_setup.ttl").replace(
+        "kgmas:MovePalletStep2 kgmas:actionKind kgmas:sendRequest",
+        "kgmas:MovePalletStep2 kgmas:actionKind kgmas:queryNext"))
+    with Scenario(store, WarehouseWorld.from_file(WORLD)) as scenario:
+        result = scenario.run_task("move_pallet", PARAMS)
+        protocol = load_protocol(store, SETUP_GRAPH, "move_pallet")
+        assert result.status == "completed"
+        assert scenario.world.pallet_positions() == {"Pallet1": "P2"}
+    assert result.skeleton() == derive_trace_skeleton(protocol)
+
+
+def test_tasks_on_one_scenario_each_trace_their_own_conversation():
+    """Thirty tasks in a row on one scenario: each completes with no
+    violation, and its trace is its own conversation's messages."""
+    with fresh() as scenario:
+        protocol = load_protocol(scenario.store, SETUP_GRAPH, "move_pallet")
+        expected = derive_trace_skeleton(protocol)
+        for number in range(1, 31):
+            if number > 1:
+                put_pallet_back(scenario.world)
+            result = scenario.run_task("move_pallet", PARAMS)
+            assert (result.status, result.conversation_id) == (
+                "completed", f"conv-Task_move_pallet_{number}")
+            assert not any(result.violations_per_tick)
+            assert result.trace == [
+                (seq, message) for seq, message in scenario.bus.delivery_log()
+                if message.conversation_id == result.conversation_id]
+            assert result.skeleton() == expected
+            assert scenario.world.pallet_positions() == {"Pallet1": "P2"}
 
 
 def test_transport_choice_does_not_change_the_outcome():
