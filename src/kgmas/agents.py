@@ -101,12 +101,10 @@ class GenericAgent:
     the mediator, or an empty record after a perform without one.
     """
 
-    def __init__(self, agent_id: str, bus: Bus,
-                 channel: AgentChannel | None, mediator: str = KG_AGENT_ID):
+    def __init__(self, agent_id: str, bus: Bus, channel: AgentChannel | None):
         self.agent_id = agent_id
         self.bus = bus
         self.channel = channel
-        self.mediator = mediator
         self._reply_counter = itertools.count(1)
         self._command_counter = itertools.count(1)
         # conversation id -> the task request acted on there ({} if none)
@@ -130,7 +128,7 @@ class GenericAgent:
         request = self._tasks.get(conversation)
         if request:
             content["task"] = request["task"]
-        self._send(performative, self.mediator, content, conversation, reply_with)
+        self._send(performative, KG_AGENT_ID, content, conversation, reply_with)
 
     def _query(self, query: dict, conversation: str) -> None:
         self._tell(Performative.REQUEST, query, conversation,
@@ -152,15 +150,15 @@ class GenericAgent:
             query = ({"query": "next_action"} if message.sender == OPERATOR_ID
                      else {"query": "handle_request", "from": message.sender})
             self._query(query, conversation)
-        elif performative is Performative.INFORM and message.sender == self.mediator:
+        elif performative is Performative.INFORM and message.sender == KG_AGENT_ID:
             self._follow(content, conversation)
-        elif performative is Performative.CONFIRM and message.sender == self.mediator:
+        elif performative is Performative.CONFIRM and message.sender == KG_AGENT_ID:
             if conversation in self._tasks:
                 self._query({"query": "next_action"}, conversation)
         elif performative in (Performative.REFUSE, Performative.FAILURE):
             log.info("%s: %s from %s: %s", self.agent_id, performative.value,
                      message.sender, content)
-            if (self.performing is not None and message.sender == self.mediator
+            if (self.performing is not None and message.sender == KG_AGENT_ID
                     and conversation == self.performing["conversation"]):
                 self.performing = None
         else:
@@ -171,11 +169,7 @@ class GenericAgent:
         action = content.get("action")
         request = self._tasks.get(conversation)
         if action == "send_request" and request:
-            peer = content.get("to")
-            if not isinstance(peer, str) or not peer or peer == self.agent_id:
-                log.info("%s: unusable peer %r in instruction", self.agent_id, peer)
-                return
-            self._send(Performative.REQUEST, peer, request, conversation)
+            self._send(Performative.REQUEST, content["to"], request, conversation)
         elif action == "perform":
             self._tasks.setdefault(conversation, {})
             if self.channel is None:
@@ -197,9 +191,6 @@ class GenericAgent:
                 "report": content.get("report") or "action_completed",
                 "conversation": conversation,
             }
-        elif action == "report":
-            self._tell(Performative.INFORM, {"event": content.get("event")},
-                       conversation)
         elif action == "done":
             self._tasks.pop(conversation, None)
         # "wait" and anything unknown: stay put until spoken to again

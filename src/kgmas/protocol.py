@@ -5,12 +5,12 @@ capability) and an ordered list of steps. Step kinds:
 
 * ``query_next``: the role asks the mediator what to do; asking
   consumes the step
-* ``send_request``: the role requests a peer role to act; consumed
-  when the peer consults the mediator about the request
+* ``send_request``: the role requests another role to act; consumed
+  when that role consults the mediator about the request
 * ``perform_action``: the role exercises its capability on its device
-* ``report_event``: the role informs the mediator of a named event;
-  recording the event consumes it together with the perform step it
-  documents
+* ``report_event``: the second half of the perform step right in front
+  of it, owned by the same role: the event the role reports when the
+  action is done. Recording it consumes the pair.
 
 The functions here hold the coordination semantics. Each mediator rule
 answers one message and moves the task as that message requires:
@@ -154,9 +154,10 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
     """Read one protocol out of the setup graph and validate it.
 
     Checks: contiguous 1-based step indexes, step roles declared on the
-    protocol, request targets declared, every perform step directly
-    followed by its role's report step, every role bound to exactly one
-    asset that really has the role's required capability.
+    protocol, request targets declared and other than the requesting
+    role, performs and reports in adjacent pairs of one role (perform
+    first), every role bound to exactly one asset that really has the
+    role's required capability.
     """
     objects = functools.partial(store.objects, graph_id)
     candidates = [(c, [t.object.lexical for t in entry if isinstance(t.object, Literal)])
@@ -246,12 +247,19 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
             if step.target_role is None or step.target_role not in roles:
                 raise ProtocolError(
                     f"step {step.index}: request target role missing or unbound")
-        if step.kind == REPORT_EVENT:
-            event_name_of(step)
+            if step.target_role == step.role:
+                raise ProtocolError(
+                    f"step {step.index}: a request must target another role")
         behind = [(s.kind, s.role) for s in steps[step.index:step.index + 1]]
         if step.kind == PERFORM_ACTION and behind != [(REPORT_EVENT, step.role)]:
             raise ProtocolError(f"step {step.index}: a perform step must be followed "
                                 f"directly by a report step of the same role")
+        if step.kind == REPORT_EVENT:
+            event_name_of(step)
+            ahead = steps[step.index - 2] if step.index > 1 else None
+            if ahead is None or (ahead.kind, ahead.role) != (PERFORM_ACTION, step.role):
+                raise ProtocolError(f"step {step.index}: a report step must directly "
+                                    f"follow a perform step of the same role")
 
     return ProtocolDefinition(protocol, tasks[0], tuple(steps), roles, role_assets)
 
@@ -267,15 +275,12 @@ def _instruction_for(protocol: ProtocolDefinition, task: TaskState,
         return {"action": "send_request",
                 "to": protocol.agent_for(step.target_role),
                 "task": task.task_name}
-    if step.kind == PERFORM_ACTION:
-        capability = protocol.roles[step.role]
-        params = substitute(step.template, task.template_bindings) \
-            if isinstance(step.template, dict) else dict(task.params)
-        return {"action": "perform",
-                "capability": capability.local_name,
-                "params": params,
-                "report": event_name_of(protocol.steps[step.index])}
-    return {"action": "report", "event": event_name_of(step)}
+    params = substitute(step.template, task.template_bindings) \
+        if isinstance(step.template, dict) else dict(task.params)
+    return {"action": "perform",
+            "capability": protocol.roles[step.role].local_name,
+            "params": params,
+            "report": event_name_of(protocol.steps[step.index])}
 
 
 def next_action(protocol: ProtocolDefinition, task: TaskState, role: Iri) -> dict:
@@ -357,33 +362,23 @@ def record_event(store: NamedGraphStore, graph_id,
                  role: Iri, event_name: str, tick: int) -> int:
     """Record a reported event and advance the task.
 
-    The event must belong to the current step: either the current
-    report step itself, or the report step paired right behind the
-    current perform step of the same role. Anything else (stale
-    duplicates included) is rejected without touching graph or task.
-    Once only query steps remain the task completes immediately; the
-    trailing queries are answered ``done`` when they arrive.
+    The event must be the report paired right behind the current perform
+    step, sent by that step's role. Anything else (stale duplicates
+    included) is rejected without touching graph or task. Once only
+    query steps remain the task completes immediately; the trailing
+    queries are answered ``done`` when they arrive.
     """
     if task.finished:
         raise EventRejectedError(f"task is {task.status}")
     steps = protocol.steps
     i = task.index
     current = steps[i - 1] if i <= len(steps) else None
-
-    def is_report(step):
-        return (step is not None and step.kind == REPORT_EVENT
-                and step.role == role and event_name_of(step) == event_name)
-
-    if (current is not None and current.kind == PERFORM_ACTION
-            and current.role == role
-            and i < len(steps) and is_report(steps[i])):
-        report_index = i + 1
-    elif is_report(current):
-        report_index = i
-    else:
+    if (current is None or current.kind != PERFORM_ACTION or current.role != role
+            or event_name_of(steps[i]) != event_name):
         raise EventRejectedError(
             f"event {event_name!r} from this role does not match step {i}")
 
+    report_index = i + 1
     task.index = report_index + 1
     task.status = IN_PROGRESS
     if all(step.kind == QUERY_NEXT for step in steps[task.index - 1:]):
@@ -468,18 +463,18 @@ class _Derivation:
         self.messages.append((performative, sender, receiver))
 
 
-def derive_trace_skeleton(protocol: ProtocolDefinition,
-                          operator: str = "operator",
-                          mediator: str = "kg") -> list[tuple[str, str, str]]:
+def derive_trace_skeleton(protocol: ProtocolDefinition) -> list[tuple[str, str, str]]:
     """Expected (performative, sender, receiver) sequence for one task run.
 
     Replays the coordination rules over the step list alone: agents act
-    only when instructed, ask again after each confirmed report, and
+    only when instructed, ask again after each confirmed report, a
+    current step nobody has asked for is pushed after every answer, and
     performs finish in step order. No world or transport is involved,
     which is what makes this usable as an independent check against a
     recorded trace.
     """
     d = _Derivation(protocol)
+    mediator = vocab.KG_AGENT_ID
     steps = protocol.steps
     n = len(steps)
 
@@ -496,6 +491,7 @@ def derive_trace_skeleton(protocol: ProtocolDefinition,
         step = steps[d.cursor - 1]
         if step.role != role:
             d.emit("inform", mediator, asking_agent)  # wait
+            push_scan()
             return
         d.instructed.add(step.index)
         d.emit("inform", mediator, asking_agent)      # instruction
@@ -530,7 +526,7 @@ def derive_trace_skeleton(protocol: ProtocolDefinition,
             d.performing[executor] = step.index
 
     initiator = agent(protocol.initiator_role)
-    d.emit("request", operator, initiator)
+    d.emit("request", vocab.OPERATOR_ID, initiator)
     d.emit("request", initiator, mediator)
     answer_query(initiator, protocol.initiator_role)
 

@@ -11,14 +11,26 @@ import random
 from pathlib import Path
 
 from kgmas.terms import Iri, Literal, Pattern, Triple, Variable, term_key
+from kgmas.turtle import parse_turtle
 from kgmas.vocab import (
+    ACTION_KIND,
     AT_POSITION,
+    CONTENT_TEMPLATE,
     HAS_GRIPPER_STATE,
     HAS_JOINT_STATES,
     HAS_REALM,
     HAS_STATUS,
+    HAS_STEP,
     HOLDS,
+    KIND_PERFORM_ACTION,
+    KIND_QUERY_NEXT,
+    KIND_REPORT_EVENT,
+    KIND_SEND_REQUEST,
     REALMS,
+    STEP_INDEX,
+    STEP_ROLE,
+    TARGET_ROLE,
+    XSD_INTEGER,
     kgmas,
 )
 from kgmas.world import KIND_ROBOTIC_ARM
@@ -48,6 +60,64 @@ def setup_with_step_inside_pair() -> str:
         'kgmas:MovePalletStep4 kgmas:stepIndex "4"^^xsd:integer .\n'
         "kgmas:MovePalletStep4 kgmas:stepRole kgmas:MoverRole .\n"
         "kgmas:MovePalletStep4 kgmas:actionKind kgmas:queryNext .\n")
+
+
+# -- random protocols over the fixture's roles ------------------------------
+
+
+_STEP_KINDS = (KIND_QUERY_NEXT, KIND_SEND_REQUEST, KIND_PERFORM_ACTION, KIND_REPORT_EVENT)
+_ROLES = (kgmas("MoverRole"), kgmas("PlacerRole"))
+_TEMPLATES = {
+    KIND_PERFORM_ACTION: ('{"from":"{from}","to":"cell:3,2"}',
+                          '{"from":"{from}","to":"{to}"}'),
+    KIND_REPORT_EVENT: ('{"event":"pallet_delivered"}', '{"event":"pallet_placed"}'),
+}
+
+
+def setup_without_steps() -> list[Triple]:
+    """The fixture setup's triples without the steps of its protocol."""
+    return [t for t in parse_turtle(fixture_text("fig3_setup.ttl"))
+            if t.predicate != HAS_STEP and "MovePalletStep" not in t.subject.value]
+
+
+def protocol_step_triples(steps) -> list[Triple]:
+    """Triples for the fixture protocol's steps, given in order as
+    (kind, role, target role or None, template text or None)."""
+    protocol = kgmas("MovePalletProtocol")
+    triples = []
+    for index, (kind, role, target, template) in enumerate(steps, start=1):
+        step = kgmas(f"FuzzStep{index}")
+        triples += [Triple(protocol, HAS_STEP, step),
+                    Triple(step, STEP_INDEX, Literal(str(index), XSD_INTEGER)),
+                    Triple(step, STEP_ROLE, role),
+                    Triple(step, ACTION_KIND, kind)]
+        if target is not None:
+            triples.append(Triple(step, TARGET_ROLE, target))
+        if template is not None:
+            triples.append(Triple(step, CONTENT_TEMPLATE, Literal(template)))
+    return triples
+
+
+def random_protocol_steps(rng: random.Random) -> list[Triple]:
+    """Triples of 1-7 random steps for the fixture's ``move_pallet`` protocol.
+
+    Each step draws one of the four kinds and one of the fixture's two
+    roles. A request draws a target role, which may be its own; a perform
+    or a report draws a template, which may be missing. Three times in four
+    a perform is followed by its own report, so long protocols that load
+    are common.
+    """
+    steps = []
+    kind = role = None
+    for _ in range(rng.randint(1, 7)):
+        if kind == KIND_PERFORM_ACTION and rng.random() < 0.75:
+            kind, template = KIND_REPORT_EVENT, rng.choice(_TEMPLATES[KIND_REPORT_EVENT])
+        else:
+            kind, role = rng.choice(_STEP_KINDS), rng.choice(_ROLES)
+            template = rng.choice(_TEMPLATES.get(kind, ()) + (None,))
+        target = rng.choice(_ROLES) if kind == KIND_SEND_REQUEST else None
+        steps.append((kind, role, target, template))
+    return protocol_step_triples(steps)
 
 
 def put_pallet_back(world, pallet_id: str = "Pallet1", station: str = "P1") -> None:

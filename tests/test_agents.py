@@ -214,10 +214,10 @@ def test_mediator_refuses_queries_about_unknown_tasks(setup_store):
 
 def test_generic_agent_stays_put_on_wait(setup_store):
     bus = Bus()
-    bus.register("m")
+    bus.register("kg")
     bus.register("a")
-    agent = GenericAgent("a", bus, None, mediator="m")
-    bus.send(AclMessage(Performative.INFORM, "m", "a", {"action": "wait"}, "c1"))
+    agent = GenericAgent("a", bus, None)
+    bus.send(AclMessage(Performative.INFORM, "kg", "a", {"action": "wait"}, "c1"))
     agent.activate()
     assert len(bus.delivery_log()) == 1  # nothing sent back
     assert not agent.performing
@@ -225,22 +225,22 @@ def test_generic_agent_stays_put_on_wait(setup_store):
 
 def test_generic_agent_runs_the_query_loop(setup_store):
     bus = Bus()
-    bus.register("m")
+    bus.register("kg")
     bus.register("operator")
     bus.register("a")
-    agent = GenericAgent("a", bus, None, mediator="m")
+    agent = GenericAgent("a", bus, None)
     bus.send(AclMessage(Performative.REQUEST, "operator", "a",
                         {"task": "t1", "from": "P1"}, "c1"))
     agent.activate()
-    query = bus.try_receive("m")
+    query = bus.try_receive("kg")
     assert query.content == {"query": "next_action", "task": "t1"}
     assert query.reply_with == "a-1"
 
-    bus.send(AclMessage(Performative.INFORM, "m", "a", {"action": "done"}, "c1"))
+    bus.send(AclMessage(Performative.INFORM, "kg", "a", {"action": "done"}, "c1"))
     agent.activate()
     sent_before = len(bus.delivery_log())
     # with the task cleared a confirm no longer triggers a new query
-    bus.send(AclMessage(Performative.CONFIRM, "m", "a", {"event": "x"}, "c1"))
+    bus.send(AclMessage(Performative.CONFIRM, "kg", "a", {"event": "x"}, "c1"))
     agent.activate()
     assert len(bus.delivery_log()) == sent_before + 1
 
@@ -249,35 +249,70 @@ def test_generic_agent_keeps_task_memory_per_conversation():
     """``done`` in one conversation clears nothing in another, and an
     instruction to forward a request needs that conversation's request."""
     bus = Bus()
-    for agent_id in ("m", "operator", "a", "b"):
+    for agent_id in ("kg", "operator", "a", "b"):
         bus.register(agent_id)
-    agent = GenericAgent("a", bus, None, mediator="m")
+    agent = GenericAgent("a", bus, None)
     bus.send(AclMessage(Performative.REQUEST, "operator", "a",
                         {"task": "t1", "from": "P1"}, "A"))
-    bus.send(AclMessage(Performative.INFORM, "m", "a",
+    bus.send(AclMessage(Performative.INFORM, "kg", "a",
                         {"action": "send_request", "to": "b"}, "C"))
-    bus.send(AclMessage(Performative.INFORM, "m", "a", {"action": "done"}, "B"))
-    bus.send(AclMessage(Performative.CONFIRM, "m", "a", {"event": "x"}, "A"))
+    bus.send(AclMessage(Performative.INFORM, "kg", "a", {"action": "done"}, "B"))
+    bus.send(AclMessage(Performative.CONFIRM, "kg", "a", {"event": "x"}, "A"))
     agent.activate()
-    queries = [bus.try_receive("m"), bus.try_receive("m")]
+    queries = [bus.try_receive("kg"), bus.try_receive("kg")]
     assert [(q.content, q.conversation_id) for q in queries] == [
         ({"query": "next_action", "task": "t1"}, "A")] * 2
-    assert bus.try_receive("m") is None
+    assert bus.try_receive("kg") is None
     assert bus.try_receive("b") is None
 
 
 def test_generic_agent_without_device_fails_perform(setup_store):
     bus = Bus()
-    bus.register("m")
+    bus.register("kg")
     bus.register("a")
-    agent = GenericAgent("a", bus, None, mediator="m")
-    bus.send(AclMessage(Performative.INFORM, "m", "a",
+    agent = GenericAgent("a", bus, None)
+    bus.send(AclMessage(Performative.INFORM, "kg", "a",
                         {"action": "perform", "capability": "MotionControl",
                          "params": {}}, "c1"))
     agent.activate()
-    failure = bus.try_receive("m")
+    failure = bus.try_receive("kg")
     assert failure.performative is Performative.FAILURE
     assert failure.content["error"] == "no_device"
+
+
+class _RecordingChannel:
+    """A device channel that takes every command and never reports back."""
+
+    def __init__(self):
+        self.commands = []
+
+    def send_command(self, command):
+        self.commands.append(command)
+
+    def latest_observation(self):
+        return None
+
+
+@pytest.mark.parametrize("performative", [Performative.FAILURE, Performative.REFUSE])
+def test_generic_agent_drops_its_command_when_the_mediator_says_no(performative):
+    """Only the mediator, and only in the command's conversation, ends the
+    command in flight."""
+    bus = Bus()
+    for agent_id in ("kg", "a", "stranger"):
+        bus.register(agent_id)
+    channel = _RecordingChannel()
+    agent = GenericAgent("a", bus, channel)
+    bus.send(AclMessage(Performative.INFORM, "kg", "a",
+                        {"action": "perform", "capability": "MotionControl",
+                         "params": {"to": "P2"}, "report": "moved"}, "c1"))
+    agent.activate()
+    assert channel.commands == [{"op": "invoke", "capability": "MotionControl",
+                                 "params": {"to": "P2"}, "id": 1}]
+    for sender, conversation in (("stranger", "c1"), ("kg", "c2"), ("kg", "c1")):
+        assert agent.performing == {"id": 1, "report": "moved", "conversation": "c1"}
+        bus.send(AclMessage(performative, sender, "a", {"reason": "x"}, conversation))
+        agent.activate()
+    assert agent.performing is None
 
 
 # -- the mediator's answers, one message at a time ----------------------------

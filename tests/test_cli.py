@@ -260,6 +260,16 @@ def test_validate_refuses_a_step_between_perform_and_report(tmp_path, capsys):
     assert "protocol\tmove_pallet\tstep 3: a perform step must be followed" in out
 
 
+def test_validate_refuses_a_report_without_its_perform(tmp_path, capsys):
+    setup = write_setup(tmp_path, fixture_text("fig3_setup.ttl").replace(
+        "kgmas:MovePalletStep3 kgmas:actionKind kgmas:performAction",
+        "kgmas:MovePalletStep3 kgmas:actionKind kgmas:queryNext"))
+    assert main(["validate", "--setup", setup]) == 1
+    assert capsys.readouterr().out == (
+        "protocol\tmove_pallet\tstep 4: a report step must directly follow "
+        "a perform step of the same role\n")
+
+
 def test_validate_loads_every_protocol_run_loads(tmp_path, capsys):
     setup = write_setup(tmp_path, fixture_text("fig3_setup.ttl").replace(
         'kgmas:MovePalletStep3 kgmas:stepIndex "3"^^xsd:integer .\n', ""))

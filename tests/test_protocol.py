@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (consistency_oracle, consistency_scan, fixture_text,
+from helpers import (NS, consistency_oracle, consistency_scan, fixture_text,
                      setup_with_step_inside_pair)
 from kgmas import vocab
 from kgmas.errors import EventRejectedError, ProtocolError
@@ -22,6 +23,7 @@ from kgmas.protocol import (
     IN_PROGRESS,
     PENDING,
     QUERY_NEXT,
+    REPORT_EVENT,
     TaskState,
     check_world_consistency,
     derive_trace_skeleton,
@@ -159,6 +161,62 @@ def test_load_rejects_a_perform_without_its_report_behind_it():
         load_protocol(store, SETUP_GRAPH, task_name="move_pallet")
 
 
+STEP2_TARGET = "kgmas:MovePalletStep2 kgmas:targetRole kgmas:PlacerRole .\n"
+STEP3_KIND = "kgmas:MovePalletStep3 kgmas:actionKind kgmas:performAction ."
+STEP3_TEMPLATE = ('kgmas:MovePalletStep3 kgmas:contentTemplate '
+                  '"{\\"from\\":\\"{from}\\",\\"to\\":\\"cell:3,2\\"}" .')
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('kgmas:MovePalletStep3 kgmas:stepIndex "3"', 'kgmas:MovePalletStep3 kgmas:stepIndex "x"',
+     f"{NS}MovePalletStep3 index must be an integer literal"),
+    ('kgmas:forTask "move_pallet" .',
+     'kgmas:forTask "move_pallet" .\nkgmas:SpareProtocol kgmas:forTask "move_pallet" .',
+     f"ambiguous protocol selection: {NS}MovePalletProtocol, {NS}SpareProtocol"),
+    ('kgmas:forTask "move_pallet" .',
+     'kgmas:forTask "move_pallet" .\nkgmas:MovePalletProtocol kgmas:forTask "carry" .',
+     f"{NS}MovePalletProtocol: expected one task name"),
+    ("kgmas:bindsRole kgmas:PlacerRole .",
+     'kgmas:bindsRole kgmas:PlacerRole .\nkgmas:MovePalletProtocol kgmas:bindsRole "Lifter" .',
+     f"{NS}MovePalletProtocol: role must be an iri"),
+    ("kgmas:MoverRole kgmas:requiresCapability kgmas:MotionControl .",
+     "kgmas:MoverRole kgmas:requiresCapability kgmas:MotionControl .\n"
+     "kgmas:MoverRole kgmas:requiresCapability kgmas:Lidar .",
+     f"{NS}MoverRole: expected one required capability, found 2"),
+    ("kgmas:MovePalletStep3 kgmas:stepRole kgmas:MoverRole .",
+     "kgmas:MovePalletStep3 kgmas:stepRole kgmas:MoverRole .\n"
+     "kgmas:MovePalletStep3 kgmas:stepRole kgmas:PlacerRole .",
+     f"{NS}MovePalletStep3: expected one step role"),
+    (STEP3_KIND, "kgmas:MovePalletStep3 kgmas:actionKind kgmas:dance .",
+     f"{NS}MovePalletStep3: unknown action kind"),
+    (STEP3_TEMPLATE, STEP3_TEMPLATE + '\nkgmas:MovePalletStep3 kgmas:contentTemplate "{}" .',
+     f"{NS}MovePalletStep3: expected one content template"),
+    (STEP3_TEMPLATE, 'kgmas:MovePalletStep3 kgmas:contentTemplate "{to" .',
+     f"{NS}MovePalletStep3: content template is not valid JSON: Expecting property "
+     f"name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("kgmas:hasStep", "kgmas:hasDraftStep", f"{NS}MovePalletProtocol: protocol has no steps"),
+    ("kgmas:MovePalletStep3 kgmas:stepRole kgmas:MoverRole .",
+     "kgmas:MovePalletStep3 kgmas:stepRole kgmas:LifterRole .",
+     f"step 3: role {NS}LifterRole is not bound by the protocol"),
+    (STEP2_TARGET, "", "step 2: request target role missing or unbound"),
+    (STEP2_TARGET, STEP2_TARGET.replace("PlacerRole", "MoverRole"),
+     "step 2: a request must target another role"),
+    (STEP3_KIND, STEP3_KIND.replace("performAction", "queryNext"),
+     "step 4: a report step must directly follow a perform step of the same role"),
+], ids=["integer_literal", "ambiguous_selection", "one_task_name", "role_iri",
+        "capability_count", "step_role", "action_kind", "template_count", "template_json",
+        "no_steps", "unbound_step_role", "request_target", "self_request",
+        "standalone_report"])
+def test_load_refusal_messages(setup_text, old, new, message):
+    """One setup edit per refusal, each pinned to its whole message."""
+    assert old in setup_text
+    store = NamedGraphStore()
+    store.load_turtle(SETUP_GRAPH, setup_text.replace(old, new))
+    with pytest.raises(ProtocolError) as refusal:
+        load_protocol(store, SETUP_GRAPH, task_name="move_pallet")
+    assert str(refusal.value) == message
+
+
 def test_load_unknown_task(setup_store):
     with pytest.raises(ProtocolError, match="no protocol"):
         load_protocol(setup_store, SETUP_GRAPH, task_name="paint_fence")
@@ -172,8 +230,12 @@ def test_substitute_fills_known_names_only():
 
 
 def test_at_most_one_role_has_the_turn(protocol):
-    """Whatever the cursor position, at most one role gets a real instruction."""
+    """Wherever a run can leave the cursor, at most one role gets a real
+    instruction. A report step is consumed with its perform, so the cursor
+    never rests on one."""
     for index in range(1, len(protocol.steps) + 2):
+        if index <= len(protocol.steps) and protocol.steps[index - 1].kind == REPORT_EVENT:
+            continue
         actionable = []
         for role in protocol.roles:
             task = make_task(index=index, status=IN_PROGRESS)  # asking moves it
@@ -442,9 +504,12 @@ def test_skeleton_derivation_stays_independent_of_the_mediator():
 
 
 def test_skeleton_role_labels_follow_bindings(protocol):
-    skeleton = derive_trace_skeleton(protocol, operator="driver", mediator="med")
-    assert skeleton[0] == ("request", "driver", "turtlebot")
-    assert all("kg" not in (s, r) for _, s, r in skeleton)
+    rebound = dataclasses.replace(protocol, role_assets={MOVER: kgmas("Forklift"),
+                                                         PLACER: kgmas("Crane")})
+    skeleton = derive_trace_skeleton(rebound)
+    assert skeleton[0] == ("request", "operator", "forklift")
+    assert {agent for _, s, r in skeleton for agent in (s, r)} == {
+        "operator", "kg", "forklift", "crane"}
 
 
 _STORE_WRITES = {"insert", "remove", "atomic_update", "replace", "load_turtle"}

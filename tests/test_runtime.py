@@ -12,14 +12,17 @@ from helpers import (
     fixture_path,
     fixture_text,
     graph_facts,
+    protocol_step_triples,
     put_pallet_back,
     random_asset_block,
+    random_protocol_steps,
+    setup_without_steps,
     world_state_facts,
 )
 from kgmas.acl import AclMessage, Performative, canonical_json, format_trace
 from kgmas.agents import GenericAgent
 from kgmas.connection import PICK_POSTURE
-from kgmas.errors import ValidationError
+from kgmas.errors import ProtocolError, ValidationError
 from kgmas.protocol import derive_trace_skeleton, load_protocol
 from kgmas.runtime import Scenario
 from kgmas.store import NamedGraphStore
@@ -32,6 +35,9 @@ from kgmas.vocab import (
     HAS_JOINT_STATES,
     HAS_STATUS,
     KG_AGENT_ID,
+    KIND_PERFORM_ACTION,
+    KIND_QUERY_NEXT,
+    KIND_REPORT_EVENT,
     OPERATOR_ID,
     SETUP_GRAPH,
     XSD_INTEGER,
@@ -269,6 +275,49 @@ def test_a_perform_pushed_without_a_peer_request_still_asks_what_next():
         assert result.status == "completed"
         assert scenario.world.pallet_positions() == {"Pallet1": "P2"}
     assert result.skeleton() == derive_trace_skeleton(protocol)
+
+
+def test_a_step_that_becomes_current_on_a_wait_answer_is_pushed():
+    """The placer queries first and is told to wait; the mover's perform,
+    now current, is pushed to it, and the oracle predicts that push."""
+    store = NamedGraphStore()
+    store.atomic_update(SETUP_GRAPH, [], setup_without_steps() + protocol_step_triples([
+        (KIND_QUERY_NEXT, kgmas("PlacerRole"), None, None),
+        (KIND_PERFORM_ACTION, kgmas("MoverRole"), None, None),
+        (KIND_REPORT_EVENT, kgmas("MoverRole"), None, '{"event":"pallet_delivered"}'),
+    ]))
+    protocol = load_protocol(store, SETUP_GRAPH, "move_pallet")
+    with Scenario(store, WarehouseWorld.from_file(WORLD)) as scenario:
+        result = scenario.run_task("move_pallet", PARAMS)
+    assert (result.status, result.ticks, len(result.trace)) == ("completed", 12, 8)
+    assert result.skeleton() == derive_trace_skeleton(protocol)
+
+
+def test_random_protocols_load_refused_or_run_as_the_oracle_predicts():
+    """500 seeded protocols that load, of 1-7 steps over the fixture's roles:
+    each run ends completed or failed, and each completed run sends the
+    messages ``derive_trace_skeleton`` predicts."""
+    rng = random.Random(11)
+    setup = setup_without_steps()
+    world = json.loads(fixture_text("warehouse_world.json"))
+    statuses = {"refused": 0, "completed": 0, "failed": 0}
+    disagreeing = []
+    while statuses["completed"] + statuses["failed"] < 500:
+        store = NamedGraphStore()
+        store.atomic_update(SETUP_GRAPH, [], setup + random_protocol_steps(rng))
+        try:
+            protocol = load_protocol(store, SETUP_GRAPH, "move_pallet")
+        except ProtocolError:
+            statuses["refused"] += 1
+            continue
+        with Scenario(store, WarehouseWorld.from_fixture(world)) as scenario:
+            result = scenario.run_task("move_pallet", PARAMS)
+        statuses[result.status] += 1
+        if (result.status == "completed"
+                and result.skeleton() != derive_trace_skeleton(protocol)):
+            disagreeing.append([(s.kind, s.role.local_name) for s in protocol.steps])
+    assert not disagreeing, disagreeing[:3]
+    assert min(statuses.values()) > 0, statuses
 
 
 def test_tasks_on_one_scenario_each_trace_their_own_conversation():

@@ -8,8 +8,11 @@ import random
 import pytest
 
 from helpers import fixture_path
-from kgmas.errors import WorldError
+from kgmas.connection import translate
+from kgmas.errors import ValidationError, WorldError
 from kgmas.world import (
+    KIND_MOBILE_ROBOT,
+    KIND_ROBOTIC_ARM,
     MobileRobotSim,
     NativeCommand,
     RoboticArmSim,
@@ -331,3 +334,29 @@ def test_bad_position_literal_raises():
     for text in ("cell:1", "cell:a,b", "NoSuchStation"):
         with pytest.raises(WorldError):
             world.parse_position(text)
+
+
+# -- capability translation -------------------------------------------------
+
+
+@pytest.mark.parametrize("capability, params, kind, expected", [
+    ("MotionControl", {"to": "P2"}, KIND_MOBILE_ROBOT, [cmd("goto_cell", cell=[4, 2])]),
+    ("MotionControl", {"to": [2, 3]}, KIND_MOBILE_ROBOT, [cmd("goto_cell", cell=[2, 3])]),
+    ("GripperControl", {"op": "release", "to": "P2"}, KIND_ROBOTIC_ARM, [cmd("release")]),
+])
+def test_translate_short_forms(world, capability, params, kind, expected):
+    assert translate(capability, params, kind, world) == expected
+
+
+@pytest.mark.parametrize("capability, params, kind, message", [
+    ("MotionControl", {"from": "P1"}, KIND_MOBILE_ROBOT, "MotionControl needs a destination"),
+    ("GripperControl", {"from": "P1"}, KIND_ROBOTIC_ARM, "GripperControl needs a target"),
+    ("MotionControl", {"to": "P2"}, KIND_ROBOTIC_ARM, "MotionControl requires a mobile robot"),
+    ("GripperControl", {"to": "P2"}, KIND_MOBILE_ROBOT, "GripperControl requires a robotic arm"),
+    ("Welding", {"to": "P2"}, KIND_MOBILE_ROBOT, "unknown capability 'Welding'"),
+    ("MotionControl", {"to": 7}, KIND_MOBILE_ROBOT, "cannot interpret 7 as a cell"),
+])
+def test_translate_refusals(world, capability, params, kind, message):
+    with pytest.raises(ValidationError) as refusal:
+        translate(capability, params, kind, world)
+    assert str(refusal.value) == message
