@@ -156,8 +156,9 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
     Checks: contiguous 1-based step indexes, step roles declared on the
     protocol, request targets declared and other than the requesting
     role, performs and reports in adjacent pairs of one role (perform
-    first), every role bound to exactly one asset that really has the
-    role's required capability.
+    first), a step other than a query after the last request, every role
+    bound to exactly one asset that really has the role's required
+    capability.
     """
     objects = functools.partial(store.objects, graph_id)
     candidates = [(c, [t.object.lexical for t in entry if isinstance(t.object, Literal)])
@@ -260,6 +261,10 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
             if ahead is None or (ahead.kind, ahead.role) != (PERFORM_ACTION, step.role):
                 raise ProtocolError(f"step {step.index}: a report step must directly "
                                     f"follow a perform step of the same role")
+    acting = [s for s in steps if s.kind != QUERY_NEXT]
+    if acting and acting[-1].kind == SEND_REQUEST:  # nothing would ever answer it
+        raise ProtocolError(f"step {acting[-1].index}: a request must be followed by "
+                            f"a step other than a query")
 
     return ProtocolDefinition(protocol, tasks[0], tuple(steps), roles, role_assets)
 

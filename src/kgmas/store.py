@@ -262,10 +262,9 @@ class NamedGraphStore:
                                           for slot in slots[:2])
                     for triple in graph.match(subject, predicate):
                         extended = dict(binding)
-                        values = (triple.subject, triple.predicate, triple.object)
                         if all((extended.setdefault(slot.name, value)
                                 if isinstance(slot, Variable) else slot) == value
-                               for slot, value in zip(slots, values)):
+                               for slot, value in zip(slots, triple)):
                             next_solutions.append(extended)
                 solutions = next_solutions
 

@@ -1,6 +1,8 @@
 """RDF-style term model used by the named-graph store.
 
-Terms are immutable value objects. A triple holds ground terms only;
+Terms are immutable values. ``Iri``, ``Literal`` and ``Triple`` are tuples
+underneath, so hashing, equality and field reads run in C, and their
+constructors check every field. A triple holds ground terms only;
 patterns may put variables in any position. Object positions accept
 literals, subject and predicate positions do not.
 """
@@ -8,6 +10,7 @@ literals, subject and predicate positions do not.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Union
 
@@ -17,19 +20,19 @@ _HAS_SPACE = re.compile(r"\s").search  # `\s` is exactly str.isspace()
 _HAS_FORBIDDEN = re.compile(r'[<>"]').search
 
 
-@dataclass(frozen=True)
-class Iri:
+class Iri(namedtuple("Iri", "value")):
     """An absolute identifier, stored as its full text."""
 
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.value:
+    def __new__(cls, value: str):
+        if not value:
             raise ValidationError("iri must be non-empty")
-        if _HAS_SPACE(self.value):
-            raise ValidationError(f"iri contains whitespace: {self.value!r}")
-        if _HAS_FORBIDDEN(self.value):
-            raise ValidationError(f"iri contains forbidden character: {self.value!r}")
+        if _HAS_SPACE(value):
+            raise ValidationError(f"iri contains whitespace: {value!r}")
+        if _HAS_FORBIDDEN(value):
+            raise ValidationError(f"iri contains forbidden character: {value!r}")
+        return tuple.__new__(cls, (value,))
 
     @property
     def local_name(self) -> str:
@@ -40,16 +43,15 @@ class Iri:
         return self.value
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(namedtuple("Literal", "lexical datatype")):
     """A datatyped string value. No language tags."""
 
-    lexical: str
-    datatype: Iri | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.lexical, str):
+    def __new__(cls, lexical: str, datatype: Iri | None = None):
+        if not isinstance(lexical, str):
             raise ValidationError("literal lexical form must be a string")
+        return tuple.__new__(cls, (lexical, datatype))
 
 
 @dataclass(frozen=True)
@@ -67,21 +69,19 @@ Term = Union[Iri, Literal]
 PatternTerm = Union[Iri, Literal, Variable]
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(namedtuple("Triple", "subject predicate object")):
     """A ground statement: subject and predicate are iris, object is a term."""
 
-    subject: Iri
-    predicate: Iri
-    object: Term
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.subject, Iri):
+    def __new__(cls, subject: Iri, predicate: Iri, object: Term):
+        if not isinstance(subject, Iri):
             raise ValidationError("triple subject must be an iri")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise ValidationError("triple predicate must be an iri")
-        if not isinstance(self.object, (Iri, Literal)):
+        if not isinstance(object, (Iri, Literal)):
             raise ValidationError("triple object must be an iri or literal")
+        return tuple.__new__(cls, (subject, predicate, object))
 
 
 @dataclass(frozen=True)

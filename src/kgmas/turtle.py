@@ -142,6 +142,7 @@ def parse_turtle(text: str) -> list[Triple]:
     prefixes: dict[str, str] = {}
     iris = _Iris()
     triples: list[Triple] = []
+    new = tuple.__new__  # unchecked: ``iris`` checked each iri, lexical forms are str
     for m in _STATEMENT.finditer(text):
         (name, ns, s_ref, s_pfx, s_local, p_ref, p_pfx, p_local, o_ref, o_pfx,
          o_local, lex, dt_ref, dt_pfx, dt_local) = m.groups()
@@ -158,10 +159,10 @@ def parse_turtle(text: str) -> list[Triple]:
                     lex = _ESCAPE.sub(_unescape, lex)
                 if dt_pfx is not None:
                     dt_ref = prefixes[dt_pfx] + dt_local
-                obj = Literal(lex, None if dt_ref is None else iris[dt_ref])
-            triples.append(Triple(iris[s_ref if s_pfx is None else prefixes[s_pfx] + s_local],
-                                  iris[p_ref if p_pfx is None else prefixes[p_pfx] + p_local],
-                                  obj))
+                obj = new(Literal, (lex, None if dt_ref is None else iris[dt_ref]))
+            triples.append(new(Triple, (
+                iris[s_ref if s_pfx is None else prefixes[s_pfx] + s_local],
+                iris[p_ref if p_pfx is None else prefixes[p_pfx] + p_local], obj)))
         except (KeyError, ValueError, ValidationError):
             break
     if m.lastindex is None and m.end() == len(text):

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from helpers import (NS, consistency_oracle, consistency_scan, fixture_text,
-                     setup_with_step_inside_pair)
+                     protocol_step_triples, setup_with_step_inside_pair,
+                     setup_without_steps)
 from kgmas import vocab
 from kgmas.errors import EventRejectedError, ProtocolError
 from kgmas.protocol import (
@@ -159,6 +160,44 @@ def test_load_rejects_a_perform_without_its_report_behind_it():
     with pytest.raises(ProtocolError, match="step 3: a perform step must be "
                                             "followed directly by a report"):
         load_protocol(store, SETUP_GRAPH, task_name="move_pallet")
+
+
+PLACER = kgmas("PlacerRole")
+_DELIVERED = '{"event":"pallet_delivered"}'
+
+
+@pytest.mark.parametrize("steps, message", [
+    # a one-step protocol, Placer requests Mover: it used to load, then fail
+    # at step 2 after 23 ticks, because nothing answers the last request
+    ([(vocab.KIND_SEND_REQUEST, PLACER, MOVER, None)],
+     "step 1: a request must be followed by a step other than a query"),
+    ([(vocab.KIND_QUERY_NEXT, PLACER, None, None),
+      (vocab.KIND_PERFORM_ACTION, MOVER, None, None),
+      (vocab.KIND_REPORT_EVENT, MOVER, None, _DELIVERED),
+      (vocab.KIND_SEND_REQUEST, PLACER, MOVER, None)],
+     "step 4: a request must be followed by a step other than a query"),
+    ([(vocab.KIND_SEND_REQUEST, MOVER, PLACER, None),
+      (vocab.KIND_QUERY_NEXT, PLACER, None, None),
+      (vocab.KIND_QUERY_NEXT, MOVER, None, None)],
+     "step 1: a request must be followed by a step other than a query"),
+], ids=["request_alone", "request_last", "request_then_queries"])
+def test_load_refuses_a_request_that_no_step_answers(steps, message):
+    store = NamedGraphStore()
+    store.atomic_update(SETUP_GRAPH, [], setup_without_steps() + protocol_step_triples(steps))
+    with pytest.raises(ProtocolError) as refusal:
+        load_protocol(store, SETUP_GRAPH, task_name="move_pallet")
+    assert str(refusal.value) == message
+
+
+def test_load_accepts_a_request_answered_by_a_later_step():
+    steps = [(vocab.KIND_SEND_REQUEST, MOVER, PLACER, None),
+             (vocab.KIND_QUERY_NEXT, PLACER, None, None),
+             (vocab.KIND_PERFORM_ACTION, PLACER, None, None),
+             (vocab.KIND_REPORT_EVENT, PLACER, None, _DELIVERED)]
+    store = NamedGraphStore()
+    store.atomic_update(SETUP_GRAPH, [], setup_without_steps() + protocol_step_triples(steps))
+    protocol = load_protocol(store, SETUP_GRAPH, task_name="move_pallet")
+    assert [step.index for step in protocol.steps] == [1, 2, 3, 4]
 
 
 STEP2_TARGET = "kgmas:MovePalletStep2 kgmas:targetRole kgmas:PlacerRole .\n"

@@ -10,6 +10,7 @@ import pytest
 from helpers import fixture_text, random_triples
 from kgmas import turtle
 from kgmas.errors import TurtleParseError
+from kgmas.store import NamedGraphStore
 from kgmas.terms import Iri, Literal, Triple
 from kgmas.turtle import parse_turtle, serialize_turtle
 
@@ -343,3 +344,82 @@ def test_round_trip_is_fixed_point():
     once = serialize_turtle(triples)
     twice = serialize_turtle(parse_turtle(once))
     assert once == twice
+
+
+# (written form, value) pieces of generated documents
+_PREFIXES = [("kgmas", NS), ("xsd", XSD), ("p-1", "http://other.example/path/"),
+             ("a.b", "urn:x:")]
+_LOCALS = ["a", "A-1", "x_y", "v1.2", "a.b.c", "dots..x", "0", "-", "_", ""]
+_IRI_REFS = [NS + "r", "http://other.example/p%20q?x=1&y=2", "urn:isbn:0-1",
+             "http://third.example/é#frag", "http://third.example/a;b,c", "tag:x.y,2024:z"]
+_LEXICAL_PIECES = [("plain", "plain"), ("\\t", "\t"), ("\\n", "\n"), ("\\r", "\r"),
+                   ('\\"', '"'), ("\\\\", "\\"), ("\\b", "\b"), ("\\f", "\f"),
+                   ("\\u00e9", "é"), ("\\U0001F916", "\U0001f916"), ("世", "世"),
+                   ("'", "'"), ("# not a comment", "# not a comment"), (" . ", " . ")]
+_GAPS = [" ", "  ", "\t", "\n", "\r\n", " # a comment\n", "\n# own line\n  "]
+
+
+def _generated_iri(rng: random.Random) -> tuple[str, str]:
+    if rng.random() < 0.3:
+        ref = rng.choice(_IRI_REFS)
+        return f"<{ref}>", ref
+    prefix, ns = rng.choice(_PREFIXES)
+    local = rng.choice(_LOCALS) + rng.choice(["", str(rng.randrange(9))])
+    return f"{prefix}:{local}", ns + local
+
+
+def _generated_object(rng: random.Random):
+    """The written object and the term it must read as, built through the checks."""
+    if rng.random() < 0.4:
+        written, value = _generated_iri(rng)
+        return written, Iri(value)
+    pieces = [rng.choice(_LEXICAL_PIECES) for _ in range(rng.randrange(4))]
+    written = '"' + "".join(w for w, _ in pieces) + '"'
+    lexical = "".join(v for _, v in pieces)
+    if rng.random() < 0.5:
+        return written, Literal(lexical)
+    datatype, value = _generated_iri(rng)
+    return f"{written}^^{datatype}", Literal(lexical, Iri(value))
+
+
+def generated_document(seed: int, count: int) -> tuple[str, list[Triple]]:
+    """A seeded document in every form the reader takes, and its triples."""
+    rng = random.Random(seed)
+    parts = [f"@prefix {prefix}:{rng.choice(_GAPS)}<{ns}> .\n" for prefix, ns in _PREFIXES]
+    expected = []
+    for _ in range(count):
+        (s, s_iri), (p, p_iri) = _generated_iri(rng), _generated_iri(rng)
+        o, obj = _generated_object(rng)
+        gaps = [rng.choice(_GAPS) for _ in range(4)]
+        parts.append(f"{s}{gaps[0]}{p}{gaps[1]}{o}{gaps[2]}.{gaps[3]}")
+        expected.append(Triple(Iri(s_iri), Iri(p_iri), obj))
+    return "".join(parts), expected
+
+
+def _rebuilt(term):
+    """The same term built again through the checked constructors."""
+    if type(term) is Iri:
+        return Iri(term.value)
+    assert type(term) is Literal
+    datatype = term.datatype
+    assert datatype is None or type(datatype) is Iri
+    return Literal(term.lexical, datatype and Iri(datatype.value))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parsed_terms_equal_checked_terms_and_round_trip(seed):
+    text, expected = generated_document(seed, 80)
+    parsed = parse_turtle(text)
+    assert parsed == expected
+    for triple in parsed:
+        assert type(triple) is Triple
+        rebuilt = Triple(_rebuilt(triple.subject), _rebuilt(triple.predicate),
+                         _rebuilt(triple.object))
+        assert rebuilt == triple and hash(rebuilt) == hash(triple)
+        for field in ("subject", "predicate", "object"):
+            assert type(getattr(triple, field)) is type(getattr(rebuilt, field))
+    store = NamedGraphStore()
+    store.load_turtle(NS + "g", text)
+    dumped = store.dump_turtle(NS + "g")
+    assert set(parse_turtle(dumped)) == set(expected)
+    assert serialize_turtle(parse_turtle(dumped)) == dumped
