@@ -36,7 +36,7 @@ from .protocol import (
 from .rami import AgentBlueprint, extract_blueprint, list_assets, validate_setup
 from .store import NamedGraphStore
 from .terms import Iri, Literal
-from .transports import Endpoint, TransportRegistry
+from .transports import TransportRegistry
 from .vocab import (
     HAS_REALM,
     HAS_STATUS,
@@ -167,9 +167,9 @@ class GenericAgent:
 
     def _follow(self, content: dict, conversation: str) -> None:
         action = content.get("action")
-        request = self._tasks.get(conversation)
-        if action == "send_request" and request:
-            self._send(Performative.REQUEST, content["to"], request, conversation)
+        if action == "send_request":
+            self._send(Performative.REQUEST, content["to"], self._tasks.get(conversation),
+                       conversation)
         elif action == "perform":
             self._tasks.setdefault(conversation, {})
             if self.channel is None:
@@ -239,16 +239,14 @@ class KgAgent:
         self.data_graph = data_graph
         self._clock = clock or (lambda: 0)
         # conversation id -> the task it belongs to
-        self._tasks: dict[str, tuple[ProtocolDefinition, TaskState]] = {}
+        self._tasks: dict[str, TaskState] = {}
         self._task_counter = itertools.count(1)
 
     def create_task(self, protocol: ProtocolDefinition, params: dict) -> TaskState:
         number = next(self._task_counter)
-        task = TaskState(task_id=f"Task_{protocol.task_name}_{number}",
-                         task_name=protocol.task_name,
-                         protocol_id=protocol.protocol_id,
-                         params={k: str(v) for k, v in params.items()})
-        self._tasks[task.conversation_id] = (protocol, task)
+        task = TaskState(f"Task_{protocol.task_name}_{number}", protocol,
+                         {k: str(v) for k, v in params.items()})
+        self._tasks[task.conversation_id] = task
         write_task_state(self.store, self.data_graph, task)
         return task
 
@@ -270,8 +268,8 @@ class KgAgent:
     def _handle(self, message: AclMessage) -> None:
         content = message.content if isinstance(message.content, dict) else {}
         performative = message.performative
-        protocol, task = self._tasks.get(message.conversation_id, (None, None))
-        role = protocol.role_of_agent(message.sender) if task is not None else None
+        task = self._tasks.get(message.conversation_id)
+        role = task.protocol.role_of_agent(message.sender) if task is not None else None
         is_failure = performative is Performative.FAILURE
         if is_failure and role is not None:
             if not task.finished:
@@ -293,13 +291,13 @@ class KgAgent:
         elif role is None:
             verb, reply = Performative.REFUSE, {"reason": "unknown_role"}
         elif not is_query:
-            verb, reply = self._record(protocol, task, role, content)
+            verb, reply = self._record(task, role, content)
         else:
             before = (task.index, task.status)
             if query == "next_action":
-                reply = next_action(protocol, task, role)
+                reply = next_action(task, role)
             else:
-                reply = handle_request(protocol, task, role, content)
+                reply = handle_request(task, role, content)
             if (task.index, task.status) != before:
                 write_task_state(self.store, self.data_graph, task)
             verb = Performative.INFORM
@@ -307,16 +305,16 @@ class KgAgent:
                 verb, reply = Performative.REFUSE, {"reason": reply["reason"]}
         self._send(verb, message.sender, reply, message.conversation_id,
                    message.reply_with if is_query else None)
-        push = None if verb is Performative.REFUSE else next_push(protocol, task)
+        push = None if verb is Performative.REFUSE else next_push(task)
         if push is not None:
             self._send(Performative.INFORM, *push, task.conversation_id)
 
-    def _record(self, protocol: ProtocolDefinition, task: TaskState,
-                role: Iri, content: dict) -> tuple[Performative, dict]:
+    def _record(self, task: TaskState, role: Iri,
+                content: dict) -> tuple[Performative, dict]:
         event = content.get("event")
         try:
-            record_event(self.store, self.data_graph, protocol, task, role,
-                         event, self._clock())
+            record_event(self.store, self.data_graph, task, role, event,
+                         self._clock())
         except EventRejectedError as exc:
             return Performative.REFUSE, {"reason": "event_rejected", "detail": str(exc)}
         return Performative.CONFIRM, {"event": event}
@@ -335,8 +333,7 @@ class AgentHandle:
 
 def instantiate(blueprint: AgentBlueprint, *, bus: Bus, store: NamedGraphStore,
                 data_graph, world: WarehouseWorld,
-                registry: TransportRegistry,
-                transport_override: str | None = None) -> AgentHandle:
+                registry: TransportRegistry) -> AgentHandle:
     """Build the live agent for a blueprint.
 
     Registers the bus identity, opens the agent's channel and then, when
@@ -344,16 +341,13 @@ def instantiate(blueprint: AgentBlueprint, *, bus: Bus, store: NamedGraphStore,
     its device's state itself; the realm is mirrored here.
     """
     agent_id = blueprint.agent_id
-    endpoint = blueprint.binding
-    if transport_override is not None:
-        endpoint = Endpoint(transport_override, endpoint.address)
     bus.register(agent_id)
     channel = connection = None
     try:
-        channel = AgentChannel(blueprint, registry.resolve(endpoint))
+        channel = AgentChannel(blueprint, registry.resolve(blueprint.binding))
         if agent_id in world.devices:
             connection = ConnectionComponent(
-                blueprint, registry.resolve(endpoint), world, store, data_graph)
+                blueprint, registry.resolve(blueprint.binding), world, store, data_graph)
     except Exception:
         if channel is not None:
             channel.close()

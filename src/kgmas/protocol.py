@@ -4,20 +4,27 @@ A protocol is a task name, a set of roles (each requiring one
 capability) and an ordered list of steps. Step kinds:
 
 * ``query_next``: the role asks the mediator what to do; asking
-  consumes the step
-* ``send_request``: the role requests another role to act; consumed
-  when that role consults the mediator about the request
+  consumes the step. A role asks when the task starts (the initiating
+  role), after its report is confirmed, and after its own query, so a
+  query sits at one of those moments or among the queries after the
+  last report, which the task does not wait for.
+* ``send_request``: a role that holds the task request (the initiating
+  role, or one an earlier request targeted) forwards it to another
+  role; consumed when that role consults the mediator about it
 * ``perform_action``: the role exercises its capability on its device
 * ``report_event``: the second half of the perform step right in front
   of it, owned by the same role: the event the role reports when the
   action is done. Recording it consumes the pair.
 
-The functions here hold the coordination semantics. Each mediator rule
-answers one message and moves the task as that message requires:
-``next_action`` and ``handle_request`` answer queries, ``record_event``
-records a report, and ``next_push`` hands out a current step nobody has
-asked for. Consistency checking lives here too. The mediator agent only
-wraps these rules with messaging.
+The functions here hold the coordination semantics. A ``TaskState`` is
+the one record of a task: its protocol, its parameters and its step
+cursor. Each mediator rule takes the task alone, answers one message and
+moves the cursor as that message requires: ``next_action`` and
+``handle_request`` answer queries, ``record_event`` records a report, and
+``next_push`` hands out a current step nobody has asked for. Only a rule
+that completes the task moves the cursor past the last step. Consistency
+checking lives here too. The mediator agent only wraps these rules with
+messaging.
 """
 
 from __future__ import annotations
@@ -85,16 +92,22 @@ class ProtocolDefinition:
 
 @dataclass
 class TaskState:
-    """Progress of one task instance through its protocol."""
+    """One task instance: the protocol it runs and its progress through it.
+
+    ``index`` is the step cursor. Every rule leaves a finished task alone,
+    so a failed task's cursor names the step it stalled at.
+    """
 
     task_id: str
-    task_name: str
-    protocol_id: Iri
+    protocol: ProtocolDefinition
     params: dict[str, str]
     index: int = 1
     status: str = PENDING
-    failed_step: int | None = None
     instructed: set[int] = field(default_factory=set)  # steps handed out
+
+    @property
+    def task_name(self) -> str:
+        return self.protocol.task_name
 
     @property
     def iri(self) -> Iri:
@@ -156,9 +169,10 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
     Checks: contiguous 1-based step indexes, step roles declared on the
     protocol, request targets declared and other than the requesting
     role, performs and reports in adjacent pairs of one role (perform
-    first), a step other than a query after the last request, every role
-    bound to exactly one asset that really has the role's required
-    capability.
+    first), a step other than a query after the last request, requests
+    only from roles that hold the task request, queries only where their
+    role asks (see the module docstring), every role bound to exactly
+    one asset that really has the role's required capability.
     """
     objects = functools.partial(store.objects, graph_id)
     candidates = [(c, [t.object.lexical for t in entry if isinstance(t.object, Literal)])
@@ -265,6 +279,27 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
     if acting and acting[-1].kind == SEND_REQUEST:  # nothing would ever answer it
         raise ProtocolError(f"step {acting[-1].index}: a request must be followed by "
                             f"a step other than a query")
+    initiator = steps[0].role
+    holders = {initiator}  # roles that hold the task request, so can forward it
+    last_report = max((s.index for s in steps if s.kind == REPORT_EVENT),
+                      default=len(steps) + 1)
+    opening = True  # still in the initiating role's opening queries
+    for step in steps:
+        ahead = steps[step.index - 2] if step.index > 1 else None
+        opening = opening and (step.kind, step.role) == (QUERY_NEXT, initiator)
+        if step.kind == SEND_REQUEST:
+            if step.role not in holders:
+                raise ProtocolError(f"step {step.index}: a request must come from the "
+                                    f"initiating role or a role an earlier request "
+                                    f"targeted")
+            holders.add(step.target_role)
+        elif step.kind == QUERY_NEXT and not (  # a role asks at no other moment
+                opening or step.index > last_report
+                or (ahead is not None and ahead.role == step.role
+                    and ahead.kind in (REPORT_EVENT, QUERY_NEXT))):
+            raise ProtocolError(f"step {step.index}: a query step must open the protocol "
+                                f"for the initiating role, directly follow a report or "
+                                f"query of its own role, or come after the last report")
 
     return ProtocolDefinition(protocol, tasks[0], tuple(steps), roles, role_assets)
 
@@ -272,10 +307,10 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
 # -- mediator rules --------------------------------------------------------
 
 
-def _instruction_for(protocol: ProtocolDefinition, task: TaskState,
-                     step: ProtocolStep) -> dict:
+def _instruction_for(task: TaskState, step: ProtocolStep) -> dict:
     """The instruction that hands a step to its owner; the step counts as instructed."""
     task.instructed.add(step.index)
+    protocol = task.protocol
     if step.kind == SEND_REQUEST:
         return {"action": "send_request",
                 "to": protocol.agent_for(step.target_role),
@@ -288,7 +323,7 @@ def _instruction_for(protocol: ProtocolDefinition, task: TaskState,
             "report": event_name_of(protocol.steps[step.index])}
 
 
-def next_action(protocol: ProtocolDefinition, task: TaskState, role: Iri) -> dict:
+def next_action(task: TaskState, role: Iri) -> dict:
     """Answer a role asking what to do now.
 
     Query steps owned by the asker at the cursor are the act of asking
@@ -298,7 +333,7 @@ def next_action(protocol: ProtocolDefinition, task: TaskState, role: Iri) -> dic
     """
     if task.finished:
         return {"action": "done"}
-    steps = protocol.steps
+    steps = task.protocol.steps
     while (task.index <= len(steps) and steps[task.index - 1].kind == QUERY_NEXT
            and steps[task.index - 1].role == role):
         task.index += 1
@@ -309,44 +344,41 @@ def next_action(protocol: ProtocolDefinition, task: TaskState, role: Iri) -> dic
     step = steps[task.index - 1]
     if step.role != role:
         return {"action": "wait"}
-    return _instruction_for(protocol, task, step)
+    return _instruction_for(task, step)
 
 
-def handle_request(protocol: ProtocolDefinition, task: TaskState, role: Iri,
-                   content) -> dict:
+def handle_request(task: TaskState, role: Iri, content) -> dict:
     """Answer a role asking how to treat a peer's task request.
 
     A request naming a different task is refused, and a finished task
     yields ``done``. Otherwise the request step aimed at the role is
     consumed if it is current, and the role is instructed with its next
-    perform step.
+    perform step. A request is never the last step other than a query, so
+    consuming one leaves the cursor on a step.
     """
     if not isinstance(content, dict) or content.get("task") != task.task_name:
         return {"action": "refuse", "reason": "task_mismatch"}
     if task.finished:
         return {"action": "done"}
-    steps = protocol.steps
-    if task.index <= len(steps):
-        current = steps[task.index - 1]
-        if current.kind == SEND_REQUEST and current.target_role == role:
-            task.index += 1
-            task.status = IN_PROGRESS
+    steps = task.protocol.steps
+    current = steps[task.index - 1]
+    if current.kind == SEND_REQUEST and current.target_role == role:
+        task.index += 1
+        task.status = IN_PROGRESS
     for step in steps[task.index - 1:]:
         if step.kind == PERFORM_ACTION and step.role == role:
-            return _instruction_for(protocol, task, step)
+            return _instruction_for(task, step)
     return {"action": "wait"}
 
 
-def next_push(protocol: ProtocolDefinition,
-              task: TaskState) -> tuple[str, dict] | None:
+def next_push(task: TaskState) -> tuple[str, dict] | None:
     """Agent and instruction for a current request or perform step nobody has yet."""
-    steps = protocol.steps
-    if task.finished or task.index > len(steps):
+    if task.finished:
         return None
-    step = steps[task.index - 1]
+    step = task.protocol.steps[task.index - 1]
     if step.kind not in (SEND_REQUEST, PERFORM_ACTION) or step.index in task.instructed:
         return None
-    return protocol.agent_for(step.role), _instruction_for(protocol, task, step)
+    return task.protocol.agent_for(step.role), _instruction_for(task, step)
 
 
 def _int_literal(value: int) -> Literal:
@@ -362,8 +394,7 @@ def write_task_state(store: NamedGraphStore, graph_id, task: TaskState) -> int:
     })
 
 
-def record_event(store: NamedGraphStore, graph_id,
-                 protocol: ProtocolDefinition, task: TaskState,
+def record_event(store: NamedGraphStore, graph_id, task: TaskState,
                  role: Iri, event_name: str, tick: int) -> int:
     """Record a reported event and advance the task.
 
@@ -375,10 +406,10 @@ def record_event(store: NamedGraphStore, graph_id,
     """
     if task.finished:
         raise EventRejectedError(f"task is {task.status}")
-    steps = protocol.steps
+    steps = task.protocol.steps
     i = task.index
-    current = steps[i - 1] if i <= len(steps) else None
-    if (current is None or current.kind != PERFORM_ACTION or current.role != role
+    current = steps[i - 1]
+    if (current.kind != PERFORM_ACTION or current.role != role
             or event_name_of(steps[i]) != event_name):
         raise EventRejectedError(
             f"event {event_name!r} from this role does not match step {i}")
@@ -401,9 +432,8 @@ def record_event(store: NamedGraphStore, graph_id,
 
 
 def mark_failed(store: NamedGraphStore, graph_id, task: TaskState) -> int:
-    """Fail the task at its current step."""
+    """Fail the task; its cursor stays on the step it stalled at."""
     task.status = FAILED
-    task.failed_step = task.index
     return write_task_state(store, graph_id, task)
 
 

@@ -14,7 +14,7 @@ so two runs of the same scenario produce byte-identical traces and dumps.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .acl import AclMessage, Bus, Performative
 from .agents import (
@@ -26,10 +26,10 @@ from .agents import (
     shutdown,
 )
 from .errors import ValidationError
-from .protocol import TaskState, check_world_consistency, load_protocol, mark_failed
+from .protocol import FAILED, TaskState, check_world_consistency, load_protocol, mark_failed
 from .store import NamedGraphStore
 from .terms import Literal
-from .transports import TransportRegistry, default_registry
+from .transports import Endpoint, TransportRegistry, default_registry
 from .vocab import AT_POSITION, DATA_GRAPH, SETUP_GRAPH, kgmas
 from .world import WarehouseWorld
 
@@ -89,10 +89,12 @@ class Scenario:
             agent_id = blueprint.agent_id
             if instantiate_only is not None and agent_id not in instantiate_only:
                 continue
+            if agent_id in overrides:
+                blueprint = replace(blueprint, binding=Endpoint(
+                    overrides[agent_id], blueprint.binding.address))
             self.handles[agent_id] = instantiate(
                 blueprint, bus=self.bus, store=store, data_graph=DATA_GRAPH,
-                world=world, registry=self.registry,
-                transport_override=overrides.get(agent_id))
+                world=world, registry=self.registry)
         self._agents = [handle.agent for handle in self.handles.values()]
         self._connections = [handle.connection for handle in self.handles.values()
                              if handle.connection is not None]
@@ -145,17 +147,13 @@ class Scenario:
         the bus drains, so trailing confirmations still make the trace;
         mail to the operator is logged and dropped after each tick.
         """
-        params = {k: str(v) for k, v in (params or {}).items()}
         protocol = load_protocol(self.store, SETUP_GRAPH, task_name)
-        task = self.kg.create_task(protocol, params)
+        task = self.kg.create_task(protocol, params or {})
         conversation = task.conversation_id
         initiator = protocol.agent_for(protocol.initiator_role)
         self.bus.send(AclMessage(Performative.REQUEST, OPERATOR_ID, initiator,
-                                 {"task": task.task_name, **params},
-                                 conversation))
+                                 task.template_bindings, conversation))
         deadline_ticks = max(0, int(self.deadline_ms) // TICK_MS)
-        if deadline_ticks == 0:
-            mark_failed(self.store, DATA_GRAPH, task)
         start_tick = self.world.tick
         cap = (deadline_ticks + 1) * (len(protocol.steps) + 2) + 100
         violations: list[int] = []
@@ -184,7 +182,7 @@ class Scenario:
                 mark_failed(self.store, DATA_GRAPH, task)
         return RunResult(
             status=task.status,
-            stalled_step=task.failed_step,
+            stalled_step=task.index if task.status == FAILED else None,
             ticks=self.world.tick - start_tick,
             conversation_id=conversation,
             trace=self.bus.conversation_log(conversation),

@@ -51,6 +51,8 @@ class Literal(namedtuple("Literal", "lexical datatype")):
     def __new__(cls, lexical: str, datatype: Iri | None = None):
         if not isinstance(lexical, str):
             raise ValidationError("literal lexical form must be a string")
+        if datatype is not None and not isinstance(datatype, Iri):
+            raise ValidationError("literal datatype must be an iri")
         return tuple.__new__(cls, (lexical, datatype))
 
 

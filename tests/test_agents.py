@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -28,7 +29,7 @@ from kgmas.protocol import (
 )
 from kgmas.store import NamedGraphStore
 from kgmas.terms import Literal, Triple
-from kgmas.transports import default_registry
+from kgmas.transports import Endpoint, default_registry
 from kgmas.vocab import (
     AT_POSITION,
     DATA_GRAPH,
@@ -158,16 +159,18 @@ def test_instantiate_twice_is_rejected(scene):
     shutdown(handle, bus=bus, store=store, data_graph=DATA_GRAPH)
 
 
+def on_scheme(blueprint, scheme):
+    return dataclasses.replace(blueprint, binding=Endpoint(scheme, blueprint.binding.address))
+
+
 def test_failed_instantiate_releases_the_bus_identity(scene):
     bus, registry, store, world, specs = scene
     with pytest.raises(UnknownSchemeError):
-        instantiate(specs["turtlebot"], bus=bus, store=store,
-                    data_graph=DATA_GRAPH, world=world, registry=registry,
-                    transport_override="carrier-pigeon")
+        instantiate(on_scheme(specs["turtlebot"], "carrier-pigeon"), bus=bus,
+                    store=store, data_graph=DATA_GRAPH, world=world, registry=registry)
     # the id must be free again for a corrected attempt
-    handle = instantiate(specs["turtlebot"], bus=bus, store=store,
-                         data_graph=DATA_GRAPH, world=world, registry=registry,
-                         transport_override="mqtt")
+    handle = instantiate(on_scheme(specs["turtlebot"], "mqtt"), bus=bus, store=store,
+                         data_graph=DATA_GRAPH, world=world, registry=registry)
     shutdown(handle, bus=bus, store=store, data_graph=DATA_GRAPH)
 
 
@@ -247,7 +250,7 @@ def test_generic_agent_runs_the_query_loop(setup_store):
 
 def test_generic_agent_keeps_task_memory_per_conversation():
     """``done`` in one conversation clears nothing in another, and an
-    instruction to forward a request needs that conversation's request."""
+    instruction to forward a request forwards that conversation's request."""
     bus = Bus()
     for agent_id in ("kg", "operator", "a", "b"):
         bus.register(agent_id)
@@ -255,7 +258,7 @@ def test_generic_agent_keeps_task_memory_per_conversation():
     bus.send(AclMessage(Performative.REQUEST, "operator", "a",
                         {"task": "t1", "from": "P1"}, "A"))
     bus.send(AclMessage(Performative.INFORM, "kg", "a",
-                        {"action": "send_request", "to": "b"}, "C"))
+                        {"action": "send_request", "to": "b"}, "A"))
     bus.send(AclMessage(Performative.INFORM, "kg", "a", {"action": "done"}, "B"))
     bus.send(AclMessage(Performative.CONFIRM, "kg", "a", {"event": "x"}, "A"))
     agent.activate()
@@ -263,7 +266,8 @@ def test_generic_agent_keeps_task_memory_per_conversation():
     assert [(q.content, q.conversation_id) for q in queries] == [
         ({"query": "next_action", "task": "t1"}, "A")] * 2
     assert bus.try_receive("kg") is None
-    assert bus.try_receive("b") is None
+    forwarded = bus.try_receive("b")
+    assert (forwarded.content, forwarded.conversation_id) == ({"task": "t1", "from": "P1"}, "A")
 
 
 def test_generic_agent_without_device_fails_perform(setup_store):
@@ -406,8 +410,6 @@ def test_mediator_answers_one_message(setup_store, before, sender, performative,
     protocol = load_protocol(setup_store, SETUP_GRAPH, task_name=MOVE)
     task = kg.create_task(protocol, params)
     task.index, task.status = before
-    if task.status == FAILED:
-        task.failed_step = task.index
     conversation = f"conv-{task.task_id}"
     bus.send(AclMessage(performative, sender, "kg", content, conversation,
                         reply_with="q-1"))
@@ -417,7 +419,6 @@ def test_mediator_answers_one_message(setup_store, before, sender, performative,
             for m in sent] == replies
     assert all(m.sender == "kg" and m.conversation_id == conversation for m in sent)
     assert (task.index, task.status) == after
-    assert task.failed_step == (3 if after[1] == FAILED else None)
 
 
 # -- routing by conversation ---------------------------------------------------

@@ -73,8 +73,8 @@ def protocol(setup_store):
     return load_protocol(setup_store, SETUP_GRAPH, task_name="move_pallet")
 
 
-def make_task(index=1, status=PENDING, params=None):
-    return TaskState("T1", "move_pallet", kgmas("MovePalletProtocol"),
+def make_task(protocol, index=1, status=PENDING, params=None):
+    return TaskState("T1", protocol,
                      params if params is not None else {"from": "P1", "to": "P2"},
                      index=index, status=status)
 
@@ -166,6 +166,13 @@ PLACER = kgmas("PlacerRole")
 _DELIVERED = '{"event":"pallet_delivered"}'
 
 
+def load_steps(steps):
+    """Load the fixture protocol with its steps replaced by ``steps``."""
+    store = NamedGraphStore()
+    store.atomic_update(SETUP_GRAPH, [], setup_without_steps() + protocol_step_triples(steps))
+    return load_protocol(store, SETUP_GRAPH, task_name="move_pallet")
+
+
 @pytest.mark.parametrize("steps, message", [
     # a one-step protocol, Placer requests Mover: it used to load, then fail
     # at step 2 after 23 ticks, because nothing answers the last request
@@ -182,22 +189,60 @@ _DELIVERED = '{"event":"pallet_delivered"}'
      "step 1: a request must be followed by a step other than a query"),
 ], ids=["request_alone", "request_last", "request_then_queries"])
 def test_load_refuses_a_request_that_no_step_answers(steps, message):
-    store = NamedGraphStore()
-    store.atomic_update(SETUP_GRAPH, [], setup_without_steps() + protocol_step_triples(steps))
     with pytest.raises(ProtocolError) as refusal:
-        load_protocol(store, SETUP_GRAPH, task_name="move_pallet")
+        load_steps(steps)
     assert str(refusal.value) == message
 
 
 def test_load_accepts_a_request_answered_by_a_later_step():
     steps = [(vocab.KIND_SEND_REQUEST, MOVER, PLACER, None),
-             (vocab.KIND_QUERY_NEXT, PLACER, None, None),
              (vocab.KIND_PERFORM_ACTION, PLACER, None, None),
-             (vocab.KIND_REPORT_EVENT, PLACER, None, _DELIVERED)]
-    store = NamedGraphStore()
-    store.atomic_update(SETUP_GRAPH, [], setup_without_steps() + protocol_step_triples(steps))
-    protocol = load_protocol(store, SETUP_GRAPH, task_name="move_pallet")
-    assert [step.index for step in protocol.steps] == [1, 2, 3, 4]
+             (vocab.KIND_REPORT_EVENT, PLACER, None, _DELIVERED),
+             (vocab.KIND_QUERY_NEXT, PLACER, None, None)]
+    assert [step.index for step in load_steps(steps).steps] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("steps, message", [
+    # the placer queries, then the mover is pushed a request it cannot
+    # forward: it holds no task request in the conversation
+    ([(vocab.KIND_QUERY_NEXT, PLACER, None, None),
+      (vocab.KIND_SEND_REQUEST, MOVER, PLACER, None),
+      (vocab.KIND_PERFORM_ACTION, MOVER, None, None),
+      (vocab.KIND_REPORT_EVENT, MOVER, None, _DELIVERED)],
+     "step 2: a request must come from the initiating role or a role an earlier "
+     "request targeted"),
+    # the placer is told to wait, and nothing prompts the mover to ask
+    ([(vocab.KIND_QUERY_NEXT, PLACER, None, None),
+      (vocab.KIND_QUERY_NEXT, MOVER, None, None)],
+     "step 2: a query step must open the protocol for the initiating role, directly "
+     "follow a report or query of its own role, or come after the last report"),
+    # a query between a request and the answering perform is never asked
+    ([(vocab.KIND_SEND_REQUEST, MOVER, PLACER, None),
+      (vocab.KIND_QUERY_NEXT, PLACER, None, None),
+      (vocab.KIND_PERFORM_ACTION, PLACER, None, None),
+      (vocab.KIND_REPORT_EVENT, PLACER, None, _DELIVERED)],
+     "step 2: a query step must open the protocol for the initiating role, directly "
+     "follow a report or query of its own role, or come after the last report"),
+], ids=["request_without_the_task", "query_never_prompted", "query_behind_a_request"])
+def test_load_refuses_a_protocol_the_mediator_cannot_run(steps, message):
+    with pytest.raises(ProtocolError) as refusal:
+        load_steps(steps)
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("steps", [
+    [(vocab.KIND_QUERY_NEXT, MOVER, None, None), (vocab.KIND_QUERY_NEXT, MOVER, None, None),
+     (vocab.KIND_PERFORM_ACTION, MOVER, None, None),
+     (vocab.KIND_REPORT_EVENT, MOVER, None, _DELIVERED)],
+    [(vocab.KIND_SEND_REQUEST, MOVER, PLACER, None),
+     (vocab.KIND_SEND_REQUEST, PLACER, MOVER, None),
+     (vocab.KIND_PERFORM_ACTION, MOVER, None, None),
+     (vocab.KIND_REPORT_EVENT, MOVER, None, _DELIVERED),
+     (vocab.KIND_QUERY_NEXT, MOVER, None, None), (vocab.KIND_QUERY_NEXT, MOVER, None, None),
+     (vocab.KIND_QUERY_NEXT, PLACER, None, None)],
+], ids=["opening_queries", "forwarded_request_and_trailing_queries"])
+def test_load_accepts_every_moment_a_role_asks_or_forwards(steps):
+    assert len(load_steps(steps).steps) == len(steps)
 
 
 STEP2_TARGET = "kgmas:MovePalletStep2 kgmas:targetRole kgmas:PlacerRole .\n"
@@ -277,15 +322,15 @@ def test_at_most_one_role_has_the_turn(protocol):
             continue
         actionable = []
         for role in protocol.roles:
-            task = make_task(index=index, status=IN_PROGRESS)  # asking moves it
-            if next_action(protocol, task, role)["action"] not in ("wait", "done"):
+            task = make_task(protocol, index=index, status=IN_PROGRESS)  # asking moves it
+            if next_action(task, role)["action"] not in ("wait", "done"):
                 actionable.append(role)
         assert len(actionable) <= 1, (index, actionable)
 
 
 def test_next_action_skips_own_query_step(protocol):
-    task = make_task(index=1)
-    answer = next_action(protocol, task, MOVER)
+    task = make_task(protocol, index=1)
+    answer = next_action(task, MOVER)
     assert answer == {"action": "send_request", "to": "roboticarm",
                       "task": "move_pallet"}
     assert (task.index, task.status) == (2, IN_PROGRESS)
@@ -293,8 +338,8 @@ def test_next_action_skips_own_query_step(protocol):
 
 
 def test_next_action_perform_carries_params_and_report(protocol):
-    task = make_task(index=3)
-    answer = next_action(protocol, task, MOVER)
+    task = make_task(protocol, index=3)
+    answer = next_action(task, MOVER)
     assert answer["action"] == "perform"
     assert answer["capability"] == "MotionControl"
     assert answer["params"] == {"from": "P1", "to": "cell:3,2"}
@@ -303,55 +348,55 @@ def test_next_action_perform_carries_params_and_report(protocol):
 
 
 def test_next_action_out_of_turn_waits(protocol):
-    task = make_task(index=3)
-    assert next_action(protocol, task, PLACER) == {"action": "wait"}
+    task = make_task(protocol, index=3)
+    assert next_action(task, PLACER) == {"action": "wait"}
     assert (task.index, task.status, task.instructed) == (3, PENDING, set())
 
 
 def test_next_action_done_after_completion(protocol):
-    task = make_task(index=8, status=COMPLETED)
-    assert next_action(protocol, task, MOVER) == {"action": "done"}
-    assert next_action(protocol, make_task(index=7), PLACER) == {"action": "done"}
+    task = make_task(protocol, index=8, status=COMPLETED)
+    assert next_action(task, MOVER) == {"action": "done"}
+    assert next_action(make_task(protocol, index=7), PLACER) == {"action": "done"}
 
 
 def test_next_action_consumes_the_askers_query_steps(protocol):
-    task = make_task(index=1)
-    next_action(protocol, task, MOVER)
+    task = make_task(protocol, index=1)
+    next_action(task, MOVER)
     assert (task.index, task.status) == (2, IN_PROGRESS)
-    next_action(protocol, task, MOVER)
+    next_action(task, MOVER)
     assert (task.index, task.status) == (2, IN_PROGRESS)
 
-    tail = make_task(index=7, status=IN_PROGRESS)
-    next_action(protocol, tail, PLACER)
+    tail = make_task(protocol, index=7, status=IN_PROGRESS)
+    next_action(tail, PLACER)
     assert (tail.index, tail.status) == (8, COMPLETED)
 
 
 def test_handle_request_instructs_the_recipient(protocol):
-    task = make_task(index=2, status=IN_PROGRESS)
-    answer = handle_request(protocol, task, PLACER,
+    task = make_task(protocol, index=2, status=IN_PROGRESS)
+    answer = handle_request(task, PLACER,
                             {"task": "move_pallet", "from": "P1", "to": "P2"})
     assert answer == {"action": "perform", "capability": "GripperControl",
                       "params": {"from": "P1", "to": "P2"},
                       "report": "pallet_placed"}
     assert (task.index, task.status) == (3, IN_PROGRESS)
     assert task.instructed == {5}
-    late = make_task(index=7, status=IN_PROGRESS)
-    assert handle_request(protocol, late, PLACER,
+    late = make_task(protocol, index=7, status=IN_PROGRESS)
+    assert handle_request(late, PLACER,
                           {"task": "move_pallet"}) == {"action": "wait"}
 
 
 def test_handle_request_refuses_other_tasks(protocol):
-    task = make_task(index=2, status=IN_PROGRESS)
+    task = make_task(protocol, index=2, status=IN_PROGRESS)
     for content in ({"task": "paint_fence"}, {}, "move_pallet"):
-        answer = handle_request(protocol, task, PLACER, content)
+        answer = handle_request(task, PLACER, content)
         assert answer == {"action": "refuse", "reason": "task_mismatch"}
     assert (task.index, task.status, task.instructed) == (2, IN_PROGRESS, set())
 
 
 def test_record_event_advances_past_the_pair(protocol):
     store = NamedGraphStore()
-    task = make_task(index=3, status=IN_PROGRESS)
-    record_event(store, DATA_GRAPH, protocol, task, MOVER,
+    task = make_task(protocol, index=3, status=IN_PROGRESS)
+    record_event(store, DATA_GRAPH, task, MOVER,
                  "pallet_delivered", tick=11)
     assert (task.index, task.status) == (5, IN_PROGRESS)
     event = kgmas("T1_event_4")
@@ -366,8 +411,8 @@ def test_record_event_advances_past_the_pair(protocol):
 
 def test_record_event_completes_when_only_queries_remain(protocol):
     store = NamedGraphStore()
-    task = make_task(index=5, status=IN_PROGRESS)
-    record_event(store, DATA_GRAPH, protocol, task, PLACER,
+    task = make_task(protocol, index=5, status=IN_PROGRESS)
+    record_event(store, DATA_GRAPH, task, PLACER,
                  "pallet_placed", tick=19)
     assert (task.index, task.status) == (8, COMPLETED)
     assert Triple(task.iri, vocab.TASK_STATUS,
@@ -382,25 +427,25 @@ def test_record_event_completes_when_only_queries_remain(protocol):
 ])
 def test_record_event_rejects_mismatches(protocol, index, role, event):
     store = NamedGraphStore()
-    task = make_task(index=index, status=IN_PROGRESS)
+    task = make_task(protocol, index=index, status=IN_PROGRESS)
     before = store.revision
     with pytest.raises(EventRejectedError):
-        record_event(store, DATA_GRAPH, protocol, task, role, event, tick=1)
+        record_event(store, DATA_GRAPH, task, role, event, tick=1)
     assert store.revision == before
     assert (task.index, task.status) == (index, IN_PROGRESS)
 
 
 def test_record_event_rejects_after_the_end(protocol):
     store = NamedGraphStore()
-    task = make_task(index=8, status=COMPLETED)
+    task = make_task(protocol, index=8, status=COMPLETED)
     with pytest.raises(EventRejectedError, match="completed"):
-        record_event(store, DATA_GRAPH, protocol, task, PLACER,
+        record_event(store, DATA_GRAPH, task, PLACER,
                      "pallet_placed", tick=30)
 
 
 def test_task_state_written_single_valued(protocol):
     store = NamedGraphStore()
-    task = make_task(index=2, status=IN_PROGRESS)
+    task = make_task(protocol, index=2, status=IN_PROGRESS)
     write_task_state(store, DATA_GRAPH, task)
     task.index = 5
     write_task_state(store, DATA_GRAPH, task)
@@ -411,13 +456,13 @@ def test_task_state_written_single_valued(protocol):
 
 def test_mark_failed_records_the_stalled_step(protocol):
     store = NamedGraphStore()
-    task = make_task(index=2, status=IN_PROGRESS)
+    task = make_task(protocol, index=2, status=IN_PROGRESS)
     mark_failed(store, DATA_GRAPH, task)
     assert task.status == FAILED
-    assert task.failed_step == 2
+    assert task.index == 2
     assert Triple(task.iri, vocab.TASK_STATUS,
                   Literal("failed")) in store.triples(DATA_GRAPH)
-    assert next_action(protocol, task, MOVER) == {"action": "done"}
+    assert next_action(task, MOVER) == {"action": "done"}
 
 
 # -- consistency checking ---------------------------------------------------

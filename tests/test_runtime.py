@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import types
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ from kgmas.agents import GenericAgent
 from kgmas.connection import PICK_POSTURE
 from kgmas.errors import ProtocolError, ValidationError
 from kgmas.protocol import derive_trace_skeleton, load_protocol
-from kgmas.runtime import Scenario
+from kgmas.runtime import DEFAULT_DEADLINE_MS, TICK_MS, Scenario
 from kgmas.store import NamedGraphStore
 from kgmas.terms import Literal, Triple
 from kgmas.vocab import (
@@ -45,6 +46,7 @@ from kgmas.vocab import (
 )
 from kgmas.world import WarehouseWorld
 
+GOLDEN_TRACE = Path(__file__).resolve().parent.parent / "bench" / "golden" / "trace.log"
 SETUP = fixture_path("fig3_setup.ttl")
 WORLD = fixture_path("warehouse_world.json")
 PARAMS = {"from": "P1", "to": "P2"}
@@ -259,6 +261,24 @@ def test_a_reply_to_the_operator_does_not_keep_the_task_ticking():
         result = scenario.run_task("move_pallet", PARAMS, on_tick=stray)
         assert (result.status, result.ticks) == ("completed", 21)
         assert scenario.bus.idle()
+
+
+def test_mail_nobody_reads_ends_the_run_at_the_tick_cap():
+    """An inbox that nothing drains keeps the bus busy after the task has
+    completed. The run stops at the tick cap instead of hanging, and the
+    task's own conversation is still the golden trace, numbered one later
+    because the unread message was sent first."""
+    with fresh() as scenario:
+        scenario.bus.register("observer")
+        scenario.bus.send(AclMessage(Performative.INFORM, OPERATOR_ID, "observer",
+                                     {"note": "unread"}, "conv-elsewhere"))
+        result = scenario.run_task("move_pallet", PARAMS)
+        steps = load_protocol(scenario.store, SETUP_GRAPH, "move_pallet").steps
+    deadline_ticks = DEFAULT_DEADLINE_MS // TICK_MS
+    assert result.status == "completed"
+    assert result.ticks == (deadline_ticks + 1) * (len(steps) + 2) + 100 == 289
+    shifted = [(seq - 1, message) for seq, message in result.trace]
+    assert format_trace(shifted) == GOLDEN_TRACE.read_text(encoding="utf-8")
 
 
 def test_a_perform_pushed_without_a_peer_request_still_asks_what_next():
@@ -661,6 +681,8 @@ def test_a_late_mqtt_subscriber_gets_the_last_reported_state():
     reported, and hands it to a subscriber that joins after the task."""
     with fresh(transport_overrides={"turtlebot": "mqtt"}) as scenario:
         connection = scenario.handles["turtlebot"].connection
+        assert scenario.handles["turtlebot"].blueprint.binding == connection.adapter.endpoint
+        assert connection.adapter.endpoint.scheme == "mqtt"
         published = record_publishes(scenario)
         result = scenario.run_task("move_pallet", PARAMS)
         assert result.status == "completed"

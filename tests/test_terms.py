@@ -41,6 +41,12 @@ def test_literal_refuses_a_non_string_lexical_form(lexical):
     assert _refusal(lambda: Literal(lexical)) == "literal lexical form must be a string"
 
 
+@pytest.mark.parametrize("datatype", [XSD_INTEGER.value, Literal("x"), 1])
+def test_literal_refuses_a_datatype_that_is_not_an_iri(datatype):
+    """A text datatype would only fail later, in the store's term order."""
+    assert _refusal(lambda: Literal("1", datatype)) == "literal datatype must be an iri"
+
+
 @pytest.mark.parametrize("args, message", [
     ((NS + "s", P, O), "triple subject must be an iri"),
     ((Literal("s"), P, O), "triple subject must be an iri"),
