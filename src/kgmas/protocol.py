@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from . import vocab
 from .errors import EventRejectedError, ProtocolError
-from .store import NamedGraphStore
+from .store import NamedGraphStore, objects_of
 from .terms import Iri, Literal, Triple
 from .vocab import agent_id_of, kgmas
 
@@ -171,8 +171,10 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
     role, performs and reports in adjacent pairs of one role (perform
     first), a step other than a query after the last request, requests
     only from roles that hold the task request, queries only where their
-    role asks (see the module docstring), every role bound to exactly
-    one asset that really has the role's required capability.
+    role asks (see the module docstring), exactly one target role on a
+    request and none on another step, every role bound to exactly one
+    asset that really has the role's required capability. The protocol
+    node and each step node are read once.
     """
     objects = functools.partial(store.objects, graph_id)
     candidates = [(c, [t.object.lexical for t in entry if isinstance(t.object, Literal)])
@@ -194,7 +196,8 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
                 bound.setdefault(t.object.value, []).append(asset)
     roles: dict[Iri, Iri] = {}
     role_assets: dict[Iri, Iri] = {}
-    for role in objects(protocol, vocab.BINDS_ROLE):
+    described = store.about(graph_id, protocol)
+    for role in objects_of(described, vocab.BINDS_ROLE):
         if not isinstance(role, Iri):
             raise ProtocolError(f"{protocol.value}: role must be an iri")
         capabilities = [c for c in objects(role, vocab.REQUIRES_CAPABILITY)
@@ -216,23 +219,26 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
         role_assets[role] = asset
 
     steps = []
-    for node in objects(protocol, vocab.HAS_STEP):
+    target_counts: dict[int, int] = {}  # step index -> target roles named
+    for node in objects_of(described, vocab.HAS_STEP):
         if not isinstance(node, Iri):
             raise ProtocolError(f"{protocol.value}: step must be an iri")
-        idx = objects(node, vocab.STEP_INDEX)
+        facts = store.about(graph_id, node)
+        idx = objects_of(facts, vocab.STEP_INDEX)
         if len(idx) != 1:
             raise ProtocolError(f"{node.value}: expected one step index")
         step_index = _int_of(idx[0], f"{node.value} index")
-        step_roles = objects(node, vocab.STEP_ROLE)
+        step_roles = objects_of(facts, vocab.STEP_ROLE)
         if len(step_roles) != 1 or not isinstance(step_roles[0], Iri):
             raise ProtocolError(f"{node.value}: expected one step role")
-        kinds = objects(node, vocab.ACTION_KIND)
+        kinds = objects_of(facts, vocab.ACTION_KIND)
         if len(kinds) != 1 or kinds[0] not in _KIND_BY_IRI:
             raise ProtocolError(f"{node.value}: unknown action kind")
-        targets = objects(node, vocab.TARGET_ROLE)
+        targets = objects_of(facts, vocab.TARGET_ROLE)
         target = targets[0] if targets else None
+        target_counts[step_index] = len(targets)
         template = None
-        templates = objects(node, vocab.CONTENT_TEMPLATE)
+        templates = objects_of(facts, vocab.CONTENT_TEMPLATE)
         if templates:
             if len(templates) != 1 or not isinstance(templates[0], Literal):
                 raise ProtocolError(f"{node.value}: expected one content template")
@@ -300,6 +306,12 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
             raise ProtocolError(f"step {step.index}: a query step must open the protocol "
                                 f"for the initiating role, directly follow a report or "
                                 f"query of its own role, or come after the last report")
+    for step in steps:
+        if step.kind != SEND_REQUEST and step.target_role is not None:
+            raise ProtocolError(f"step {step.index}: only a request step names "
+                                f"a target role")
+        if target_counts[step.index] > 1:
+            raise ProtocolError(f"step {step.index}: expected one target role")
 
     return ProtocolDefinition(protocol, tasks[0], tuple(steps), roles, role_assets)
 

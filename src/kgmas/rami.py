@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import vocab
 from .errors import BlueprintError, UnknownAssetError
-from .store import NamedGraphStore
+from .store import NamedGraphStore, objects_of
 from .terms import Iri, Literal
 from .transports import Endpoint, default_registry
 
@@ -77,21 +77,22 @@ def list_assets(store: NamedGraphStore, graph_id) -> list[Iri]:
     return [row[0] for row in store.rows(graph_id, vocab.HAS_ASSET_KIND)]
 
 
-def _literals(objects, subject: Iri, predicate: Iri) -> list[str]:
-    return [o.lexical for o in objects(subject, predicate)
-            if isinstance(o, Literal)]
+def _literals(facts, predicate: Iri) -> list[str]:
+    return [o.lexical for o in objects_of(facts, predicate) if isinstance(o, Literal)]
 
 
-def _read_asset(objects, asset: Iri):
+def _read_asset(about, asset: Iri):
     """Walk the five layers of one asset description, once.
 
-    Returns the blueprint (``None`` when any layer is incomplete), the
-    connection schemes named, unchecked, and every issue found, in layer
-    order; raises ``UnknownAssetError`` when the asset has no kind. Only
-    triples about the asset itself (and its channel nodes) are consulted,
-    so descriptions of other assets cannot leak in.
+    ``about`` reads one node's facts; the asset and each of its channel
+    nodes are read once. Returns the blueprint (``None`` when any layer is
+    incomplete), the connection schemes named, unchecked, and every issue
+    found, in layer order; raises ``UnknownAssetError`` when the asset has
+    no kind. Only triples about the asset itself (and its channel nodes)
+    are consulted, so descriptions of other assets cannot leak in.
     """
-    kinds = objects(asset, vocab.HAS_ASSET_KIND)
+    facts = about(asset)
+    kinds = objects_of(facts, vocab.HAS_ASSET_KIND)
     if not kinds:
         raise UnknownAssetError(f"no asset description for {asset.value}")
     issues: list[ValidationIssue] = []
@@ -103,14 +104,14 @@ def _read_asset(objects, asset: Iri):
         issue("asset-kind", asset, f"expected one asset kind, found {len(kinds)}")
     elif not isinstance(kinds[0], Iri):
         issue("asset-kind", asset, "asset kind must be an iri")
-    realms = objects(asset, vocab.HAS_REALM)
+    realms = objects_of(facts, vocab.HAS_REALM)
     if len(realms) != 1:
         issue("realm", asset, f"expected one realm, found {len(realms)}")
     elif realms[0] not in vocab.REALMS:
         issue("realm", asset, f"realm must be physical or digital, "
                               f"found {realms[0]}")
-    protocols = _literals(objects, asset, vocab.HAS_PROTOCOL)
-    endpoints = _literals(objects, asset, vocab.HAS_ENDPOINT)
+    protocols = _literals(facts, vocab.HAS_PROTOCOL)
+    endpoints = _literals(facts, vocab.HAS_ENDPOINT)
     if not protocols or not endpoints:
         issue("binding", asset, "asset needs a connection scheme and endpoint")
     elif len(protocols) > 1 or len(endpoints) > 1:
@@ -121,12 +122,13 @@ def _read_asset(objects, asset: Iri):
     channels = []
     seen: set[str] = set()
     for direction, predicate in _DIRECTIONS:
-        for node in objects(asset, predicate):
+        for node in objects_of(facts, predicate):
             if not isinstance(node, Iri):
                 issue("channel", asset, "channel must be a node, not a literal")
                 continue
-            topics = _literals(objects, node, vocab.HAS_TOPIC)
-            message_kinds = objects(node, vocab.HAS_MESSAGE_KIND)
+            channel = about(node)
+            topics = _literals(channel, vocab.HAS_TOPIC)
+            message_kinds = objects_of(channel, vocab.HAS_MESSAGE_KIND)
             if len(topics) != 1 or not topics[0]:
                 issue("channel", node, "channel needs exactly one topic")
                 continue
@@ -138,12 +140,12 @@ def _read_asset(objects, asset: Iri):
             if topics[0] in seen:
                 issue("channel", asset, f"more than one channel on topic {topics[0]!r}")
             seen.add(topics[0])
-    capabilities = objects(asset, vocab.HAS_CAPABILITY)
+    capabilities = objects_of(facts, vocab.HAS_CAPABILITY)
     if not capabilities:
         issue("capability", asset, "asset declares no capability")
     elif not all(isinstance(c, Iri) for c in capabilities):
         issue("capability", asset, "capability must be an iri")
-    roles = objects(asset, vocab.HAS_COORDINATION_ROLE)
+    roles = objects_of(facts, vocab.HAS_COORDINATION_ROLE)
     if len(roles) != 1:
         issue("role", asset, f"expected one coordination role, found {len(roles)}")
     elif not isinstance(roles[0], Iri):
@@ -171,7 +173,7 @@ def validate_setup(store: NamedGraphStore, graph_id,
     """
     schemes = frozenset(known_schemes if known_schemes is not None
                         else default_registry().schemes())
-    objects = functools.partial(store.objects, graph_id)
+    about = functools.partial(store.about, graph_id)
     assets = list_assets(store, graph_id)
     asset_set = set(assets)
     issues: list[ValidationIssue] = []
@@ -181,7 +183,7 @@ def validate_setup(store: NamedGraphStore, graph_id,
         issues.append(ValidationIssue(rule, subject.value, message))
 
     for asset in assets:
-        _, protocols, found = _read_asset(objects, asset)
+        _, protocols, found = _read_asset(about, asset)
         issues.extend(found)
         for scheme in protocols:
             if scheme and scheme not in schemes:
@@ -203,8 +205,8 @@ def validate_setup(store: NamedGraphStore, graph_id,
 
     # system aggregation: every asset in exactly one system
     memberships: dict[Iri, list[Iri]] = {}
-    for system, _ in store.rows(graph_id, vocab.AGGREGATES):
-        for member in objects(system, vocab.AGGREGATES):
+    for system, aggregated in store.rows(graph_id, vocab.AGGREGATES):
+        for member in [t.object for t in aggregated]:
             if not isinstance(member, Iri) or member not in asset_set:
                 issue("system", system, "aggregated member is not a described asset")
             else:
@@ -231,7 +233,7 @@ def extract_blueprint(store: NamedGraphStore, graph_id, asset_id: Iri) -> AgentB
     ``BlueprintError`` naming the layer of the first issue found.
     """
     blueprint, _, issues = _read_asset(
-        functools.partial(store.objects, graph_id), asset_id)
+        functools.partial(store.about, graph_id), asset_id)
     if issues:
         first = issues[0]
         raise BlueprintError(f"{asset_id.value}: {_LAYERS[first.rule]} layer "

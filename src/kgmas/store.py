@@ -4,8 +4,12 @@ Each graph is an index that every write updates in place: subject ->
 predicate -> the stored triples sorted by object, and predicate ->
 subjects. Writes touch only the entries they name and reads walk the
 index, so costs follow the facts involved, not the size of the graph.
-``rows``, the one multi-predicate read, answers a whole question under
-one lock with the index's own immutable entries, the only copy of a graph.
+Every write inserts through one loop that reads a triple's entry once;
+only an entry that already exists is searched for the triple. ``about``
+copies one subject's predicate -> triples map under one lock, so a
+reader reads each node once. ``rows``, the one multi-predicate read,
+answers a whole question under one lock with the index's own immutable
+entries, the only copy of a graph.
 A store-wide revision counter advances by exactly one on every write
 call that names at least one triple or fact, whether or not the graph
 changes; a call that names nothing leaves it alone. Writers serialize on
@@ -89,16 +93,33 @@ class _Graph:
             if i < len(old) and old[i] == t:
                 self.put(t.subject, t.predicate, old[:i] + old[i + 1:])
                 changed += 1
+        spo = self.spo
         for t in insertions:
-            old = self.match(t.subject, t.predicate)
-            i = bisect.bisect_left(old, term_key(t.object), key=_object_key)
-            if i == len(old) or old[i] != t:
-                self.put(t.subject, t.predicate, old[:i] + (t,) + old[i:])
-                changed += 1
+            subject, predicate, obj = t
+            s, p = subject.value, predicate.value
+            predicates = spo.get(s)
+            if predicates is None:
+                predicates = spo[s] = {}
+            old = predicates.get(p)
+            if old is None:  # a new entry: nothing to search
+                predicates[p] = (t,)
+                self.subjects.setdefault(p, {})[s] = subject
+            else:
+                i = bisect.bisect_left(old, term_key(obj), key=_object_key)
+                if i < len(old) and old[i] == t:
+                    continue
+                predicates[p] = old[:i] + (t,) + old[i:]
+            changed += 1
         return changed
 
 
 _NO_GRAPH = _Graph()
+
+
+def objects_of(about: Mapping[str, tuple[Triple, ...]], predicate: Iri) -> tuple[Term, ...]:
+    """Objects of one predicate in a map ``NamedGraphStore.about`` returned,
+    in term order."""
+    return tuple([t.object for t in about.get(predicate.value, ())])
 
 
 class NamedGraphStore:
@@ -130,6 +151,13 @@ class NamedGraphStore:
         with self._lock:
             triples = self._graphs.get(key, _NO_GRAPH).match(subject, predicate)
             return tuple([t.object for t in triples])
+
+    def about(self, graph_id: Iri | str, subject: Iri) -> dict[str, tuple[Triple, ...]]:
+        """Copy of one subject's predicate -> triples map, keyed by predicate
+        iri text; each entry is the index's own tuple, sorted by object."""
+        key = _graph_key(graph_id)
+        with self._lock:
+            return dict(self._graphs.get(key, _NO_GRAPH).spo.get(subject.value, {}))
 
     def rows(self, graph_id: Iri | str, predicate: Iri, *more: Iri) -> list[tuple]:
         """Rows ``(subject, entry, ...)`` for the subjects that carry every

@@ -7,9 +7,12 @@ implementations they judge.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import random
 from pathlib import Path
 
+from kgmas.store import NamedGraphStore
 from kgmas.terms import Iri, Literal, Pattern, Triple, Variable, term_key
 from kgmas.turtle import parse_turtle
 from kgmas.vocab import (
@@ -131,6 +134,35 @@ def put_pallet_back(world, pallet_id: str = "Pallet1", station: str = "P1") -> N
     cells = world._pallet_by_cell
     del cells[next(cell for cell, held in cells.items() if held == pallet_id)]
     cells[world.stations[station]] = pallet_id
+
+
+# -- counting store reads ---------------------------------------------------
+
+
+_STORE_WRITES = frozenset({"insert", "remove", "atomic_update", "replace", "load_turtle"})
+
+
+@contextlib.contextmanager
+def counted_store_reads(monkeypatch):
+    """Count the calls of every ``NamedGraphStore`` read method while open.
+
+    Yields a list that gains one ``(method name, first argument after the
+    graph id)`` pair per call, so a node read is ``("about", node)``.
+    """
+    calls = []
+
+    def counted(name, read):
+        @functools.wraps(read)
+        def wrapper(*args, **kwargs):  # (store, graph id, first argument, ...)
+            calls.append((name, args[2] if len(args) > 2 else None))
+            return read(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name, method in vars(NamedGraphStore).items():
+            if callable(method) and name[0] != "_" and name not in _STORE_WRITES:
+                patch.setattr(NamedGraphStore, name, counted(name, method))
+        yield calls
 
 
 # -- brute-force pattern matching ------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import functools
 import importlib
 import inspect
 import json
@@ -13,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (NS, consistency_oracle, consistency_scan, fixture_text,
-                     protocol_step_triples, setup_with_step_inside_pair,
+from helpers import (NS, consistency_oracle, consistency_scan, counted_store_reads,
+                     fixture_text, protocol_step_triples, setup_with_step_inside_pair,
                      setup_without_steps)
 from kgmas import vocab
 from kgmas.errors import EventRejectedError, ProtocolError
@@ -287,10 +286,17 @@ STEP3_TEMPLATE = ('kgmas:MovePalletStep3 kgmas:contentTemplate '
      "step 2: a request must target another role"),
     (STEP3_KIND, STEP3_KIND.replace("performAction", "queryNext"),
      "step 4: a report step must directly follow a perform step of the same role"),
+    (STEP3_KIND, STEP3_KIND + "\nkgmas:MovePalletStep3 kgmas:targetRole kgmas:PlacerRole .",
+     "step 3: only a request step names a target role"),
+    (STEP2_TARGET, STEP2_TARGET + "kgmas:MovePalletStep2 kgmas:targetRole kgmas:StackerRole .\n",
+     "step 2: expected one target role"),
+    (STEP2_TARGET, STEP2_TARGET + "kgmas:MovePalletStep2 kgmas:targetRole kgmas:MoverRole .\n",
+     "step 2: a request must target another role"),
 ], ids=["integer_literal", "ambiguous_selection", "one_task_name", "role_iri",
         "capability_count", "step_role", "action_kind", "template_count", "template_json",
         "no_steps", "unbound_step_role", "request_target", "self_request",
-        "standalone_report"])
+        "standalone_report", "target_on_a_perform", "two_targets",
+        "two_targets_first_is_own_role"])
 def test_load_refusal_messages(setup_text, old, new, message):
     """One setup edit per refusal, each pinned to its whole message."""
     assert old in setup_text
@@ -596,23 +602,12 @@ def test_skeleton_role_labels_follow_bindings(protocol):
         "operator", "kg", "forklift", "crane"}
 
 
-_STORE_WRITES = {"insert", "remove", "atomic_update", "replace", "load_turtle"}
-
-
 def test_task_path_reads_do_not_grow_with_assets(monkeypatch):
     """One protocol load and one co-location check read the store as many
-    times with 400 idle assets as with none."""
+    times with 400 idle assets as with none, and the load reads each node
+    it needs once: the protocol, its roles, their assets and each step."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     inputs = importlib.import_module("inputs")
-    calls = []
-
-    def counted(name, read):
-        @functools.wraps(read)
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return read(*args, **kwargs)
-        return wrapper
-
     counts = {}
     for n in (0, 100, 400):
         inp = inputs.make_inputs("fleet", 1, fleet=n)
@@ -621,17 +616,20 @@ def test_task_path_reads_do_not_grow_with_assets(monkeypatch):
         scenario = Scenario(store, WarehouseWorld.from_fixture(json.loads(inp.world_text)),
                             transport_overrides=inp.overrides)
         try:
-            with monkeypatch.context() as patch:
-                for name, method in vars(NamedGraphStore).items():
-                    if callable(method) and name[0] != "_" and name not in _STORE_WRITES:
-                        patch.setattr(NamedGraphStore, name, counted(name, method))
-                calls.clear()
-                load_protocol(store, SETUP_GRAPH, "move_pallet")
-                loads = len(calls)
+            with counted_store_reads(monkeypatch) as calls:
+                protocol = load_protocol(store, SETUP_GRAPH, "move_pallet")
+                loads = list(calls)
                 calls.clear()
                 check_world_consistency(store, DATA_GRAPH)
-                counts[n] = (loads, len(calls))
+                counts[n] = (len(loads), len(calls))
         finally:
             scenario.close()
+        nodes = [node for name, node in loads if name != "rows"]
+        steps = [kgmas(f"MovePalletStep{i}") for i in range(1, len(protocol.steps) + 1)]
+        assert sorted(nodes, key=lambda node: node.value) == sorted(
+            [protocol.protocol_id, *protocol.roles, *protocol.role_assets.values(), *steps],
+            key=lambda node: node.value)
+        assert [node for name, node in loads if name == "about"] == [
+            protocol.protocol_id, *steps]
     assert counts[100] == counts[400] == counts[0], counts
-    assert calls == ["rows"]
+    assert [name for name, _ in calls] == ["rows"]

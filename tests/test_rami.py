@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from helpers import grow_setup, random_setup
+from helpers import counted_store_reads, grow_setup, random_setup
 from kgmas.agents import emit_specs, generate_agents, spec_to_dict
 from kgmas.cli import main
 from kgmas.errors import BlueprintError, GenerationError, UnknownAssetError
@@ -24,6 +26,7 @@ from kgmas.vocab import (
     HAS_TOPIC,
     PUBLISHES_ON,
     SETUP_GRAPH,
+    SUBSCRIBES_TO,
     kgmas,
 )
 
@@ -189,6 +192,34 @@ def test_blueprint_unchanged_by_unrelated_additions(setup_store):
     store = load(grown)
     assert validate_setup(store, SETUP_GRAPH).ok
     assert extract_blueprint(store, SETUP_GRAPH, TURTLEBOT) == before
+
+
+def test_setup_reads_each_node_once(monkeypatch):
+    """Validation and extraction read each asset and each channel node
+    once, at 2 and at 102 assets; validation's graph-wide reads do not
+    grow with the assets."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    inputs = importlib.import_module("inputs")
+    wide = {}
+    for n in (0, 100):
+        store = load(inputs.make_inputs("fleet", 1, fleet=n).setup_text)
+        assets = list_assets(store, SETUP_GRAPH)
+        channels = [t.object for t in store.triples(SETUP_GRAPH)
+                    if t.predicate in (PUBLISHES_ON, SUBSCRIBES_TO)]
+        assert len(assets) == n + 2 and len(channels) > len(assets)
+        every_node = sorted(assets + channels, key=lambda node: node.value)
+        with counted_store_reads(monkeypatch) as calls:
+            assert validate_setup(store, SETUP_GRAPH).ok
+            wide[n] = [call for call in calls if call[0] == "rows"]
+            assert sorted((node for name, node in calls if name != "rows"),
+                          key=lambda node: node.value) == every_node
+            assert {name for name, _ in calls} == {"rows", "about"}
+            calls.clear()
+            for asset in assets:
+                extract_blueprint(store, SETUP_GRAPH, asset)
+            assert {name for name, _ in calls} == {"about"}
+            assert sorted((node for _, node in calls), key=lambda node: node.value) == every_node
+    assert wide[0] == wide[100]
 
 
 def test_random_setups_validate_and_list(tmp_path):

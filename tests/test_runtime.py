@@ -282,13 +282,15 @@ def test_mail_nobody_reads_ends_the_run_at_the_tick_cap():
 
 
 def test_a_perform_pushed_without_a_peer_request_still_asks_what_next():
-    """With step 2 a ``queryNext``, the mediator pushes the arm's perform
-    without a peer request. Once its report is confirmed the arm still asks
-    ``next_action`` in that conversation, as the oracle expects."""
+    """With step 2 a ``queryNext`` (and no target role), the mediator pushes
+    the arm's perform without a peer request. Once its report is confirmed
+    the arm still asks ``next_action`` in that conversation, as the oracle
+    expects."""
     store = NamedGraphStore()
     store.load_turtle(SETUP_GRAPH, fixture_text("fig3_setup.ttl").replace(
         "kgmas:MovePalletStep2 kgmas:actionKind kgmas:sendRequest",
-        "kgmas:MovePalletStep2 kgmas:actionKind kgmas:queryNext"))
+        "kgmas:MovePalletStep2 kgmas:actionKind kgmas:queryNext").replace(
+        "kgmas:MovePalletStep2 kgmas:targetRole kgmas:PlacerRole .\n", ""))
     with Scenario(store, WarehouseWorld.from_file(WORLD)) as scenario:
         result = scenario.run_task("move_pallet", PARAMS)
         protocol = load_protocol(store, SETUP_GRAPH, "move_pallet")

@@ -8,8 +8,8 @@ import pytest
 
 from helpers import bgp_oracle, random_pattern, random_triples
 from kgmas.errors import TurtleParseError, ValidationError
-from kgmas.store import NamedGraphStore
-from kgmas.terms import Iri, Literal, Pattern, Triple, Variable, term_key
+from kgmas.store import NamedGraphStore, objects_of
+from kgmas.terms import Iri, Literal, Pattern, Triple, Variable, term_key, triple_key
 from kgmas.turtle import serialize_turtle
 
 NS = "http://kgmas.example/vocab#"
@@ -128,6 +128,20 @@ def test_replace_checks_every_term_before_writing():
     assert store.replace("g", a, {}) == store.revision
 
 
+def test_about_copies_one_subjects_entries():
+    store = NamedGraphStore()
+    store.atomic_update("g", [], [t("a", "p", "c"), t("a", "p", "b"), t("a", "q", "b"),
+                                  t("b", "p", "a")])
+    facts = store.about("g", iri("a"))
+    assert facts == {NS + "p": (t("a", "p", "b"), t("a", "p", "c")),
+                     NS + "q": (t("a", "q", "b"),)}
+    assert objects_of(facts, iri("p")) == (iri("b"), iri("c"))
+    assert objects_of(facts, iri("r")) == ()
+    facts.clear()  # a copy: the store keeps its entries
+    assert store.about("g", iri("a")) != {}
+    assert store.about("g", iri("c")) == store.about("unknown", iri("a")) == {}
+
+
 def test_graphs_are_independent():
     store = NamedGraphStore()
     store.insert("one", t("a", "p", "b"))
@@ -161,7 +175,9 @@ def test_load_turtle_error_rolls_back():
 def test_index_reads_agree_with_scans_under_random_writes():
     """After every write, index reads equal a scan of ``triples``, a write
     call that names something is one revision step and lists its graph,
-    and a frozenset taken before the write is unchanged by it."""
+    and a frozenset taken before the write is unchanged by it. Writes
+    repeat triples: an update may remove and re-insert one or insert one
+    twice, and a document may state one twice or one already held."""
     rng = random.Random(16)
     subjects = [iri(f"s{i}") for i in range(4)]
     predicates = [iri(f"p{i}") for i in range(3)]
@@ -188,7 +204,12 @@ def test_index_reads_agree_with_scans_under_random_writes():
         elif op == "atomic_update":
             removals = rng.sample(universe, rng.randrange(0, 3))
             insertions = rng.sample(universe, rng.randrange(0, 3))
-            store.atomic_update(g, removals, insertions)
+            if removals and rng.random() < 0.3:  # removed and put back
+                insertions.append(rng.choice(removals))
+            if insertions and rng.random() < 0.3:  # inserted twice
+                insertions.append(rng.choice(insertions))
+            assert store.atomic_update(g, removals, insertions) == (
+                revision + 1 if removals or insertions else revision)
             if removals or insertions:
                 graph = shadow.setdefault(g, set())
                 graph.difference_update(removals)
@@ -207,8 +228,14 @@ def test_index_reads_agree_with_scans_under_random_writes():
                 revision += 1
         else:
             chosen = rng.sample(universe, rng.randrange(0, 4))
+            held_now = sorted(shadow.get(g, ()), key=triple_key)
+            if held_now and rng.random() < 0.5:
+                chosen.append(rng.choice(held_now))
+            document = serialize_turtle(chosen)
+            if chosen and rng.random() < 0.5:  # one statement twice
+                document += serialize_turtle([rng.choice(chosen)]).splitlines()[-1] + "\n"
             added = len(set(chosen) - shadow.get(g, set()))
-            assert store.load_turtle(g, serialize_turtle(chosen)) == added
+            assert store.load_turtle(g, document) == added
             if chosen:
                 shadow.setdefault(g, set()).update(chosen)
                 revision += 1
@@ -229,6 +256,9 @@ def test_index_reads_agree_with_scans_under_random_writes():
                     carrying[p], key=lambda s: s.value)
                 for s in subjects:
                     assert store.objects(name, s, p) == tuple(t.object for t in entry(s, p))
+            for s in subjects:
+                assert store.about(name, s) == {p.value: entry(s, p) for p in predicates
+                                                if entry(s, p)}
             p, q = rng.sample(predicates, 2)
             assert store.rows(name, p, q) == [(s, entry(s, p), entry(s, q)) for s in sorted(
                 carrying[p] & carrying[q], key=lambda s: s.value)]
