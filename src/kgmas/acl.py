@@ -4,7 +4,8 @@ Messages carry a performative from a closed set plus a structured JSON
 content value. The bus is an in-process post office with one FIFO inbox
 per registered agent, exactly-once delivery and a log per conversation,
 the FIPA unit of one task, numbered in global send order. A
-conversation's log doubles as its task's run trace.
+conversation's log doubles as its task's run trace; reading it ends the
+conversation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import (DuplicateAgentError, MalformedMessageError,
                      MissingFieldError, UnknownPerformativeError,
@@ -222,13 +222,9 @@ class Bus:
         with self._lock:
             return not self.waiting
 
-    def delivery_log(self) -> list[tuple[int, AclMessage]]:
-        """Every conversation's entries, merged in sequence order."""
-        with self._lock:
-            return sorted((entry for entries, _ in self._conversations.values()
-                           for entry in entries), key=itemgetter(0))
-
     def conversation_log(self, conversation_id: str) -> list[tuple[int, AclMessage]]:
+        """End a conversation: hand over its log and forget its record. A
+        later message opens it afresh, so it cannot reply to an earlier one."""
         with self._lock:
-            record = self._conversations.get(conversation_id)
-            return list(record[0]) if record else []
+            record = self._conversations.pop(conversation_id, None)
+            return record[0] if record else []

@@ -22,6 +22,7 @@ from .errors import (
     GenerationError,
     TransportError,
     UnknownReceiverError,
+    ValidationError,
 )
 from .protocol import (
     ProtocolDefinition,
@@ -90,6 +91,16 @@ def generate_agents(store: NamedGraphStore, graph_id,
 # -- asset agents -----------------------------------------------------------
 
 
+def _post(bus: Bus, message: AclMessage) -> None:
+    """Send, dropping mail to an absent agent or a reply to a message of an
+    ended conversation, which the bus has forgotten."""
+    try:
+        bus.send(message)
+    except (UnknownReceiverError, ValidationError) as exc:
+        log.info("%s: dropping %s to %s: %s", message.sender,
+                 message.performative.value, message.receiver, exc)
+
+
 class GenericAgent:
     """Behavior shared by every asset agent.
 
@@ -97,8 +108,8 @@ class GenericAgent:
     into queries to the mediator, instructions from the mediator are turned
     into peer requests or device commands, and finished device commands are
     reported back as events.  Task memory is per conversation, dropped on
-    ``done``: the task request acted on there, which also names the task to
-    the mediator, or an empty record after a perform without one.
+    ``done`` or at its end: the task request acted on there, which names
+    the task to the mediator, or an empty record after a bare perform.
     """
 
     def __init__(self, agent_id: str, bus: Bus, channel: AgentChannel | None):
@@ -114,13 +125,8 @@ class GenericAgent:
 
     def _send(self, performative: Performative, receiver: str, content,
               conversation: str, reply_with: str | None = None) -> None:
-        message = AclMessage(performative, self.agent_id, receiver, content,
-                             conversation, reply_with)
-        try:
-            self.bus.send(message)
-        except UnknownReceiverError:
-            log.info("%s: dropping message to absent agent %s",
-                     self.agent_id, receiver)
+        _post(self.bus, AclMessage(performative, self.agent_id, receiver, content,
+                                   conversation, reply_with))
 
     def _tell(self, performative: Performative, content: dict,
               conversation: str, reply_with: str | None = None) -> None:
@@ -133,6 +139,9 @@ class GenericAgent:
     def _query(self, query: dict, conversation: str) -> None:
         self._tell(Performative.REQUEST, query, conversation,
                    f"{self.agent_id}-{next(self._reply_counter)}")
+
+    def end_conversation(self, conversation: str) -> None:
+        self._tasks.pop(conversation, None)
 
     def activate(self) -> None:
         """Drain the inbox, then check on any command in flight."""
@@ -250,6 +259,10 @@ class KgAgent:
         write_task_state(self.store, self.data_graph, task)
         return task
 
+    def end_conversation(self, conversation: str) -> None:
+        """Forget a task; a later message in its conversation is refused."""
+        self._tasks.pop(conversation, None)
+
     def activate(self) -> None:
         while (message := self.bus.try_receive(self.agent_id)) is not None:
             self._handle(message)
@@ -258,12 +271,8 @@ class KgAgent:
 
     def _send(self, performative: Performative, receiver: str, content,
               conversation: str, in_reply_to: str | None = None) -> None:
-        message = AclMessage(performative, self.agent_id, receiver, content,
-                             conversation, None, in_reply_to)
-        try:
-            self.bus.send(message)
-        except UnknownReceiverError:
-            log.info("kg: dropping message to absent agent %s", receiver)
+        _post(self.bus, AclMessage(performative, self.agent_id, receiver, content,
+                                   conversation, None, in_reply_to))
 
     def _handle(self, message: AclMessage) -> None:
         content = message.content if isinstance(message.content, dict) else {}

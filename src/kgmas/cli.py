@@ -21,20 +21,13 @@ import sys
 
 from .acl import format_trace
 from .agents import emit_specs, generate_agents
-from .errors import (
-    GenerationError,
-    KgmasError,
-    ProtocolError,
-    TurtleParseError,
-    ValidationError,
-    WorldError,
-)
-from .protocol import COMPLETED, check_world_consistency, load_protocol
+from .errors import (GenerationError, KgmasError, ProtocolError, TurtleParseError,
+                     ValidationError, WorldError)
+from .protocol import COMPLETED, check_world_consistency
 from .rami import validate_setup
-from .runtime import DEFAULT_DEADLINE_MS, Scenario
+from .runtime import DEFAULT_DEADLINE_MS, Scenario, load_protocols
 from .store import NamedGraphStore
-from .terms import Literal
-from .vocab import DATA_GRAPH, FOR_TASK, SETUP_GRAPH
+from .vocab import DATA_GRAPH, SETUP_GRAPH
 from .world import WarehouseWorld
 
 log = logging.getLogger("kgmas.cli")
@@ -84,15 +77,9 @@ def cmd_validate(args) -> int:
     store = _load_graph(args.setup, SETUP_GRAPH)
     lines = [f"{issue.rule}\t{issue.subject}\t{issue.message}"
              for issue in validate_setup(store, SETUP_GRAPH).issues]
-    tasks = {task.lexical
-             for protocol, _ in store.rows(SETUP_GRAPH, FOR_TASK)
-             for task in store.objects(SETUP_GRAPH, protocol, FOR_TASK)
-             if isinstance(task, Literal)}
-    for task in sorted(tasks):
-        try:
-            load_protocol(store, SETUP_GRAPH, task)
-        except ProtocolError as exc:
-            lines.append(f"protocol\t{task}\t{exc}")
+    lines += [f"protocol\t{task}\t{loaded}"
+              for task, loaded in load_protocols(store, SETUP_GRAPH).items()
+              if isinstance(loaded, ProtocolError)]
     if not lines:
         print(f"setup ok ({len(store.triples(SETUP_GRAPH))} triples)")
         return 0
@@ -131,16 +118,13 @@ def cmd_run(args) -> int:
     scenario.close()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "trace.log"), "w",
-                  encoding="utf-8") as handle:
-            handle.write(format_trace(result.trace))
-        with open(os.path.join(args.out, "data.ttl"), "w",
-                  encoding="utf-8") as handle:
-            handle.write(scenario.store.dump_turtle(DATA_GRAPH))
-        with open(os.path.join(args.out, "consistency.txt"), "w",
-                  encoding="utf-8") as handle:
-            for tick, count in enumerate(result.violations_per_tick, start=1):
-                handle.write(f"{tick}\t{count}\n")
+        consistency = "".join(f"{tick}\t{count}\n" for tick, count
+                              in enumerate(result.violations_per_tick, start=1))
+        for name, text in (("trace.log", format_trace(result.trace)),
+                           ("data.ttl", scenario.store.dump_turtle(DATA_GRAPH)),
+                           ("consistency.txt", consistency)):
+            with open(os.path.join(args.out, name), "w", encoding="utf-8") as handle:
+                handle.write(text)
     if result.status == COMPLETED:
         print(f"task {result.task.task_id} completed after {result.ticks} ticks")
         return 0

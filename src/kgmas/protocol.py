@@ -29,7 +29,6 @@ messaging.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import re
@@ -174,9 +173,8 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
     role asks (see the module docstring), exactly one target role on a
     request and none on another step, every role bound to exactly one
     asset that really has the role's required capability. The protocol
-    node and each step node are read once.
+    node and each role, asset and step node are read once.
     """
-    objects = functools.partial(store.objects, graph_id)
     candidates = [(c, [t.object.lexical for t in entry if isinstance(t.object, Literal)])
                   for c, entry in store.rows(graph_id, vocab.FOR_TASK)]
     candidates = [(c, tasks) for c, tasks in candidates if task_name in tasks]
@@ -200,8 +198,8 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
     for role in objects_of(described, vocab.BINDS_ROLE):
         if not isinstance(role, Iri):
             raise ProtocolError(f"{protocol.value}: role must be an iri")
-        capabilities = [c for c in objects(role, vocab.REQUIRES_CAPABILITY)
-                        if isinstance(c, Iri)]
+        capabilities = objects_of(store.about(graph_id, role), vocab.REQUIRES_CAPABILITY)
+        capabilities = [c for c in capabilities if isinstance(c, Iri)]
         if len(capabilities) != 1:
             raise ProtocolError(
                 f"{role.value}: expected one required capability, "
@@ -212,7 +210,8 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
             raise ProtocolError(
                 f"{role.value}: bound to {len(assets)} assets, expected one")
         asset = assets[0]
-        if capabilities[0] not in objects(asset, vocab.HAS_CAPABILITY):
+        if capabilities[0] not in objects_of(store.about(graph_id, asset),
+                                             vocab.HAS_CAPABILITY):
             raise ProtocolError(
                 f"{asset.value}: lacks capability {capabilities[0].value} "
                 f"required by {role.value}")

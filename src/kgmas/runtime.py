@@ -9,6 +9,9 @@ That is tested when the walk reaches the agent, so mail sent earlier in the
 same tick still wakes it; an agent without work, whose turn would do
 nothing, is skipped.  Time is the tick counter; nothing reads a wall clock,
 so two runs of the same scenario produce byte-identical traces and dumps.
+
+The setup graph is fixed for a scenario's life: its protocols load once, at
+set-up.  A task's conversation ends when its run returns.
 """
 
 from __future__ import annotations
@@ -17,26 +20,36 @@ import logging
 from dataclasses import dataclass, replace
 
 from .acl import AclMessage, Bus, Performative
-from .agents import (
-    OPERATOR_ID,
-    AgentHandle,
-    KgAgent,
-    generate_agents,
-    instantiate,
-    shutdown,
-)
-from .errors import ValidationError
-from .protocol import FAILED, TaskState, check_world_consistency, load_protocol, mark_failed
+from .agents import (OPERATOR_ID, AgentHandle, KgAgent, generate_agents, instantiate,
+                     shutdown)
+from .errors import ProtocolError, ValidationError
+from .protocol import (FAILED, ProtocolDefinition, TaskState, check_world_consistency,
+                       load_protocol, mark_failed)
 from .store import NamedGraphStore
 from .terms import Literal
 from .transports import Endpoint, TransportRegistry, default_registry
-from .vocab import AT_POSITION, DATA_GRAPH, SETUP_GRAPH, kgmas
+from .vocab import AT_POSITION, DATA_GRAPH, FOR_TASK, SETUP_GRAPH, kgmas
 from .world import WarehouseWorld
 
 log = logging.getLogger("kgmas.runtime")
 
 TICK_MS = 100
 DEFAULT_DEADLINE_MS = 2000
+
+
+def load_protocols(store: NamedGraphStore,
+                   graph_id) -> dict[str, ProtocolDefinition | ProtocolError]:
+    """Every protocol the graph names, by task name, loaded once; a
+    protocol that does not load is kept as its error."""
+    names = {t.object.lexical for _, entry in store.rows(graph_id, FOR_TASK)
+             for t in entry if isinstance(t.object, Literal)}
+    protocols = {}
+    for name in sorted(names):
+        try:
+            protocols[name] = load_protocol(store, graph_id, name)
+        except ProtocolError as exc:
+            protocols[name] = exc
+    return protocols
 
 
 @dataclass
@@ -73,6 +86,7 @@ class Scenario:
                           clock=lambda: self.world.tick)
         blueprints = generate_agents(store, SETUP_GRAPH,
                                      known_schemes=self.registry.schemes())
+        self.protocols = load_protocols(store, SETUP_GRAPH)
         known_ids = {blueprint.agent_id for blueprint in blueprints}
         overrides = dict(transport_overrides or {})
         for asset_id, scheme in overrides.items():
@@ -147,7 +161,10 @@ class Scenario:
         the bus drains, so trailing confirmations still make the trace;
         mail to the operator is logged and dropped after each tick.
         """
-        protocol = load_protocol(self.store, SETUP_GRAPH, task_name)
+        protocol = self.protocols.get(task_name)
+        if not isinstance(protocol, ProtocolDefinition):
+            # A fresh error: raising the stored one would grow its traceback every run.
+            raise ProtocolError(str(protocol or "no protocol matches the requested task"))
         task = self.kg.create_task(protocol, params or {})
         conversation = task.conversation_id
         initiator = protocol.agent_for(protocol.initiator_role)
@@ -180,6 +197,8 @@ class Scenario:
                 continue
             if self.world.tick - last_progress >= deadline_ticks:
                 mark_failed(self.store, DATA_GRAPH, task)
+        for agent in (self.kg, *self._agents):
+            agent.end_conversation(conversation)
         return RunResult(
             status=task.status,
             stalled_step=task.index if task.status == FAILED else None,

@@ -135,22 +135,11 @@ class NamedGraphStore:
         with self._lock:
             return self._revision
 
-    def graph_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._graphs)
-
     def triples(self, graph_id: Iri | str) -> frozenset[Triple]:
         """Immutable copy of one graph; empty for unknown graph names."""
         key = _graph_key(graph_id)
         with self._lock:
             return frozenset(self._graphs.get(key, _NO_GRAPH))
-
-    def objects(self, graph_id: Iri | str, subject: Iri, predicate: Iri) -> tuple[Term, ...]:
-        """Objects of the (subject, predicate) pair, in term order."""
-        key = _graph_key(graph_id)
-        with self._lock:
-            triples = self._graphs.get(key, _NO_GRAPH).match(subject, predicate)
-            return tuple([t.object for t in triples])
 
     def about(self, graph_id: Iri | str, subject: Iri) -> dict[str, tuple[Triple, ...]]:
         """Copy of one subject's predicate -> triples map, keyed by predicate

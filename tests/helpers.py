@@ -65,6 +65,17 @@ def setup_with_step_inside_pair() -> str:
         "kgmas:MovePalletStep4 kgmas:actionKind kgmas:queryNext .\n")
 
 
+def setup_with_broken_protocol() -> str:
+    """The fixture setup plus a ``stack_pallet`` protocol whose one step has
+    no index, so that protocol does not load and ``move_pallet`` still does."""
+    return fixture_text("fig3_setup.ttl") + (
+        'kgmas:StackPalletProtocol kgmas:forTask "stack_pallet" .\n'
+        "kgmas:StackPalletProtocol kgmas:bindsRole kgmas:PlacerRole .\n"
+        "kgmas:StackPalletProtocol kgmas:hasStep kgmas:StackPalletStep1 .\n"
+        "kgmas:StackPalletStep1 kgmas:stepRole kgmas:PlacerRole .\n"
+        "kgmas:StackPalletStep1 kgmas:actionKind kgmas:queryNext .\n")
+
+
 # -- random protocols over the fixture's roles ------------------------------
 
 

@@ -193,11 +193,27 @@ def test_bus_log_matches_delivery():
     bus.send(msg())
     bus.send(msg(sender="a3", receiver="a2"))
     bus.send(msg(sender="a2", receiver="a3", conversation_id="conv-9"))
-    log = bus.delivery_log()
-    assert [seq for seq, _ in log] == [1, 2, 3]
-    assert len(bus.conversation_log("conv-9")) == 1
-    text = format_trace(log)
+    first, ninth = bus.conversation_log("conv-1"), bus.conversation_log("conv-9")
+    assert [seq for seq, _ in first + ninth] == [1, 2, 3]
+    assert len(ninth) == 1
+    text = format_trace(first + ninth)
     assert len(text.splitlines()) == 3
+
+
+def test_reading_a_conversation_log_ends_the_conversation():
+    """The log is handed over once; the conversation's reply ids go with it,
+    so a later message opens it afresh, and other conversations keep theirs."""
+    bus = make_bus("a1", "a2")
+    bus.send(msg(reply_with="q1"))
+    bus.send(msg(conversation_id="conv-2", reply_with="q1"))
+    assert [m.reply_with for _, m in bus.conversation_log("conv-1")] == ["q1"]
+    assert bus.conversation_log("conv-1") == []
+    with pytest.raises(ValidationError):
+        bus.send(msg(sender="a2", receiver="a1", in_reply_to="q1"))
+    assert bus.send(msg(reply_with="q1")) == 3  # the id is free again
+    assert bus.send(msg(sender="a2", receiver="a1", conversation_id="conv-2",
+                        in_reply_to="q1")) == 4
+    assert [seq for seq, _ in bus.conversation_log("conv-1")] == [3]
 
 
 def test_conversation_log_reads_no_other_conversation():
@@ -219,16 +235,19 @@ def test_conversation_log_reads_no_other_conversation():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_conversation_logs_agree_with_the_delivery_log(seed):
-    """Random sends with reply ids over a few conversations: each
-    conversation's log is the delivery log filtered to it, sequence numbers
-    run 1..N, and a send is refused exactly when it reuses a ``reply_with``
-    or answers none of its conversation's."""
+def test_conversation_logs_hold_every_send_once(seed):
+    """Random sends with reply ids over a few conversations, whose logs are
+    read, and so ended, at random moments: each log holds exactly the
+    conversation's sends since it was last read, all logs together number
+    the sends 1..N, and a send is refused exactly when it reuses a
+    ``reply_with`` or answers none of its conversation's since the last read."""
     rng = random.Random(seed)
     agents = ["a0", "a1", "a2", "a3"]
     bus = make_bus(*agents)
     conversations = [f"conv-{k}" for k in range(rng.randint(1, 5))]
     reply_ids = {conversation: set() for conversation in conversations}
+    unread = {conversation: [] for conversation in conversations}
+    read = []
     sent = 0
     for _ in range(150):
         sender, receiver = rng.sample(agents, 2)
@@ -245,13 +264,21 @@ def test_conversation_logs_agree_with_the_delivery_log(seed):
         else:
             sent += 1
             assert bus.send(message) == sent
+            unread[conversation].append((sent, message))
             if reply_with is not None:
                 known.add(reply_with)
-        log = bus.delivery_log()
-        assert [seq for seq, _ in log] == list(range(1, sent + 1))
-        for conversation in conversations + ["conv-none"]:
-            assert bus.conversation_log(conversation) == [
-                (seq, m) for seq, m in log if m.conversation_id == conversation]
+        if rng.random() < 0.1:
+            ended = rng.choice(conversations + ["conv-none"])
+            log = bus.conversation_log(ended)
+            assert log == unread.pop(ended, [])
+            read += log
+            unread.setdefault(ended, [])
+            reply_ids[ended] = set()
+    for conversation in conversations:
+        log = bus.conversation_log(conversation)
+        assert log == unread[conversation]
+        read += log
+    assert sorted(seq for seq, _ in read) == list(range(1, sent + 1))
 
 
 def test_bus_unregister_reports_undelivered():

@@ -222,7 +222,7 @@ def test_generic_agent_stays_put_on_wait(setup_store):
     agent = GenericAgent("a", bus, None)
     bus.send(AclMessage(Performative.INFORM, "kg", "a", {"action": "wait"}, "c1"))
     agent.activate()
-    assert len(bus.delivery_log()) == 1  # nothing sent back
+    assert len(bus.conversation_log("c1")) == 1 and bus.idle()  # nothing sent back
     assert not agent.performing
 
 
@@ -241,11 +241,11 @@ def test_generic_agent_runs_the_query_loop(setup_store):
 
     bus.send(AclMessage(Performative.INFORM, "kg", "a", {"action": "done"}, "c1"))
     agent.activate()
-    sent_before = len(bus.delivery_log())
+    assert len(bus.conversation_log("c1")) == 3
     # with the task cleared a confirm no longer triggers a new query
     bus.send(AclMessage(Performative.CONFIRM, "kg", "a", {"event": "x"}, "c1"))
     agent.activate()
-    assert len(bus.delivery_log()) == sent_before + 1
+    assert len(bus.conversation_log("c1")) == 1
 
 
 def test_generic_agent_keeps_task_memory_per_conversation():
@@ -414,10 +414,13 @@ def test_mediator_answers_one_message(setup_store, before, sender, performative,
     bus.send(AclMessage(performative, sender, "kg", content, conversation,
                         reply_with="q-1"))
     kg.activate()
-    sent = [message for _, message in bus.delivery_log()[1:]]
+    sent = [message for _, message in bus.conversation_log(conversation)[1:]]
     assert [(m.receiver, m.performative, m.content, m.in_reply_to)
             for m in sent] == replies
-    assert all(m.sender == "kg" and m.conversation_id == conversation for m in sent)
+    assert all(m.sender == "kg" for m in sent)
+    delivered = [m for agent_id in ("turtlebot", "roboticarm", "stranger")
+                 for m in iter(lambda: bus.try_receive(agent_id), None)]
+    assert len(delivered) == len(sent)  # nothing went to another conversation
     assert (task.index, task.status) == after
 
 
@@ -480,6 +483,24 @@ def test_query_outside_every_task_conversation_is_refused(setup_store):
     assert answer.content == {"reason": "unknown_task"}
     assert answer.in_reply_to == "q-1"
     assert (task.index, task.status) == (1, PENDING)
+
+
+def test_a_query_unread_when_its_conversation_ends_gets_no_answer(setup_store):
+    """The bus forgot the ``reply_with`` an answer would name, so the
+    mediator drops its refusal instead of raising."""
+    bus = Bus()
+    kg = KgAgent(bus, setup_store, DATA_GRAPH)
+    bus.register("turtlebot")
+    task = kg.create_task(load_protocol(setup_store, SETUP_GRAPH, task_name=MOVE),
+                          TASK_PARAMS)
+    bus.send(AclMessage(Performative.REQUEST, "turtlebot", "kg",
+                        {"query": "next_action", "task": MOVE},
+                        task.conversation_id, reply_with="q-1"))
+    assert len(bus.conversation_log(task.conversation_id)) == 1
+    kg.end_conversation(task.conversation_id)
+    kg.activate()
+    assert bus.idle()
+    assert bus.conversation_log(task.conversation_id) == []
 
 
 def test_failure_outside_every_task_conversation_is_refused(setup_store):

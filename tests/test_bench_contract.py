@@ -26,6 +26,17 @@ def test_one_traced_cycle_reaches_every_wrapped_entry_point(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.missing == []
-    reached = {span[tracer_module.NAME] for span in tracer.take()}
+    spans = tracer.take()
+    reached = {span[tracer_module.NAME] for span in spans}
     assert [name for name in tracer_module.EVERY_CYCLE if name not in reached] == []
     assert reached & set(tracer_module.TRANSPORTS)
+
+    def ancestors(index):
+        while (index := spans[index][tracer_module.PARENT]) >= 0:
+            yield spans[index][tracer_module.NAME]
+
+    # Protocols load while the scenario is built, never inside a tick.
+    loads = [list(ancestors(i)) for i, span in enumerate(spans)
+             if span[tracer_module.NAME] == "protocol.load_protocol"]
+    assert loads and all("bench.setup" in chain and tracer_module.TICK not in chain
+                         for chain in loads)

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import fixture_path, fixture_text, setup_with_step_inside_pair
+from helpers import (fixture_path, fixture_text, setup_with_broken_protocol,
+                     setup_with_step_inside_pair)
 from kgmas.cli import main
+from kgmas.errors import ProtocolError
+from kgmas.runtime import Scenario
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -279,6 +282,25 @@ def test_validate_loads_every_protocol_run_loads(tmp_path, capsys):
         "expected one step index\n")
     assert main(["run", "--setup", setup, "--world", WORLD,
                  "--task", "move_pallet"]) == 1
+
+
+def test_a_broken_protocol_fails_only_its_own_task(tmp_path, capsys):
+    """With a second, broken protocol in the setup the scenario still builds
+    and ``move_pallet`` completes; running the broken task raises the error
+    ``kgmas validate`` prints for it, and an unknown task raises as before."""
+    setup = write_setup(tmp_path, setup_with_broken_protocol())
+    with Scenario.from_files(setup, WORLD) as scenario:
+        result = scenario.run_task("move_pallet", {"from": "P1", "to": "P2"})
+        assert result.status == "completed"
+        with pytest.raises(ProtocolError) as broken:
+            scenario.run_task("stack_pallet")
+        with pytest.raises(ProtocolError) as unknown:
+            scenario.run_task("paint_fence")
+    assert str(broken.value) == ("http://kgmas.example/vocab#StackPalletStep1: "
+                                 "expected one step index")
+    assert str(unknown.value) == "no protocol matches the requested task"
+    assert main(["validate", "--setup", setup]) == 1
+    assert capsys.readouterr().out == f"protocol\tstack_pallet\t{broken.value}\n"
 
 
 def test_dump_is_a_fixed_point(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import types
@@ -17,9 +18,11 @@ from helpers import (
     put_pallet_back,
     random_asset_block,
     random_protocol_steps,
+    setup_with_broken_protocol,
     setup_without_steps,
     world_state_facts,
 )
+from kgmas import runtime
 from kgmas.acl import AclMessage, Performative, canonical_json, format_trace
 from kgmas.agents import GenericAgent
 from kgmas.connection import PICK_POSTURE
@@ -344,7 +347,9 @@ def test_random_protocols_load_refused_or_run_as_the_oracle_predicts():
 
 def test_tasks_on_one_scenario_each_trace_their_own_conversation():
     """Thirty tasks in a row on one scenario: each completes with no
-    violation, and its trace is its own conversation's messages."""
+    violation, and its trace is its own conversation's messages: every
+    message sent during its run, in a run of sequence numbers."""
+    sent = 0
     with fresh() as scenario:
         protocol = load_protocol(scenario.store, SETUP_GRAPH, "move_pallet")
         expected = derive_trace_skeleton(protocol)
@@ -355,11 +360,73 @@ def test_tasks_on_one_scenario_each_trace_their_own_conversation():
             assert (result.status, result.conversation_id) == (
                 "completed", f"conv-Task_move_pallet_{number}")
             assert not any(result.violations_per_tick)
-            assert result.trace == [
-                (seq, message) for seq, message in scenario.bus.delivery_log()
-                if message.conversation_id == result.conversation_id]
+            seqs = [seq for seq, _ in result.trace]
+            assert seqs == list(range(sent + 1, sent + 1 + len(seqs)))
+            assert {m.conversation_id for _, m in result.trace} == {result.conversation_id}
+            sent = seqs[-1]
             assert result.skeleton() == expected
             assert scenario.world.pallet_positions() == {"Pallet1": "P2"}
+
+
+def held_entries(scenario: Scenario) -> dict[str, int]:
+    """Conversation records on the bus, mediator tasks and each asset
+    agent's task memory."""
+    return {"bus": len(scenario.bus._conversations), "kg": len(scenario.kg._tasks),
+            **{agent_id: len(handle.agent._tasks)
+               for agent_id, handle in scenario.handles.items()}}
+
+
+def test_finished_tasks_leave_no_conversation_behind():
+    """After ten tasks on one scenario nothing holds an entry for a finished
+    conversation: not the bus, the mediator or any asset agent."""
+    with fresh() as scenario:
+        for number in range(10):
+            if number:
+                put_pallet_back(scenario.world)
+            assert scenario.run_task("move_pallet", PARAMS).status == "completed"
+        assert held_entries(scenario) == {"bus": 0, "kg": 0, "roboticarm": 0,
+                                          "turtlebot": 0}
+
+
+def test_a_message_in_an_ended_conversation_is_refused_unknown_task():
+    with fresh() as scenario:
+        result = scenario.run_task("move_pallet", PARAMS)
+        scenario.bus.send(AclMessage(Performative.REQUEST, "turtlebot", KG_AGENT_ID,
+                                     {"query": "next_action", "task": "move_pallet"},
+                                     result.conversation_id, reply_with="late-1"))
+        scenario.kg.activate()
+        answer = scenario.bus.try_receive("turtlebot")
+    assert (answer.performative, answer.content, answer.in_reply_to) == (
+        Performative.REFUSE, {"reason": "unknown_task"}, "late-1")
+    assert answer.conversation_id == result.conversation_id
+    assert result.task.status == "completed"
+
+
+def test_protocols_load_once_at_set_up(monkeypatch):
+    """``load_protocol`` runs once per task name while the scenario is built,
+    broken protocol included, and never in ``run_task``; five tasks share
+    one protocol and leave it, templates included, as it was."""
+    calls = []
+    load = runtime.load_protocol
+
+    def counting(store, graph_id, task_name):
+        calls.append(task_name)
+        return load(store, graph_id, task_name)
+
+    monkeypatch.setattr(runtime, "load_protocol", counting)
+    store = NamedGraphStore()
+    store.load_turtle(SETUP_GRAPH, setup_with_broken_protocol())
+    with Scenario(store, WarehouseWorld.from_file(WORLD)) as scenario:
+        assert calls == ["move_pallet", "stack_pallet"]
+        protocol = scenario.protocols["move_pallet"]
+        pristine = copy.deepcopy(protocol)
+        for number in range(5):
+            if number:
+                put_pallet_back(scenario.world)
+            result = scenario.run_task("move_pallet", PARAMS)
+            assert result.status == "completed" and result.task.protocol is protocol
+    assert calls == ["move_pallet", "stack_pallet"]
+    assert protocol == pristine
 
 
 def test_transport_choice_does_not_change_the_outcome():
@@ -502,7 +569,8 @@ def run_with_strays(seed: int, extras: int, mover: str, reference: bool):
     with scenario:
         result = scenario.run_task("move_pallet", PARAMS, on_tick=stray)
         return (result.status, result.ticks, result.violations_per_tick,
-                format_trace(scenario.bus.delivery_log()),
+                format_trace(result.trace),
+                format_trace(scenario.bus.conversation_log("conv-stray")),
                 scenario.store.dump_turtle(DATA_GRAPH),
                 format_trace(enumerate(replies)))
 
@@ -616,8 +684,7 @@ def run_reporting(case: str, seed: int, reference: bool):
     with scenario:
         result = scenario.run_task("move_pallet", params, on_tick=snapshot)
         outcome = (result.status, result.ticks, result.stalled_step,
-                   result.violations_per_tick,
-                   format_trace(scenario.bus.delivery_log()))
+                   result.violations_per_tick, format_trace(result.trace))
     return outcome, seen
 
 
