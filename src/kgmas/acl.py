@@ -177,9 +177,7 @@ class Bus:
             if message.sender not in self._inboxes:
                 raise UnknownReceiverError(
                     f"sender {message.sender!r} is not registered")
-            record = self._conversations.get(message.conversation_id)
-            if record is None:
-                record = self._conversations[message.conversation_id] = ([], set())
+            record = self._conversations.get(message.conversation_id) or ([], set())
             entries, known = record
             if message.in_reply_to is not None and message.in_reply_to not in known:
                 raise ValidationError(
@@ -192,6 +190,7 @@ class Bus:
                         f"reply_with {message.reply_with!r} reused in "
                         f"conversation {message.conversation_id!r}")
                 known.add(message.reply_with)
+            self._conversations[message.conversation_id] = record
             self._seq += 1
             entries.append((self._seq, message))
             self._inboxes[message.receiver].append(message)

@@ -15,6 +15,7 @@ import logging
 import os
 from dataclasses import dataclass
 
+from . import vocab
 from .acl import AclMessage, Bus, Performative
 from .connection import AgentChannel, ConnectionComponent
 from .errors import (
@@ -25,14 +26,13 @@ from .errors import (
     ValidationError,
 )
 from .protocol import (
+    FAILED,
     ProtocolDefinition,
     TaskState,
     handle_request,
-    mark_failed,
     next_action,
     next_push,
     record_event,
-    write_task_state,
 )
 from .rami import AgentBlueprint, extract_blueprint, list_assets, validate_setup
 from .store import NamedGraphStore
@@ -109,7 +109,8 @@ class GenericAgent:
     into peer requests or device commands, and finished device commands are
     reported back as events.  Task memory is per conversation, dropped on
     ``done`` or at its end: the task request acted on there, which names
-    the task to the mediator, or an empty record after a bare perform.
+    the task to the mediator, or an empty record after a bare perform.  A
+    command in flight is dropped at the end of its conversation too.
     """
 
     def __init__(self, agent_id: str, bus: Bus, channel: AgentChannel | None):
@@ -142,6 +143,8 @@ class GenericAgent:
 
     def end_conversation(self, conversation: str) -> None:
         self._tasks.pop(conversation, None)
+        if self.performing is not None and self.performing["conversation"] == conversation:
+            self.performing = None
 
     def activate(self) -> None:
         """Drain the inbox, then check on any command in flight."""
@@ -232,7 +235,9 @@ class KgAgent:
     inform).  Every message is routed to its task by its conversation id
     alone; each task has its own conversation.  The answers and every move
     of the task come from the rules in :mod:`kgmas.protocol`; this agent
-    sends them and mirrors the task into the data graph when it moved.
+    sends them, records each accepted event and mirrors the task into the
+    data graph when it moved.  It is the one writer of task and event
+    nodes, and the one place a task fails.
     When a step becomes current without its owner asking, the instruction
     is pushed.  A ``FAILURE`` fails its task only
     when the sender holds one of the task's roles; otherwise it is refused
@@ -256,8 +261,22 @@ class KgAgent:
         task = TaskState(f"Task_{protocol.task_name}_{number}", protocol,
                          {k: str(v) for k, v in params.items()})
         self._tasks[task.conversation_id] = task
-        write_task_state(self.store, self.data_graph, task)
+        self._mirror(task)
         return task
+
+    def fail(self, task: TaskState) -> None:
+        """Fail an unfinished task; its cursor stays on the step it stalled at."""
+        if not task.finished:
+            task.status = FAILED
+            self._mirror(task)
+
+    def _mirror(self, task: TaskState) -> None:
+        """Write a task's name, status and step cursor into the data graph."""
+        self.store.replace(self.data_graph, task.iri, {
+            vocab.TASK_NAME: [Literal(task.task_name)],
+            vocab.TASK_STATUS: [Literal(task.status)],
+            vocab.CURRENT_STEP_INDEX: [Literal(str(task.index), vocab.XSD_INTEGER)],
+        })
 
     def end_conversation(self, conversation: str) -> None:
         """Forget a task; a later message in its conversation is refused."""
@@ -282,7 +301,7 @@ class KgAgent:
         is_failure = performative is Performative.FAILURE
         if is_failure and role is not None:
             if not task.finished:
-                mark_failed(self.store, self.data_graph, task)
+                self.fail(task)
                 log.info("kg: task %s failed at step %d: %s",
                          task.task_id, task.index, content)
             return
@@ -299,19 +318,18 @@ class KgAgent:
             verb, reply = Performative.REFUSE, {"reason": "unsupported"}
         elif role is None:
             verb, reply = Performative.REFUSE, {"reason": "unknown_role"}
-        elif not is_query:
-            verb, reply = self._record(task, role, content)
         else:
             before = (task.index, task.status)
-            if query == "next_action":
-                reply = next_action(task, role)
+            if not is_query:
+                verb, reply = self._record(task, role, content)
             else:
-                reply = handle_request(task, role, content)
+                reply = (next_action(task, role) if query == "next_action"
+                         else handle_request(task, role, content))
+                verb = Performative.INFORM
+                if reply["action"] == "refuse":
+                    verb, reply = Performative.REFUSE, {"reason": reply["reason"]}
             if (task.index, task.status) != before:
-                write_task_state(self.store, self.data_graph, task)
-            verb = Performative.INFORM
-            if reply["action"] == "refuse":
-                verb, reply = Performative.REFUSE, {"reason": reply["reason"]}
+                self._mirror(task)
         self._send(verb, message.sender, reply, message.conversation_id,
                    message.reply_with if is_query else None)
         push = None if verb is Performative.REFUSE else next_push(task)
@@ -320,12 +338,18 @@ class KgAgent:
 
     def _record(self, task: TaskState, role: Iri,
                 content: dict) -> tuple[Performative, dict]:
+        """Accept an event and write its node, or refuse it."""
         event = content.get("event")
         try:
-            record_event(self.store, self.data_graph, task, role, event,
-                         self._clock())
+            step = record_event(task, role, event)
         except EventRejectedError as exc:
             return Performative.REFUSE, {"reason": "event_rejected", "detail": str(exc)}
+        self.store.replace(self.data_graph, kgmas(f"{task.task_id}_event_{step}"), {
+            vocab.EVENT_OF_TASK: [task.iri],
+            vocab.EVENT_NAME: [Literal(event)],
+            vocab.AT_STEP: [Literal(str(step), vocab.XSD_INTEGER)],
+            vocab.AT_TICK: [Literal(str(self._clock()), vocab.XSD_INTEGER)],
+        })
         return Performative.CONFIRM, {"event": event}
 
 

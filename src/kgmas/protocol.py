@@ -20,11 +20,12 @@ The functions here hold the coordination semantics. A ``TaskState`` is
 the one record of a task: its protocol, its parameters and its step
 cursor. Each mediator rule takes the task alone, answers one message and
 moves the cursor as that message requires: ``next_action`` and
-``handle_request`` answer queries, ``record_event`` records a report, and
+``handle_request`` answer queries, ``record_event`` accepts a report, and
 ``next_push`` hands out a current step nobody has asked for. Only a rule
-that completes the task moves the cursor past the last step. Consistency
-checking lives here too. The mediator agent only wraps these rules with
-messaging.
+that completes the task moves the cursor past the last step. No rule
+writes the store: the mediator agent wraps these rules with messaging and
+alone mirrors a task, records its events and fails it. Consistency
+checking lives here too.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from . import vocab
 from .errors import EventRejectedError, ProtocolError
 from .store import NamedGraphStore, objects_of
-from .terms import Iri, Literal, Triple
+from .terms import Iri, Literal
 from .vocab import agent_id_of, kgmas
 
 SEND_REQUEST = "send_request"
@@ -392,28 +393,14 @@ def next_push(task: TaskState) -> tuple[str, dict] | None:
     return task.protocol.agent_for(step.role), _instruction_for(task, step)
 
 
-def _int_literal(value: int) -> Literal:
-    return Literal(str(value), vocab.XSD_INTEGER)
-
-
-def write_task_state(store: NamedGraphStore, graph_id, task: TaskState) -> int:
-    """Mirror a task's status and step cursor into the data graph."""
-    return store.replace(graph_id, task.iri, {
-        vocab.TASK_NAME: [Literal(task.task_name)],
-        vocab.TASK_STATUS: [Literal(task.status)],
-        vocab.CURRENT_STEP_INDEX: [_int_literal(task.index)],
-    })
-
-
-def record_event(store: NamedGraphStore, graph_id, task: TaskState,
-                 role: Iri, event_name: str, tick: int) -> int:
-    """Record a reported event and advance the task.
+def record_event(task: TaskState, role: Iri, event_name: str) -> int:
+    """Accept a reported event and advance the task past its pair.
 
     The event must be the report paired right behind the current perform
     step, sent by that step's role. Anything else (stale duplicates
-    included) is rejected without touching graph or task. Once only
-    query steps remain the task completes immediately; the trailing
-    queries are answered ``done`` when they arrive.
+    included) is rejected without touching the task. Once only query
+    steps remain the task completes immediately; the trailing queries are
+    answered ``done`` when they arrive. Returns the report step's index.
     """
     if task.finished:
         raise EventRejectedError(f"task is {task.status}")
@@ -425,27 +412,12 @@ def record_event(store: NamedGraphStore, graph_id, task: TaskState,
         raise EventRejectedError(
             f"event {event_name!r} from this role does not match step {i}")
 
-    report_index = i + 1
-    task.index = report_index + 1
+    task.index = i + 2
     task.status = IN_PROGRESS
     if all(step.kind == QUERY_NEXT for step in steps[task.index - 1:]):
         task.index = len(steps) + 1
         task.status = COMPLETED
-
-    event_iri = kgmas(f"{task.task_id}_event_{report_index}")
-    store.atomic_update(graph_id, [], [
-        Triple(event_iri, vocab.EVENT_OF_TASK, task.iri),
-        Triple(event_iri, vocab.EVENT_NAME, Literal(event_name)),
-        Triple(event_iri, vocab.AT_STEP, _int_literal(report_index)),
-        Triple(event_iri, vocab.AT_TICK, _int_literal(tick)),
-    ])
-    return write_task_state(store, graph_id, task)
-
-
-def mark_failed(store: NamedGraphStore, graph_id, task: TaskState) -> int:
-    """Fail the task; its cursor stays on the step it stalled at."""
-    task.status = FAILED
-    return write_task_state(store, graph_id, task)
+    return i + 1
 
 
 # -- world consistency -----------------------------------------------------

@@ -24,7 +24,7 @@ from .agents import (OPERATOR_ID, AgentHandle, KgAgent, generate_agents, instant
                      shutdown)
 from .errors import ProtocolError, ValidationError
 from .protocol import (FAILED, ProtocolDefinition, TaskState, check_world_consistency,
-                       load_protocol, mark_failed)
+                       load_protocol)
 from .store import NamedGraphStore
 from .terms import Literal
 from .transports import Endpoint, TransportRegistry, default_registry
@@ -156,10 +156,11 @@ class Scenario:
                  on_tick=None) -> RunResult:
         """Drive one task from operator request to a final status.
 
-        A task fails when its step cursor makes no progress for a whole
-        deadline window. The loop keeps going after the final status until
-        the bus drains, so trailing confirmations still make the trace;
-        mail to the operator is logged and dropped after each tick.
+        The mediator fails the task when its step cursor makes no progress
+        for a whole deadline window or the run hits the tick cap. The loop
+        keeps going after the final status until the bus drains, so trailing
+        confirmations still make the trace; mail to the operator is logged
+        and dropped after each tick.
         """
         protocol = self.protocols.get(task_name)
         if not isinstance(protocol, ProtocolDefinition):
@@ -178,8 +179,7 @@ class Scenario:
         last_progress = self.world.tick
         while not task.finished or not self.bus.idle():
             if self.world.tick - start_tick >= cap:
-                if not task.finished:
-                    mark_failed(self.store, DATA_GRAPH, task)
+                self.kg.fail(task)
                 log.info("run of %s hit the tick cap", task.task_id)
                 break
             self.iterate()
@@ -196,7 +196,7 @@ class Scenario:
             if task.finished:
                 continue
             if self.world.tick - last_progress >= deadline_ticks:
-                mark_failed(self.store, DATA_GRAPH, task)
+                self.kg.fail(task)
         for agent in (self.kg, *self._agents):
             agent.end_conversation(conversation)
         return RunResult(

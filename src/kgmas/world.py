@@ -201,9 +201,12 @@ class WarehouseWorld:
         return 0 <= x < self.width and 0 <= y < self.height
 
     def _grid_cell(self, value) -> bool:
-        """A command's cell argument: an [x, y] pair on the grid."""
-        return (isinstance(value, (tuple, list)) and len(value) == 2
-                and self.in_grid(tuple(value)))
+        """A command's cell argument: an integer [x, y] pair on the grid."""
+        try:
+            return isinstance(value, (tuple, list)) and self.in_grid(
+                integer_cell(value, "a command"))
+        except WorldError:
+            return False
 
     def position_literal(self, cell: tuple[int, int]) -> str:
         """Station label if the cell hosts one, else ``cell:x,y``."""

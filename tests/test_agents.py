@@ -25,7 +25,6 @@ from kgmas.protocol import (
     IN_PROGRESS,
     PENDING,
     load_protocol,
-    mark_failed,
 )
 from kgmas.store import NamedGraphStore
 from kgmas.terms import Literal, Triple
@@ -453,9 +452,9 @@ def test_query_moves_the_task_of_its_conversation(two_moves):
     assert (second.index, second.status) == (1, PENDING)
 
 
-def test_stale_event_on_a_failed_task_moves_no_other_task(two_moves, setup_store):
+def test_stale_event_on_a_failed_task_moves_no_other_task(two_moves):
     bus, kg, first, second = two_moves
-    mark_failed(setup_store, DATA_GRAPH, first)
+    kg.fail(first)
     second.index, second.status = 3, IN_PROGRESS
     bus.send(AclMessage(Performative.INFORM, "turtlebot", "kg",
                         {"event": "pallet_delivered", "task": MOVE},

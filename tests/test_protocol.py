@@ -15,7 +15,10 @@ import pytest
 from helpers import (NS, consistency_oracle, consistency_scan, counted_store_reads,
                      fixture_text, protocol_step_triples, setup_with_step_inside_pair,
                      setup_without_steps)
+from kgmas import protocol as protocol_module
 from kgmas import vocab
+from kgmas.acl import AclMessage, Bus, Performative
+from kgmas.agents import KgAgent
 from kgmas.errors import EventRejectedError, ProtocolError
 from kgmas.protocol import (
     COMPLETED,
@@ -29,11 +32,9 @@ from kgmas.protocol import (
     derive_trace_skeleton,
     handle_request,
     load_protocol,
-    mark_failed,
     next_action,
     record_event,
     substitute,
-    write_task_state,
 )
 from kgmas.runtime import Scenario
 from kgmas.store import NamedGraphStore
@@ -399,76 +400,123 @@ def test_handle_request_refuses_other_tasks(protocol):
     assert (task.index, task.status, task.instructed) == (2, IN_PROGRESS, set())
 
 
-def test_record_event_advances_past_the_pair(protocol):
-    store = NamedGraphStore()
-    task = make_task(protocol, index=3, status=IN_PROGRESS)
-    record_event(store, DATA_GRAPH, task, MOVER,
-                 "pallet_delivered", tick=11)
+@pytest.fixture
+def mediator(protocol):
+    """A mediator over an empty data store, its clock at tick 11, with one
+    ``move_pallet`` task and both asset ids on its bus."""
+    bus = Bus()
+    for agent_id in ("turtlebot", "roboticarm"):
+        bus.register(agent_id)
+    kg = KgAgent(bus, NamedGraphStore(), DATA_GRAPH, clock=lambda: 11)
+    return bus, kg, kg.create_task(protocol, {"from": "P1", "to": "P2"})
+
+
+def tell(bus, kg, task, sender, content, performative=Performative.INFORM,
+         reply_with=None):
+    """Send one message to the mediator in the task's conversation; its answer."""
+    bus.send(AclMessage(performative, sender, "kg", content, task.conversation_id,
+                        reply_with))
+    kg.activate()
+    return bus.try_receive(sender)
+
+
+def task_facts(kg, task):
+    return {(t.predicate, t.object) for t in kg.store.triples(DATA_GRAPH)
+            if t.subject == task.iri}
+
+
+def test_record_event_advances_past_the_pair(protocol, mediator):
+    assert record_event(make_task(protocol, index=3, status=IN_PROGRESS),
+                        MOVER, "pallet_delivered") == 4
+    bus, kg, task = mediator
+    task.index, task.status = 3, IN_PROGRESS
+    answer = tell(bus, kg, task, "turtlebot", {"event": "pallet_delivered"})
+    assert answer.performative is Performative.CONFIRM
     assert (task.index, task.status) == (5, IN_PROGRESS)
-    event = kgmas("T1_event_4")
-    triples = store.triples(DATA_GRAPH)
-    assert Triple(event, vocab.EVENT_NAME, Literal("pallet_delivered")) in triples
-    assert Triple(event, vocab.AT_STEP,
-                  Literal("4", vocab.XSD_INTEGER)) in triples
-    assert Triple(event, vocab.AT_TICK,
-                  Literal("11", vocab.XSD_INTEGER)) in triples
-    assert Triple(event, vocab.EVENT_OF_TASK, task.iri) in triples
+    event = kgmas(f"{task.task_id}_event_4")
+    assert {t for t in kg.store.triples(DATA_GRAPH) if t.subject == event} == {
+        Triple(event, vocab.EVENT_NAME, Literal("pallet_delivered")),
+        Triple(event, vocab.AT_STEP, Literal("4", vocab.XSD_INTEGER)),
+        Triple(event, vocab.AT_TICK, Literal("11", vocab.XSD_INTEGER)),
+        Triple(event, vocab.EVENT_OF_TASK, task.iri),
+    }
+    assert (vocab.CURRENT_STEP_INDEX, Literal("5", vocab.XSD_INTEGER)) in task_facts(kg, task)
 
 
-def test_record_event_completes_when_only_queries_remain(protocol):
-    store = NamedGraphStore()
-    task = make_task(protocol, index=5, status=IN_PROGRESS)
-    record_event(store, DATA_GRAPH, task, PLACER,
-                 "pallet_placed", tick=19)
+def test_record_event_completes_when_only_queries_remain(mediator):
+    bus, kg, task = mediator
+    task.index, task.status = 5, IN_PROGRESS
+    tell(bus, kg, task, "roboticarm", {"event": "pallet_placed"})
     assert (task.index, task.status) == (8, COMPLETED)
-    assert Triple(task.iri, vocab.TASK_STATUS,
-                  Literal("completed")) in store.triples(DATA_GRAPH)
+    assert (vocab.TASK_STATUS, Literal("completed")) in task_facts(kg, task)
 
 
-@pytest.mark.parametrize("index,role,event", [
-    (3, PLACER, "pallet_delivered"),   # wrong role
-    (3, MOVER, "pallet_placed"),       # wrong event
-    (5, MOVER, "pallet_delivered"),    # stale duplicate of an earlier step
-    (1, MOVER, "pallet_delivered"),    # nothing performed yet
+@pytest.mark.parametrize("index,sender,event", [
+    (3, "roboticarm", "pallet_delivered"),  # wrong role
+    (3, "turtlebot", "pallet_placed"),      # wrong event
+    (5, "turtlebot", "pallet_delivered"),   # stale duplicate of an earlier step
+    (1, "turtlebot", "pallet_delivered"),   # nothing performed yet
 ])
-def test_record_event_rejects_mismatches(protocol, index, role, event):
-    store = NamedGraphStore()
-    task = make_task(protocol, index=index, status=IN_PROGRESS)
-    before = store.revision
-    with pytest.raises(EventRejectedError):
-        record_event(store, DATA_GRAPH, task, role, event, tick=1)
-    assert store.revision == before
+def test_record_event_rejects_mismatches(mediator, index, sender, event):
+    bus, kg, task = mediator
+    task.index, task.status = index, IN_PROGRESS
+    before = kg.store.revision
+    answer = tell(bus, kg, task, sender, {"event": event})
+    assert (answer.performative, answer.content["reason"]) == (
+        Performative.REFUSE, "event_rejected")
+    assert kg.store.revision == before
     assert (task.index, task.status) == (index, IN_PROGRESS)
 
 
-def test_record_event_rejects_after_the_end(protocol):
-    store = NamedGraphStore()
-    task = make_task(protocol, index=8, status=COMPLETED)
+def test_record_event_rejects_after_the_end(mediator):
+    bus, kg, task = mediator
+    task.index, task.status = 8, COMPLETED
+    before = kg.store.revision
+    answer = tell(bus, kg, task, "roboticarm", {"event": "pallet_placed"})
+    assert answer.content == {"reason": "event_rejected", "detail": "task is completed"}
+    assert kg.store.revision == before
     with pytest.raises(EventRejectedError, match="completed"):
-        record_event(store, DATA_GRAPH, task, PLACER,
-                     "pallet_placed", tick=30)
+        record_event(task, PLACER, "pallet_placed")
 
 
-def test_task_state_written_single_valued(protocol):
-    store = NamedGraphStore()
-    task = make_task(protocol, index=2, status=IN_PROGRESS)
-    write_task_state(store, DATA_GRAPH, task)
-    task.index = 5
-    write_task_state(store, DATA_GRAPH, task)
-    cursor = [t.object for t in store.triples(DATA_GRAPH)
-              if t.predicate == vocab.CURRENT_STEP_INDEX]
-    assert cursor == [Literal("5", vocab.XSD_INTEGER)]
+def test_task_state_written_single_valued(mediator):
+    bus, kg, task = mediator
+    answer = tell(bus, kg, task, "turtlebot", {"query": "next_action"},
+                  Performative.REQUEST, "q-1")
+    assert answer.content["action"] == "send_request"
+    assert task_facts(kg, task) == {
+        (vocab.TASK_NAME, Literal("move_pallet")),
+        (vocab.TASK_STATUS, Literal(IN_PROGRESS)),
+        (vocab.CURRENT_STEP_INDEX, Literal("2", vocab.XSD_INTEGER)),
+    }
 
 
-def test_mark_failed_records_the_stalled_step(protocol):
-    store = NamedGraphStore()
-    task = make_task(protocol, index=2, status=IN_PROGRESS)
-    mark_failed(store, DATA_GRAPH, task)
-    assert task.status == FAILED
-    assert task.index == 2
-    assert Triple(task.iri, vocab.TASK_STATUS,
-                  Literal("failed")) in store.triples(DATA_GRAPH)
+def test_fail_records_the_stalled_step(mediator):
+    bus, kg, task = mediator
+    task.index, task.status = 2, IN_PROGRESS
+    kg.fail(task)
+    assert (task.status, task.index) == (FAILED, 2)
+    assert (vocab.TASK_STATUS, Literal("failed")) in task_facts(kg, task)
     assert next_action(task, MOVER) == {"action": "done"}
+
+
+@pytest.mark.parametrize("status", [COMPLETED, FAILED])
+def test_fail_leaves_a_finished_task_alone(mediator, status):
+    bus, kg, task = mediator
+    task.index, task.status = 8, status
+    before = kg.store.revision
+    kg.fail(task)
+    assert (task.index, task.status) == (8, status)
+    assert kg.store.revision == before
+
+
+def test_no_rule_writes_the_store():
+    """The rules only move a task's cursor; the mediator writes the graph."""
+    tree = ast.parse(inspect.getsource(protocol_module))
+    writes = {"replace", "atomic_update", "insert", "remove", "load_turtle"}
+    called = {node.func.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert called.isdisjoint(writes), called & writes
 
 
 # -- consistency checking ---------------------------------------------------

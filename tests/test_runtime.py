@@ -24,7 +24,7 @@ from helpers import (
 )
 from kgmas import runtime
 from kgmas.acl import AclMessage, Performative, canonical_json, format_trace
-from kgmas.agents import GenericAgent
+from kgmas.agents import GenericAgent, KgAgent
 from kgmas.connection import PICK_POSTURE
 from kgmas.errors import ProtocolError, ValidationError
 from kgmas.protocol import derive_trace_skeleton, load_protocol
@@ -44,6 +44,7 @@ from kgmas.vocab import (
     KIND_REPORT_EVENT,
     OPERATOR_ID,
     SETUP_GRAPH,
+    TASK_STATUS,
     XSD_INTEGER,
     kgmas,
 )
@@ -220,6 +221,25 @@ def test_zero_deadline_fails_without_progress():
     assert scenario.world.pallet_positions() == {"Pallet1": "P1"}
 
 
+def test_the_deadline_fails_the_task_through_the_mediator(monkeypatch):
+    """The run loop fails a stalled task by asking the mediator, which
+    writes the failed status into the data graph."""
+    failed = []
+    fail = KgAgent.fail
+
+    def recording(kg, task):
+        failed.append((task.task_id, task.index, task.status))
+        fail(kg, task)
+
+    monkeypatch.setattr(KgAgent, "fail", recording)
+    with fresh(deadline_ms=0) as scenario:
+        result = scenario.run_task("move_pallet", PARAMS)
+        triples = scenario.store.triples(DATA_GRAPH)
+    assert failed == [("Task_move_pallet_1", 1, "pending")]
+    assert result.status == "failed"
+    assert Triple(result.task.iri, TASK_STATUS, Literal("failed")) in triples
+
+
 def test_missing_peer_stalls_at_the_request_step():
     """Without the placer the mover's request goes nowhere and times out."""
     with fresh(instantiate_only={"turtlebot"}, deadline_ms=500) as scenario:
@@ -376,16 +396,36 @@ def held_entries(scenario: Scenario) -> dict[str, int]:
                for agent_id, handle in scenario.handles.items()}}
 
 
-def test_finished_tasks_leave_no_conversation_behind():
-    """After ten tasks on one scenario nothing holds an entry for a finished
-    conversation: not the bus, the mediator or any asset agent."""
+@pytest.mark.parametrize("params, tasks, status", [
+    (PARAMS, 10, "completed"),
+    ({"from": "P1"}, 1, "failed"),  # the arm fails while the turtlebot still drives
+], ids=["completed", "failed_mid_command"])
+def test_finished_tasks_leave_no_conversation_behind(params, tasks, status):
+    """After the tasks on one scenario, and forty ticks more, nothing holds
+    an entry for a finished conversation: not the bus, the mediator or any
+    asset agent, which stops waiting on a command of an ended task."""
     with fresh() as scenario:
-        for number in range(10):
+        for number in range(tasks):
             if number:
                 put_pallet_back(scenario.world)
-            assert scenario.run_task("move_pallet", PARAMS).status == "completed"
+            assert scenario.run_task("move_pallet", params).status == status
+        for _ in range(40):
+            scenario.iterate()
         assert held_entries(scenario) == {"bus": 0, "kg": 0, "roboticarm": 0,
                                           "turtlebot": 0}
+        assert all(handle.agent.performing is None
+                   for handle in scenario.handles.values())
+
+
+def test_refused_sends_leave_no_conversation_behind():
+    """A send the bus refuses opens no record for its conversation."""
+    with fresh() as scenario:
+        for number in range(3):
+            with pytest.raises(ValidationError, match="in_reply_to"):
+                scenario.bus.send(AclMessage(Performative.INFORM, "turtlebot", KG_AGENT_ID,
+                                             {}, f"conv-unseen-{number}", f"q-{number}",
+                                             "nope"))
+        assert held_entries(scenario)["bus"] == 0
 
 
 def test_a_message_in_an_ended_conversation_is_refused_unknown_task():

@@ -116,6 +116,9 @@ def test_goto_current_cell_finishes_without_moving():
     ("goto_cell", {"cell": (1,)}),
     ("grip", {"cell": (9, 9)}),
     ("fly", {}),
+    ("goto_cell", {"cell": [1.5, 0]}),             # off the integer grid
+    ("goto_cell", {"cell": [True, 0]}),            # a bool is no cell coordinate
+    ("grip", {"cell": (0.0, 0)}),                  # equal to the robot's cell, not one
 ])
 def test_robot_rejects_malformed_commands(verb, args):
     world = make_world(pallets={"P": (0, 0)}, devices=[robot()])
