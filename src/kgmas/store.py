@@ -217,10 +217,9 @@ class NamedGraphStore:
             raise ValidationError(f"replace needs iris: {subject!r}, {list(facts)!r}")
         entries = []
         for predicate, objects in facts.items():
-            by_key = {}  # term_key alone tells an entry's triples apart
-            for obj in objects:
-                by_key[term_key(obj)] = Triple(subject, predicate, obj)  # checks obj first
-            entries.append((predicate, tuple([by_key[k] for k in sorted(by_key)])))
+            triples = {Triple(subject, predicate, obj) for obj in objects}  # checks each obj
+            entries.append((predicate, tuple(triples) if len(triples) < 2
+                            else tuple(sorted(triples, key=_object_key))))
         with self._lock:
             if entries:
                 self._revision += 1

@@ -281,15 +281,18 @@ def _render_iri(iri: Iri) -> str:
     return f"<{iri.value}>"
 
 
-def _render_literal(lit: Literal) -> str:
-    rendered = f'"{lit.lexical.translate(_LITERAL_ESCAPES)}"'
-    if lit.datatype is not None:
-        rendered += f"^^{_render_iri(lit.datatype)}"
-    return rendered
+class _Rendered(dict):
+    """Each distinct term of one dump rendered once: the writer's ``_Iris``."""
 
-
-def _render_term(term) -> str:
-    return _render_iri(term) if isinstance(term, Iri) else _render_literal(term)
+    def __missing__(self, term) -> str:
+        if isinstance(term, Iri):
+            text = _render_iri(term)
+        else:
+            text = f'"{term.lexical.translate(_LITERAL_ESCAPES)}"'
+            if term.datatype is not None:
+                text += f"^^{self[term.datatype]}"
+        self[term] = text
+        return text
 
 
 def serialize_turtle(triples) -> str:
@@ -297,12 +300,12 @@ def serialize_turtle(triples) -> str:
 
     Prefix declarations always appear, even for an empty graph, and
     statements are sorted by (subject, predicate, object) so equal
-    graphs serialize to byte-equal documents.
+    graphs serialize to byte-equal documents. Each distinct term is
+    rendered once per call.
     """
     lines = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in _DUMP_PREFIXES]
     lines.append("")
-    for triple in sorted(set(triples), key=triple_key):
-        lines.append(f"{_render_term(triple.subject)} "
-                     f"{_render_term(triple.predicate)} "
-                     f"{_render_term(triple.object)} .")
+    rendered = _Rendered()
+    for subject, predicate, obj in sorted(set(triples), key=triple_key):
+        lines.append(f"{rendered[subject]} {rendered[predicate]} {rendered[obj]} .")
     return "\n".join(lines) + "\n"
