@@ -7,8 +7,8 @@ graph for physical consistency.
 
 Exit codes: 0 on success, 1 when the domain says no (validation issues,
 failed task, consistency violations), 2 when the input cannot be read at
-all.  Diagnostics go to stderr, controlled by ``KGMAS_LOG`` (quiet, info
-or debug; default quiet).  Results go to stdout.
+all or is not UTF-8.  Diagnostics go to stderr, controlled by
+``KGMAS_LOG`` (quiet, info or debug; default quiet).  Results go to stdout.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (TurtleParseError, WorldError, ValidationError,
-            json.JSONDecodeError, OSError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KgmasError as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 from .terms import Iri, Pattern, Term, Triple, Variable, term_key
@@ -197,6 +197,11 @@ class NamedGraphStore:
         for triple in (*removals, *insertions):
             if not isinstance(triple, Triple):
                 raise ValidationError(f"not a triple: {triple!r}")
+        return self._write(key, removals, insertions)
+
+    def _write(self, key: str, removals: Sequence[Triple],
+               insertions: Sequence[Triple]) -> tuple[int, int]:
+        """``_update``'s step for triples already checked, under one lock."""
         with self._lock:
             if not (removals or insertions):
                 return 0, self._revision
@@ -237,8 +242,8 @@ class NamedGraphStore:
         syntax error leaves both graph and revision unchanged. Returns
         the number of triples the document added to the graph.
         """
-        _graph_key(graph_id)  # a bad graph id fails before the document is parsed
-        return self._update(graph_id, (), parse_turtle(text))[0]
+        key = _graph_key(graph_id)  # a bad graph id fails before the document is parsed
+        return self._write(key, (), parse_turtle(text))[0]  # it returns only Triples
 
     def dump_turtle(self, graph_id: Iri | str) -> str:
         key = _graph_key(graph_id)

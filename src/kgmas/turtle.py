@@ -14,9 +14,12 @@ and ``@base``. Anything outside the subset raises ``TurtleParseError``
 with a 1-based line and column.
 
 The reader is one compiled pattern, ``_STATEMENT``, whose match takes a
-whole statement or ``@prefix`` directive; ``parse_turtle`` turns its groups
-into terms at once. Only a statement that does not match, or holds a bad
-term, is walked again one ``_TOKEN`` at a time, to say why and where.
+whole statement or ``@prefix`` directive, one group per term. It makes one
+object per distinct written term, through memos that live for one call and
+are dropped at each ``@prefix``, and builds a name's ``Iri`` without the
+checks its checked namespace and grammar guarantee. Only a statement that
+does not match, or holds a bad term, is walked again one ``_TOKEN`` at a
+time, to say why and where.
 """
 
 from __future__ import annotations
@@ -27,35 +30,34 @@ from .errors import TurtleParseError, ValidationError
 from .terms import Iri, Literal, Triple, triple_key
 from .vocab import KGMAS_NS, XSD_NS
 
-_SPACE = r"[ \t\r\n]*(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*"
+# A group repeat is entered only where its first character stands: ``re``
+# tests the lookahead more cheaply than it sets up a repeat that fails.
+_SPACE = r"[ \t\r\n]*(?:(?=#)(?:#[^\n]*(?:\n|\Z)[ \t\r\n]*)*|)"
 _NAME = r"[A-Za-z0-9_.-]*"
 # a local name does not end in '.': that dot closes the statement; nor is
 # it ever cut short, so a statement cannot backtrack into a shorter one
-_LOCAL = (r"[A-Za-z0-9_-]*(?:\.(?=[A-Za-z0-9_.-])[A-Za-z0-9_-]*)*"
+_LOCAL = (r"[A-Za-z0-9_-]*(?:(?=\.[A-Za-z0-9_.-])(?:\.(?=[A-Za-z0-9_.-])[A-Za-z0-9_-]*)*|)"
           r"(?![A-Za-z0-9_-]|\.[A-Za-z0-9_.-])")
 _IRI_BODY = r"[^>\r\n]*"
-_LITERAL_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
+_LITERAL_BODY = r'[^"\\]*(?:(?=\\)(?:\\.[^"\\]*)*|)'
 _PREFIX = rf"@prefix{_SPACE}(?P<name>{_NAME}):{_SPACE}<(?P<ns>{_IRI_BODY})>{_SPACE}\."
 
-
-def _terms(tag: str) -> tuple[str, str, str]:
-    """Iri ref, prefixed name and literal; group names start with ``tag``."""
-    iri = rf"<(?P<{tag}ref>{_IRI_BODY})>"
-    # a term's prefix is not empty and does not start with '_' (a blank node)
-    pname = rf"(?P<{tag}pfx>[A-Za-z0-9.-]{_NAME}):(?P<{tag}local>{_LOCAL})"
-    return iri, pname, (rf'"(?P<{tag}lex>{_LITERAL_BODY})"(?:\^\^(?:<(?P<{tag}dt_ref>'
-                        rf"{_IRI_BODY})>|(?P<{tag}dt_pfx>{_NAME}):(?P<{tag}dt_local>"
-                        rf"{_LOCAL}))|(?![@^]))")
-
-
+# A prefixed name and a literal, with the groups the token walk reads; a
+# term's prefix is not empty and does not start with '_' (a blank node).
+_PNAME = rf"(?P<pfx>[A-Za-z0-9.-]{_NAME}):(?P<local>{_LOCAL})"
+_LITERAL = (rf'"(?P<lex>{_LITERAL_BODY})"(?:\^\^(?:<(?P<dt_ref>{_IRI_BODY})>'
+            rf"|(?P<dt_pfx>{_NAME}):(?P<dt_local>{_LOCAL}))|(?![@^]))")
 _TOKEN = re.compile(
-    _SPACE + "(?:(?P<iri>{})|(?P<pname>{})|(?P<literal>{})".format(*_terms(""))
-    + rf"|(?P<prefix>{_PREFIX})|(?P<end>[.;,])|(?P<other>))", re.DOTALL)
-# A directive, or subject, predicate, object and '.'; else nothing, so that a
-# match always starts where the last one ended, and no search runs past a bad one.
+    rf"{_SPACE}(?:(?P<iri><(?P<ref>{_IRI_BODY})>)|(?P<pname>{_PNAME})|(?P<literal>{_LITERAL})"
+    rf"|(?P<prefix>{_PREFIX})|(?P<end>[.;,])|(?P<other>))", re.DOTALL)
+_WHOLE_PNAME, _WHOLE_LITERAL = (re.sub(r"\(\?P<\w+>", "(?:", t) for t in (_PNAME, _LITERAL))
+# A directive, or subject, predicate, object (an iri ref's body, a whole name or
+# a whole literal) and '.'; else nothing, so that a match always starts where
+# the last one ended, and no search runs past a bad one.
 _STATEMENT = re.compile(
-    rf"{_SPACE}(?:{_PREFIX}|(?:{'|'.join(_terms('s_')[:2])}){_SPACE}"
-    rf"(?:{'|'.join(_terms('p_')[:2])}){_SPACE}(?:{'|'.join(_terms('o_'))}){_SPACE}\.|)",
+    rf"{_SPACE}(?:{_PREFIX}|(?:<(?P<s_ref>{_IRI_BODY})>|(?P<s_name>{_WHOLE_PNAME})){_SPACE}"
+    rf"(?:<(?P<p_ref>{_IRI_BODY})>|(?P<p_name>{_WHOLE_PNAME})){_SPACE}(?:<(?P<o_ref>"
+    rf"{_IRI_BODY})>|(?P<o_name>{_WHOLE_PNAME})|(?P<o_lit>{_WHOLE_LITERAL})){_SPACE}\.|)",
     re.DOTALL)
 _SKIP_SPACE = re.compile(_SPACE).match
 _SKIP_NAME = re.compile(_NAME).match
@@ -133,6 +135,17 @@ def _term(text: str, m: re.Match, prefixes: dict[str, str], iris: _Iris, positio
     return Literal(lexical)
 
 
+class _Memo(dict):
+    """Written text -> term, made by ``make`` on the first miss."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, written: str):
+        term = self[written] = self.make(written)
+        return term
+
+
 def parse_turtle(text: str) -> list[Triple]:
     """Parse a document into triples, in document order.
 
@@ -141,28 +154,40 @@ def parse_turtle(text: str) -> list[Triple]:
     """
     prefixes: dict[str, str] = {}
     iris = _Iris()
+    new = tuple.__new__  # unchecked: ``iris`` checks iri refs; the rest holds by grammar
+
+    def expand(written: str) -> Iri:
+        # a namespace checked at its @prefix plus _LOCAL's characters is an iri
+        prefix, _, local = written.partition(":")
+        value = prefixes[prefix] + local
+        return iris.setdefault(value, new(Iri, (value,)))
+
+    def read_literal(written: str) -> Literal:
+        end = _SKIP_LITERAL_BODY(written, 1).end()
+        lexical, datatype = written[1:end], written[end + 3:]
+        if "\\" in lexical:
+            lexical = _ESCAPE.sub(_unescape, lexical)
+        if datatype:
+            datatype = iris[datatype[1:-1]] if datatype[0] == "<" else names[datatype]
+        return new(Literal, (lexical, datatype or None))
+
+    # one term per distinct written name or literal while the prefixes stand
+    names, literals = _Memo(expand), _Memo(read_literal)
     triples: list[Triple] = []
-    new = tuple.__new__  # unchecked: ``iris`` checked each iri, lexical forms are str
     for m in _STATEMENT.finditer(text):
-        (name, ns, s_ref, s_pfx, s_local, p_ref, p_pfx, p_local, o_ref, o_pfx,
-         o_local, lex, dt_ref, dt_pfx, dt_local) = m.groups()
+        name, ns, s_ref, s_name, p_ref, p_name, o_ref, o_name, o_lit = m.groups()
         try:
-            if p_ref is None and p_pfx is None:
+            if p_ref is None and p_name is None:
                 if ns is None:
                     break
                 prefixes[name] = iris[ns].value
+                names, literals = _Memo(expand), _Memo(read_literal)
                 continue
-            if lex is None:
-                obj = iris[o_ref if o_pfx is None else prefixes[o_pfx] + o_local]
-            else:
-                if "\\" in lex:
-                    lex = _ESCAPE.sub(_unescape, lex)
-                if dt_pfx is not None:
-                    dt_ref = prefixes[dt_pfx] + dt_local
-                obj = new(Literal, (lex, None if dt_ref is None else iris[dt_ref]))
             triples.append(new(Triple, (
-                iris[s_ref if s_pfx is None else prefixes[s_pfx] + s_local],
-                iris[p_ref if p_pfx is None else prefixes[p_pfx] + p_local], obj)))
+                iris[s_ref] if s_name is None else names[s_name],
+                iris[p_ref] if p_name is None else names[p_name],
+                literals[o_lit] if o_lit is not None
+                else iris[o_ref] if o_name is None else names[o_name])))
         except (KeyError, ValueError, ValidationError):
             break
     if m.lastindex is None and m.end() == len(text):

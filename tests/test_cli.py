@@ -50,6 +50,19 @@ def test_validate_unparsable_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["validate", "--setup", None], ["generate", "--setup", None], ["dump", "--setup", None],
+    RUN_ARGS[:2] + [None] + RUN_ARGS[3:], RUN_ARGS[:4] + [None] + RUN_ARGS[5:],
+    ["trace", None], ["check", None],
+], ids=["validate", "generate", "dump", "run-setup", "run-world", "trace", "check"])
+def test_an_input_that_is_not_utf8_exits_two(tmp_path, capsys, args):
+    path = tmp_path / "latin"
+    path.write_bytes(b"\xff\xfe")
+    assert main([str(path) if arg is None else arg for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_validate_bad_iri_character_reports_its_position(tmp_path, capsys):
     path = tmp_path / "space.ttl"
     path.write_text("<http://e/a b> <http://e/p> <http://e/o> .\n", encoding="utf-8")

@@ -59,6 +59,17 @@ def test_an_iri_named_three_times_is_one_object():
     assert second.predicate is first.predicate
 
 
+def test_a_literal_written_three_times_is_one_object():
+    written = ['"plain"', '"tab\\there"', f'"1"^^<{XSD}int>', '"1"^^kgmas:t']
+    text = f"@prefix kgmas: <{NS}> .\n" + "".join(
+        f"<{NS}s{i}> <{NS}p> {literal} .\n" for i in range(3) for literal in written)
+    objects = [t.object for t in parse_turtle(text)]
+    assert objects[:4] == [Literal("plain"), Literal("tab\there"),
+                           Literal("1", Iri(XSD + "int")), Literal("1", kg("t"))]
+    for i, literal in enumerate(objects[:4]):
+        assert objects[i + 4] is literal and objects[i + 8] is literal
+
+
 def test_parse_escapes():
     text = (f'<{NS}s> <{NS}p> '
             '"q:\\" b:\\\\ n:\\n t:\\t u:\\u00e9 U:\\U0001f916" .')
@@ -89,6 +100,15 @@ def kg(local):
      f"kgmas:t<{NS}p>kgmas:o.",
      [Triple(kg("s"), kg("p"), kg("o")), Triple(kg("s"), kg("p"), Literal("v")),
       Triple(kg("t"), kg("p"), kg("o"))]),
+    # a later @prefix rebinds the name for the statements after it: the same
+    # written name and the same "1"^^kgmas:t read as other terms from there on
+    (f"@prefix kgmas: <{NS}> .\n"
+     'kgmas:s kgmas:p "1"^^kgmas:t .\nkgmas:s kgmas:p kgmas:o .\n'
+     "@prefix kgmas: <urn:other:> .\n"
+     'kgmas:s kgmas:p "1"^^kgmas:t .\nkgmas:s kgmas:p kgmas:o .\n',
+     [Triple(kg("s"), kg("p"), Literal("1", kg("t"))), Triple(kg("s"), kg("p"), kg("o")),
+      Triple(Iri("urn:other:s"), Iri("urn:other:p"), Literal("1", Iri("urn:other:t"))),
+      Triple(Iri("urn:other:s"), Iri("urn:other:p"), Iri("urn:other:o"))]),
 ])
 def test_parse_layouts_the_serializer_never_emits(text, expected):
     assert parse_turtle(text) == expected
