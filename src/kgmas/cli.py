@@ -6,15 +6,15 @@ form, ``trace`` pretty-print a recorded message log, ``check`` a data
 graph for physical consistency.
 
 Exit codes: 0 on success, 1 when the domain says no (validation issues,
-failed task, consistency violations), 2 when the input cannot be read at
-all or is not UTF-8.  Diagnostics go to stderr, controlled by
-``KGMAS_LOG`` (quiet, info or debug; default quiet).  Results go to stdout.
+failed task, consistency violations), 2 when an input cannot be read at
+all or is not UTF-8 (the message names the file).  Diagnostics go to
+stderr, controlled by ``KGMAS_LOG`` (quiet, info or debug; default
+quiet).  Results go to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -22,13 +22,12 @@ import sys
 from .acl import format_trace
 from .agents import emit_specs, generate_agents
 from .errors import (GenerationError, KgmasError, ProtocolError, TurtleParseError,
-                     ValidationError, WorldError)
+                     ValidationError, WorldError, read_text)
 from .protocol import COMPLETED, check_world_consistency
 from .rami import validate_setup
 from .runtime import DEFAULT_DEADLINE_MS, Scenario, load_protocols
 from .store import NamedGraphStore
 from .vocab import DATA_GRAPH, SETUP_GRAPH
-from .world import WarehouseWorld
 
 log = logging.getLogger("kgmas.cli")
 
@@ -48,14 +47,9 @@ def _configure_logging() -> None:
     )
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _load_graph(path: str, graph_id) -> NamedGraphStore:
     store = NamedGraphStore()
-    store.load_turtle(graph_id, _read(path))
+    store.load_turtle(graph_id, read_text(path))
     return store
 
 
@@ -141,7 +135,7 @@ def cmd_dump(args) -> int:
 
 def cmd_trace(args) -> int:
     last_seq = 0
-    for number, line in enumerate(_read(args.tracefile).splitlines(), start=1):
+    for number, line in enumerate(read_text(args.tracefile).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -228,8 +222,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TurtleParseError, WorldError, ValidationError,
-            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (TurtleParseError, WorldError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KgmasError as exc:

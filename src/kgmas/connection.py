@@ -42,7 +42,6 @@ from .world import (
     NativeCommand,
     Observation,
     WarehouseWorld,
-    integer_cell,
 )
 
 CAP_MOTION = "MotionControl"
@@ -62,28 +61,21 @@ _FACTS = (
 )
 
 
-def _parse_cell(value, world: WarehouseWorld) -> tuple[int, int]:
-    if isinstance(value, str):
-        return world.parse_position(value)
-    if isinstance(value, (list, tuple)):
-        return integer_cell(value, "a command")
-    raise ValidationError(f"cannot interpret {value!r} as a cell")
-
-
 def translate(capability: str, params: dict, device_kind: str,
               world: WarehouseWorld) -> list[NativeCommand]:
     """Expand an abstract capability call into native device commands.
 
     MotionControl maps onto mobile-robot navigation; with both endpoints
     given it becomes a full fetch-and-carry sequence.  GripperControl maps
-    onto the arm's pick-and-place posture cycle.
+    onto the arm's pick-and-place posture cycle. ``world.cell`` reads every
+    cell, so one off the grid is refused when the invocation arrives.
     """
     if capability == CAP_MOTION:
         if device_kind != KIND_MOBILE_ROBOT:
             raise ValidationError(f"{capability} requires a mobile robot")
         if "from" in params and "to" in params:
-            src = _parse_cell(params["from"], world)
-            dst = _parse_cell(params["to"], world)
+            src = world.cell(params["from"])
+            dst = world.cell(params["to"])
             return [
                 NativeCommand("goto_cell", {"cell": list(src)}),
                 NativeCommand("grip", {}),
@@ -91,7 +83,7 @@ def translate(capability: str, params: dict, device_kind: str,
                 NativeCommand("release", {}),
             ]
         if "to" in params:
-            dst = _parse_cell(params["to"], world)
+            dst = world.cell(params["to"])
             return [NativeCommand("goto_cell", {"cell": list(dst)})]
         raise ValidationError(f"{capability} needs a destination")
     if capability == CAP_GRIPPER:
@@ -100,7 +92,7 @@ def translate(capability: str, params: dict, device_kind: str,
         if params.get("op") == "release":
             return [NativeCommand("release", {})]
         if "to" in params:
-            dst = _parse_cell(params["to"], world)
+            dst = world.cell(params["to"])
             return [
                 NativeCommand("set_joints", {"joints": PICK_POSTURE}),
                 NativeCommand("grip", {}),

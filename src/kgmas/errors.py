@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one reader of
+input files, which names a file that is not UTF-8."""
 
 from __future__ import annotations
 
@@ -90,3 +91,12 @@ class EventRejectedError(KgmasError):
 
 class WorldError(KgmasError):
     """A world fixture or command is invalid."""
+
+
+def read_text(path) -> str:
+    """A file's text; a file that is not UTF-8 is named in the error."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

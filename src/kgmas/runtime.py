@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .acl import AclMessage, Bus, Performative
 from .agents import (OPERATOR_ID, AgentHandle, KgAgent, generate_agents, instantiate,
                      shutdown)
-from .errors import ProtocolError, ValidationError
+from .errors import ProtocolError, ValidationError, read_text
 from .protocol import (FAILED, ProtocolDefinition, TaskState, check_world_consistency,
                        load_protocol)
 from .store import NamedGraphStore
@@ -118,10 +118,8 @@ class Scenario:
     @classmethod
     def from_files(cls, setup_path, world_path, **kwargs) -> "Scenario":
         store = NamedGraphStore()
-        with open(setup_path, encoding="utf-8") as handle:
-            store.load_turtle(SETUP_GRAPH, handle.read())
-        world = WarehouseWorld.from_file(world_path)
-        return cls(store, world, **kwargs)
+        store.load_turtle(SETUP_GRAPH, read_text(setup_path))
+        return cls(store, WarehouseWorld.from_file(world_path), **kwargs)
 
     # -- per-tick machinery ------------------------------------------------
 

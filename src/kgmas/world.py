@@ -14,17 +14,20 @@ and which cell a release fills, both for ``apply`` and when the command
 runs: a robot acts on its own cell, an arm on a cell in its reach. A
 pallet is always in exactly one place: on a cell, or held by the one
 device whose ``holding`` names it, and no two pallets share a cell.
-Construction rejects a cell that is not a pair of integers, two pallets
-on one cell, a device off the grid and arm joints beyond the limits.
+One reader, ``cell``, turns every written position the world takes in
+(fixture cells, command cells, task parameters) into an on-grid
+``(x, y)``; ``position_literal`` is its inverse. Construction also
+rejects two pallets on one cell and arm joints beyond the limits.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import WorldError
+from .errors import WorldError, read_text
 
 JOINT_STEP = 0.1
 JOINT_LIMIT = 1.57
@@ -32,6 +35,8 @@ HEADINGS = {(1, 0): "E", (-1, 0): "W", (0, 1): "N", (0, -1): "S"}
 
 KIND_MOBILE_ROBOT = "mobile_robot"
 KIND_ROBOTIC_ARM = "robotic_arm"
+
+_CELL_LITERAL = re.compile(r"cell:(-?[0-9]+),(-?[0-9]+)")
 
 _VERBS = {
     KIND_MOBILE_ROBOT: {"goto_cell", "grip", "release"},
@@ -66,16 +71,11 @@ class Observation:
 @dataclass
 class MobileRobotSim:
     device_id: str
-    x: int
-    y: int
+    cell: tuple[int, int]
     heading: str = "E"
     holding: str | None = None
 
     kind = KIND_MOBILE_ROBOT
-
-    @property
-    def cell(self) -> tuple[int, int]:
-        return (self.x, self.y)
 
 
 @dataclass
@@ -97,30 +97,20 @@ class RoboticArmSim:
         return "closed" if self.holding is not None else "open"
 
 
-def integer_cell(value, what: str) -> tuple[int, int]:
-    """An [x, y] pair of integers, as a tuple."""
-    cell = tuple(value)
-    if len(cell) != 2 or not all(type(v) is int for v in cell):
-        raise WorldError(f"{what} needs an integer [x, y] cell, got {value!r}")
-    return cell
-
-
 class WarehouseWorld:
     """Grid world with stations, pallets and commandable devices."""
 
-    def __init__(self, width: int, height: int, stations: dict[str, tuple[int, int]],
-                 pallets: dict[str, tuple[int, int]], devices: list):
+    def __init__(self, width: int, height: int, stations: dict, pallets: dict,
+                 devices: list):
         if width < 1 or height < 1:
             raise WorldError("grid must be at least 1x1")
         self.width = width
         self.height = height
-        self.stations = dict(stations)
+        self.stations: dict[str, tuple[int, int]] = {}
         self.tick = 0
         by_cell: dict[tuple[int, int], str] = {}
-        for label, cell in self.stations.items():
-            cell = integer_cell(cell, f"station {label}")
-            if not self.in_grid(cell):
-                raise WorldError(f"station {label} outside the grid")
+        for label, cell in stations.items():
+            cell = self.cell(cell, f"station {label}")
             if cell in by_cell:
                 raise WorldError(f"stations {by_cell[cell]} and {label} share a cell")
             by_cell[cell] = label
@@ -129,25 +119,25 @@ class WarehouseWorld:
         # The pallets lying on the grid, by cell; a held pallet is only in
         # its holder's ``holding``.
         self._pallet_by_cell: dict[tuple[int, int], str] = {}
-        for pallet_id, cell in pallets.items():
-            cell = integer_cell(cell, f"pallet {pallet_id}")
-            if not self.in_grid(cell):
-                raise WorldError(f"pallet {pallet_id} outside the grid")
+        for pallet_id, where in pallets.items():
+            cell = self.cell(where, f"pallet {pallet_id}")
             if cell in self._pallet_by_cell:
                 raise WorldError(f"pallets {self._pallet_by_cell[cell]} and "
                                  f"{pallet_id} share a cell")
             self._pallet_by_cell[cell] = pallet_id
         self.devices: dict[str, object] = {}
         for device in sorted(devices, key=lambda d: d.device_id):
+            what = f"device {device.device_id}"
             if device.device_id in self.devices:
                 raise WorldError(f"duplicate device id {device.device_id}")
-            cells = [integer_cell(cell, f"device {device.device_id}")
-                     for cell in (device.cell, *getattr(device, "reach", ()))]
-            if not all(self.in_grid(cell) for cell in cells):
-                raise WorldError(f"device {device.device_id} outside the grid")
-            if device.kind == KIND_ROBOTIC_ARM and not _joints_ok(device.joints):
-                raise WorldError(f"arm {device.device_id} needs 4 joints "
-                                 f"within +-{JOINT_LIMIT} rad")
+            if device.kind == KIND_MOBILE_ROBOT:
+                device.cell = self.cell(device.cell, what)
+            else:
+                device.base = self.cell(device.base, what)
+                device.reach = frozenset(self.cell(cell, what) for cell in device.reach)
+                if not _joints_ok(device.joints):
+                    raise WorldError(f"arm {device.device_id} needs 4 joints "
+                                     f"within +-{JOINT_LIMIT} rad")
             self.devices[device.device_id] = device
         self._queues: dict[str, deque] = {d: deque() for d in self.devices}
 
@@ -157,72 +147,57 @@ class WarehouseWorld:
     def from_fixture(cls, doc: dict) -> "WarehouseWorld":
         try:
             grid = doc["grid"]
-            stations = {label: tuple(cell)
-                        for label, cell in doc.get("stations", {}).items()}
-            pallets = {}
-            for pallet_id, where in doc.get("pallets", {}).items():
-                if isinstance(where, str):
-                    if where not in stations:
-                        raise WorldError(f"pallet {pallet_id} at unknown "
-                                         f"station {where!r}")
-                    pallets[pallet_id] = stations[where]
-                else:
-                    pallets[pallet_id] = tuple(where)
             devices = []
             for device_id, spec in doc.get("devices", {}).items():
                 kind = spec["kind"]
                 if kind == KIND_MOBILE_ROBOT:
-                    x, y = spec["start"]
-                    devices.append(MobileRobotSim(device_id, x, y))
+                    devices.append(MobileRobotSim(device_id, spec["start"]))
                 elif kind == KIND_ROBOTIC_ARM:
-                    reach = frozenset(tuple(c) for c in spec["reach"])
-                    arm = RoboticArmSim(device_id, tuple(spec["base"]), reach,
-                                        list(spec.get("joints", [0, 0, 0, 0])))
-                    devices.append(arm)
+                    devices.append(RoboticArmSim(device_id, spec["base"], spec["reach"],
+                                                 list(spec.get("joints", [0, 0, 0, 0]))))
                 else:
                     raise WorldError(f"unknown device kind {kind!r}")
-            return cls(grid["width"], grid["height"], stations, pallets, devices)
+            return cls(grid["width"], grid["height"], doc.get("stations", {}),
+                       doc.get("pallets", {}), devices)
         except (KeyError, TypeError, ValueError) as exc:
             raise WorldError(f"bad world fixture: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str) -> "WarehouseWorld":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise WorldError(f"world fixture is not valid JSON: {exc}") from exc
+        try:
+            doc = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise WorldError(f"world fixture is not valid JSON: {exc}") from exc
         return cls.from_fixture(doc)
 
-    # -- geometry helpers -------------------------------------------------
+    # -- positions --------------------------------------------------------
 
-    def in_grid(self, cell: tuple[int, int]) -> bool:
-        x, y = cell
-        return 0 <= x < self.width and 0 <= y < self.height
-
-    def _grid_cell(self, value) -> bool:
-        """A command's cell argument: an integer [x, y] pair on the grid."""
-        try:
-            return isinstance(value, (tuple, list)) and self.in_grid(
-                integer_cell(value, "a command"))
-        except WorldError:
-            return False
+    def cell(self, value, what: str = "a command") -> tuple[int, int]:
+        """Read a written position: a station label, a ``cell:x,y`` literal
+        or an [x, y] pair of integers, as an on-grid ``(x, y)``; ``what``
+        names the position's owner when it is refused."""
+        written = value
+        if isinstance(value, str):
+            if value in self.stations:
+                return self.stations[value]
+            match = _CELL_LITERAL.fullmatch(value)
+            if match is None:
+                raise WorldError(f"{what} needs a station or cell:x,y, got {value!r}")
+            value = (int(match[1]), int(match[2]))
+        elif not isinstance(value, (tuple, list)):
+            raise WorldError(f"cannot interpret {value!r} as a cell")
+        if len(value) != 2 or not all(type(v) is int for v in value):
+            raise WorldError(f"{what} needs an integer [x, y] cell, got {value!r}")
+        x, y = value
+        if not (0 <= x < self.width and 0 <= y < self.height):
+            raise WorldError(f"{what} needs a cell on the {self.width}x{self.height} "
+                             f"grid, got {written!r}")
+        return (x, y)
 
     def position_literal(self, cell: tuple[int, int]) -> str:
         """Station label if the cell hosts one, else ``cell:x,y``."""
         label = self._station_by_cell.get(tuple(cell))
         return label if label is not None else f"cell:{cell[0]},{cell[1]}"
-
-    def parse_position(self, text: str) -> tuple[int, int]:
-        if text in self.stations:
-            return self.stations[text]
-        if text.startswith("cell:"):
-            try:
-                x, y = (int(p) for p in text[5:].split(","))
-            except ValueError as exc:
-                raise WorldError(f"bad position literal {text!r}") from exc
-            return (x, y)
-        raise WorldError(f"bad position literal {text!r}")
 
     def pallet_positions(self) -> dict[str, str]:
         """Pallet id to position literal; held pallets ride their holder."""
@@ -248,7 +223,7 @@ class WarehouseWorld:
     def apply(self, device_id: str, command: NativeCommand) -> bool:
         """Validate and queue a command. Returns False when rejected.
 
-        Structural checks (verb/argument shape, grid bounds) always run.
+        Structural checks (verb/argument shape, ``cell``) always run.
         A grip or release must also find its target (``_target``) at once
         when the device queue is empty; queued behind other commands it is
         judged at execution time instead.
@@ -256,21 +231,20 @@ class WarehouseWorld:
         if device_id not in self.devices:
             raise WorldError(f"unknown device {device_id!r}")
         device = self.devices[device_id]
-        if command.verb not in _VERBS[device.kind]:
+        verb, args = command.verb, command.args
+        if verb not in _VERBS[device.kind]:
             return False
-        args = command.args
-        if command.verb == "goto_cell":
-            if not self._grid_cell(args.get("cell")):
-                return False
-        elif command.verb == "set_joints":
+        if verb == "set_joints":
             if not _joints_ok(args.get("joints")):
                 return False
-        else:
-            cell = args.get("cell")
-            if cell is not None and not self._grid_cell(cell):
+        elif verb == "goto_cell" or args.get("cell") is not None:
+            try:
+                command = NativeCommand(verb, {**args, "cell": self.cell(args.get("cell"))})
+            except WorldError:
                 return False
-            if not self._queues[device_id] and self._target(device, command) is None:
-                return False
+        if (verb in ("grip", "release") and not self._queues[device_id]
+                and self._target(device, command) is None):
+            return False
         self._queues[device_id].append(command)
         return True
 
@@ -280,7 +254,6 @@ class WarehouseWorld:
         its grip without one takes from the first occupied cell in sorted
         reach."""
         cell = command.args.get("cell")
-        cell = tuple(cell) if cell is not None else None
         if device.kind == KIND_MOBILE_ROBOT:
             cells = [device.cell] if cell in (None, device.cell) else []
         elif cell is not None:
@@ -311,16 +284,16 @@ class WarehouseWorld:
         command = queue[0]
         verb = command.verb
         if verb == "goto_cell":
-            target = tuple(command.args["cell"])
+            target = command.args["cell"]
             if device.cell == target:
                 queue.popleft()
                 return
-            dx = 0 if device.x == target[0] else (1 if target[0] > device.x else -1)
+            x, y = device.cell
+            dx = 0 if x == target[0] else (1 if target[0] > x else -1)
             dy = 0
             if dx == 0:
-                dy = 1 if target[1] > device.y else -1
-            device.x += dx
-            device.y += dy
+                dy = 1 if target[1] > y else -1
+            device.cell = (x + dx, y + dy)
             device.heading = HEADINGS.get((dx, dy), device.heading)
             if device.cell == target:
                 queue.popleft()
@@ -357,7 +330,7 @@ class WarehouseWorld:
             "failed": failed,
         }
         if device.kind == KIND_MOBILE_ROBOT:
-            payload["cell"] = [device.x, device.y]
+            payload["cell"] = list(device.cell)
             payload["heading"] = device.heading
         else:
             payload["joints"] = [round(j, 6) for j in device.joints]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import threading
+import time
 
 import pytest
 
@@ -159,6 +160,22 @@ def test_bus_fifo_per_receiver():
     got = [bus.try_receive("a2").content["i"] for _ in range(5)]
     assert got == [0, 1, 2, 3, 4]
     assert bus.try_receive("a2") is None
+
+
+def test_bus_receive_blocks_until_a_message_or_the_timeout():
+    """A blocking receive returns a message another thread sends while it
+    waits, and None once the timeout passes on an empty inbox."""
+    bus = make_bus("a1", "a2")
+    sender = threading.Timer(0.05, lambda: bus.send(msg(content={"i": 1})))
+    sender.start()
+    try:
+        assert bus.receive("a2", timeout=10).content == {"i": 1}
+    finally:
+        sender.join(timeout=10)
+    assert not sender.is_alive()
+    started = time.monotonic()
+    assert bus.receive("a2", timeout=0.05) is None
+    assert time.monotonic() - started >= 0.04
 
 
 def test_bus_unknown_receiver_and_sender():

@@ -61,6 +61,16 @@ def test_an_input_that_is_not_utf8_exits_two(tmp_path, capsys, args):
     assert main([str(path) if arg is None else arg for arg in args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(path) in err
+
+
+def test_a_non_utf8_world_beside_a_good_setup_is_the_file_named(tmp_path, capsys):
+    world = tmp_path / "world.json"
+    world.write_bytes(b"\xff\xfe")
+    assert main(RUN_ARGS[:4] + [str(world)] + RUN_ARGS[5:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {world}: 'utf-8' codec can't decode byte 0xff")
+    assert SETUP not in err
 
 
 def test_validate_bad_iri_character_reports_its_position(tmp_path, capsys):

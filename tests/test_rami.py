@@ -66,6 +66,14 @@ def test_two_realms_flagged(setup_store):
     assert "realm" in rules_of(validate_setup(setup_store, SETUP_GRAPH))
 
 
+def test_two_asset_kinds_flagged(setup_store):
+    setup_store.insert(SETUP_GRAPH, Triple(TURTLEBOT, HAS_ASSET_KIND,
+                                           kgmas("Robotic_Arm")))
+    issues = validate_setup(setup_store, SETUP_GRAPH).issues
+    assert [(i.rule, i.subject, i.message) for i in issues] == [
+        ("asset-kind", TURTLEBOT.value, "expected one asset kind, found 2")]
+
+
 def test_bogus_realm_value_flagged(setup_store):
     setup_store.remove(SETUP_GRAPH, Triple(TURTLEBOT, HAS_REALM, kgmas("physical")))
     setup_store.insert(SETUP_GRAPH, Triple(TURTLEBOT, HAS_REALM, kgmas("imaginary")))

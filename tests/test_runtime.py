@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import re
 import types
 from pathlib import Path
 
@@ -58,6 +59,15 @@ PARAMS = {"from": "P1", "to": "P2"}
 
 def fresh(**kwargs) -> Scenario:
     return Scenario.from_files(SETUP, WORLD, **kwargs)
+
+
+@pytest.mark.parametrize("bad", ["setup", "world"])
+def test_from_files_names_a_file_that_is_not_utf8(tmp_path, bad):
+    path = tmp_path / "latin"
+    path.write_bytes(b"\xff\xfe")
+    paths = {"setup": SETUP, "world": WORLD, bad: path}
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+        Scenario.from_files(paths["setup"], paths["world"])
 
 
 def run_once(**kwargs):
@@ -515,6 +525,47 @@ def test_asset_without_command_channel_fails_its_perform_step(scheme):
     assert failures == [{"error": "no command channel", "task": "move_pallet"}]
 
 
+def test_a_command_the_world_fails_ends_its_invocation(monkeypatch):
+    """A grip the world accepts but fails when it runs (its pallet is taken
+    away in between) ends the invocation with ``grip failed``."""
+    with fresh() as scenario:
+        world = scenario.world
+        apply = world.apply
+
+        def take_the_pallet_after_a_grip(device_id, command):
+            accepted = apply(device_id, command)
+            if accepted and command.verb == "grip":
+                put_pallet_back(world, station="P2")
+            return accepted
+
+        monkeypatch.setattr(world, "apply", take_the_pallet_after_a_grip)
+        result = scenario.run_task("move_pallet", PARAMS)
+    assert (result.status, result.stalled_step) == ("failed", 3)
+    failures = [(m.sender, m.content["error"]) for _, m in result.trace
+                if m.performative is Performative.FAILURE]
+    assert failures == [("turtlebot", "grip failed")]
+    assert world.devices["turtlebot"].holding is None
+
+
+def test_an_off_grid_task_cell_is_refused_before_the_arm_grips():
+    """The arm reads the task's cell when its command arrives, so it never
+    lifts a pallet it could not set down."""
+    gripped = []
+
+    def watch(s: Scenario):
+        gripped.append(s.world.devices["roboticarm"].holding)
+
+    with fresh() as scenario:
+        result = scenario.run_task("move_pallet", {"from": "P1", "to": "cell:99,0"},
+                                   on_tick=watch)
+    assert (result.status, result.stalled_step, result.ticks) == ("failed", 3, 6)
+    assert gripped == [None] * 6
+    failures = [(m.sender, m.content["error"]) for _, m in result.trace
+                if m.performative is Performative.FAILURE]
+    assert failures == [("roboticarm",
+                         "a command needs a cell on the 6x4 grid, got 'cell:99,0'")]
+
+
 def test_repeat_runs_are_byte_identical():
     first, first_dump = run_once()
     second, second_dump = run_once()
@@ -809,17 +860,23 @@ def test_a_late_mqtt_subscriber_gets_the_last_reported_state():
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_malformed_commands_are_dropped(scheme):
-    """A command whose id is not an integer or whose params are not a map is
-    dropped like non-JSON text, on every transport kind."""
+    """Command text that is not JSON, is not an ``invoke`` object, has an id
+    that is not an integer or params that are not a map is dropped, on every
+    transport kind."""
     with fresh(transport_overrides={"roboticarm": scheme}) as scenario:
         connection = scenario.handles["roboticarm"].connection
         sender = scenario.registry.resolve(connection.adapter.endpoint)
         topic = connection.blueprint.command_topics[0]
-        for payload in ({"op": "invoke", "id": "x"},
-                        {"op": "invoke", "id": None},
-                        {"op": "invoke", "id": 7, "capability": "GripperControl",
-                         "params": [1]}):
-            sender.publish(topic, canonical_json(payload))
+        for text in ["not json {", canonical_json([{"op": "invoke", "id": 3}])] + [
+                canonical_json(payload) for payload in (
+                    {"op": "cancel", "id": 3, "capability": "GripperControl",
+                     "params": {"to": "P2"}},
+                    {"id": 4, "capability": "GripperControl", "params": {"to": "P2"}},
+                    {"op": "invoke", "id": "x"},
+                    {"op": "invoke", "id": None},
+                    {"op": "invoke", "id": 7, "capability": "GripperControl",
+                     "params": [1]})]:
+            sender.publish(topic, text)
         sender.close()
         assert connection._batch is None
         assert connection._outcome == {"done_id": None, "failed_id": None}

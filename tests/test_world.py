@@ -26,7 +26,7 @@ def make_world(*, pallets=None, devices=None, stations=None, width=5, height=5):
 
 
 def robot(x=0, y=0):
-    return MobileRobotSim("bot", x, y)
+    return MobileRobotSim("bot", (x, y))
 
 
 def arm(base=(3, 2), reach=((3, 2), (2, 2))):
@@ -198,7 +198,7 @@ def test_robot_grips_and_releases_only_on_its_own_cell():
 
 def test_devices_step_and_report_in_id_order():
     world = make_world(pallets={"P": (3, 2)},
-                      devices=[MobileRobotSim("zed", 0, 0), robot(3, 2), arm()])
+                      devices=[MobileRobotSim("zed", (0, 0)), robot(3, 2), arm()])
     assert list(world.devices) == ["arm", "bot", "zed"]
     assert [o.device_id for o in world.step()] == ["arm", "bot", "zed"]
 
@@ -259,12 +259,12 @@ def test_pallet_conservation_under_random_commands():
         held = [d.holding for d in world.devices.values() if d.holding]
         assert len(held) == len(set(held))
         for device in world.devices.values():
-            assert world.in_grid(device.cell)
+            assert world.cell(device.cell) == device.cell
         lying = [positions[p] for p in positions if p not in held]
         assert len(lying) == len(set(lying))
         for pallet_id, holder in holders.items():
             if pallet_id not in held:
-                cell = world.parse_position(positions[pallet_id])
+                cell = world.cell(positions[pallet_id])
                 assert cell in getattr(holder, "reach", {holder.cell})
 
 
@@ -282,12 +282,31 @@ def test_fixture_round_trip():
     assert world.pallet_positions() == {"Pallet1": "P1"}
     assert sorted(world.devices) == ["roboticarm", "turtlebot"]
     assert world.position_literal((4, 2)) == "P2"
-    assert world.parse_position("cell:3,2") == (3, 2)
-    assert world.parse_position("P1") == (1, 1)
+    assert world.cell("cell:3,2") == (3, 2)
+    assert world.cell("P1") == (1, 1)
+    assert world.cell([4, 2]) == (4, 2)
+
+
+def test_every_fixture_cell_takes_the_three_written_forms():
+    """Stations, pallets, a robot's start and an arm's base and reach are
+    each read like a task cell: a station label, cell:x,y or [x, y]."""
+    doc = fixture_doc()
+    doc["stations"]["P3"] = "cell:0,3"
+    doc["pallets"] = {"Pallet1": "P1", "Pallet2": [2, 2]}
+    doc["devices"]["turtlebot"]["start"] = "P3"
+    doc["devices"]["roboticarm"].update({"base": "P2",
+                                         "reach": ["cell:3,2", "P2", [5, 2]]})
+    world = WarehouseWorld.from_fixture(doc)
+    assert world.stations["P3"] == (0, 3)
+    assert world.pallet_positions() == {"Pallet1": "P1", "Pallet2": "cell:2,2"}
+    assert world.devices["turtlebot"].cell == (0, 3)
+    arm = world.devices["roboticarm"]
+    assert arm.base == (4, 2) and arm.reach == {(3, 2), (4, 2), (5, 2)}
 
 
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("grid"),
+    lambda d: d["devices"]["turtlebot"].update({"start": "Nowhere"}),
     lambda d: d["pallets"].update({"X": "Nowhere"}),
     lambda d: d["devices"]["turtlebot"].update({"kind": "drone"}),
     lambda d: d["stations"].update({"P3": [99, 0]}),
@@ -334,9 +353,11 @@ def test_two_pallets_on_one_cell_raise(where):
 
 def test_bad_position_literal_raises():
     world = make_world(devices=[robot()])
-    for text in ("cell:1", "cell:a,b", "NoSuchStation"):
+    for text in ("cell:1", "cell:a,b", "NoSuchStation", "cell:5,0", "cell:-1,0",
+                 # digits are ASCII, with no sign, space or underscore
+                 "cell: 3,2", "cell:+3,2", "cell:3_0,1", "cell:\u0661,\u0661"):
         with pytest.raises(WorldError):
-            world.parse_position(text)
+            world.cell(text)
 
 
 # -- capability translation -------------------------------------------------
@@ -357,9 +378,25 @@ def test_translate_short_forms(world, capability, params, kind, expected):
     ("MotionControl", {"to": "P2"}, KIND_ROBOTIC_ARM, "MotionControl requires a mobile robot"),
     ("GripperControl", {"to": "P2"}, KIND_MOBILE_ROBOT, "GripperControl requires a robotic arm"),
     ("Welding", {"to": "P2"}, KIND_MOBILE_ROBOT, "unknown capability 'Welding'"),
-    ("MotionControl", {"to": 7}, KIND_MOBILE_ROBOT, "cannot interpret 7 as a cell"),
 ])
 def test_translate_refusals(world, capability, params, kind, message):
     with pytest.raises(ValidationError) as refusal:
+        translate(capability, params, kind, world)
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("capability, params, kind, message", [
+    ("MotionControl", {"to": 7}, KIND_MOBILE_ROBOT, "cannot interpret 7 as a cell"),
+    ("MotionControl", {"from": "P1", "to": "cell:6,0"}, KIND_MOBILE_ROBOT,
+     "a command needs a cell on the 6x4 grid, got 'cell:6,0'"),
+    ("GripperControl", {"to": [0, 4]}, KIND_ROBOTIC_ARM,
+     "a command needs a cell on the 6x4 grid, got [0, 4]"),
+    ("GripperControl", {"to": "Dock"}, KIND_ROBOTIC_ARM,
+     "a command needs a station or cell:x,y, got 'Dock'"),
+])
+def test_translate_reads_every_cell_through_the_world(world, capability, params,
+                                                      kind, message):
+    """A cell the world cannot read is refused when the invocation arrives."""
+    with pytest.raises(WorldError) as refusal:
         translate(capability, params, kind, world)
     assert str(refusal.value) == message
