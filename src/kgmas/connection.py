@@ -2,23 +2,22 @@
 
 The connection component owns the device-facing side of an asset's channels.
 It accepts abstract capability invocations, translates them into native
-command sequences, feeds them to the world one at a time, and publishes the
-resulting observations back on the asset's outbound channels.  It keeps its
-command batch, the outcome it echoes and one record, the last state it
-reported; the world says what the device is doing, and the adapter whether
-the channel is closed.  It reports by exception: an observation is published
-only on a tick whose state differs from that record, stamped with that tick,
-so ``tick`` is the tick the state was first reported.  It writes the device's
-full state into the data graph when it opens and from then on is the only
-writer of its asset's state predicates, rewriting only those whose values
-changed since the last report.
+command sequences, hands each sequence to the world in the tick it arrives,
+and publishes the resulting observations back on the asset's outbound
+channels.  It keeps the id of the invocation in flight, the outcome it echoes
+and one record, the last state it reported; the world's queue holds what the
+device still has to do, and the adapter says whether the channel is closed.
+It reports by exception: an observation is published only on a tick whose
+state differs from that record, stamped with that tick, so ``tick`` is the
+tick the state was first reported.  It writes the device's full state into
+the data graph when it opens and from then on is the only writer of its
+asset's state predicates, rewriting only those whose values changed since
+the last report.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
 
 from .acl import canonical_json
 from .errors import TransportError, ValidationError, WorldError
@@ -103,12 +102,6 @@ def translate(capability: str, params: dict, device_kind: str,
     raise ValidationError(f"unknown capability {capability!r}")
 
 
-@dataclass
-class _Batch:
-    command_id: int
-    pending: deque = field(default_factory=deque)
-
-
 class ConnectionComponent:
     """Device-side endpoint of an asset's channels.
 
@@ -127,7 +120,8 @@ class ConnectionComponent:
         self.world = world
         self.store = store
         self.data_graph = data_graph
-        self._batch: _Batch | None = None
+        self._command_id: int | None = None  # the invocation in flight
+        self._arrived: list[NativeCommand] = []  # its commands, until dispatch
         self._outcome: dict = {"done_id": None, "failed_id": None}
         self._obs_topics = blueprint.observation_topics
         for topic in blueprint.command_topics:
@@ -151,61 +145,47 @@ class ConnectionComponent:
         params = payload.get("params") or {}
         if type(command_id) is not int or not isinstance(params, dict):
             return
-        if self._batch is not None:
-            # Refuse the newcomer without disturbing the batch in flight.
+        if self._command_id is not None:
+            # Refuse the newcomer without disturbing the invocation in flight.
             self._outcome.update(failed_id=command_id, error="device busy")
             return
         kind = self.world.devices[self.asset_id].kind
         try:
             natives = translate(capability, params, kind, self.world)
         except (ValidationError, WorldError) as exc:
-            self._fail(command_id, str(exc))
+            self._outcome.update(failed_id=command_id, error=str(exc))
             return
         self._outcome = {"done_id": None, "failed_id": None}
-        self._batch = _Batch(command_id, deque(natives))
+        self._command_id, self._arrived = command_id, natives
 
-    def _fail(self, command_id: int, error: str) -> None:
-        self._batch = None
-        self._outcome.update(failed_id=command_id, error=error)
-
-    def _gate_open(self, command: NativeCommand) -> bool:
-        # An arm only closes its gripper once a pallet is actually sensed in
-        # reach; until then the grip stays queued rather than failing.
-        if command.verb != "grip":
-            return True
-        if self.world.devices[self.asset_id].kind != KIND_ROBOTIC_ARM:
-            return True
-        return bool(self.world.pallets_in_reach(self.asset_id))
+    def _fail(self, error: str) -> None:
+        self._outcome.update(failed_id=self._command_id, error=error)
+        self._command_id = None
 
     def dispatch(self) -> None:
-        """Feed the next native command to the world if the device is free."""
-        batch = self._batch
-        if (batch is None or not batch.pending or self.adapter.closed
-                or self.world.device_busy(self.asset_id)):
-            return
-        head = batch.pending[0]
-        if not self._gate_open(head):
-            return
-        batch.pending.popleft()
-        if not self.world.apply(self.asset_id, head):
-            self._fail(batch.command_id, f"{head.verb} rejected")
+        """Hand the commands of an invocation that arrived to the world, in order."""
+        natives, self._arrived = self._arrived, []
+        for command in natives:
+            if not self.world.apply(self.asset_id, command):
+                # Only the first command can be refused: translate's commands
+                # pass the structural checks, and the target check runs only
+                # on an empty queue. So a refusal leaves nothing queued.
+                self._fail(f"{command.verb} rejected")
+                return
 
     def observe(self, observation: Observation) -> None:
         """Digest a world observation; publish and mirror it if it changed."""
         if self.adapter.closed:
             return
         payload = dict(observation.payload)
-        batch = self._batch
-        if batch is not None and not payload["busy"]:
-            failed = payload.get("failed")
-            if failed is not None:
-                self._fail(batch.command_id, f"{failed} failed")
-            elif not batch.pending:
-                self._outcome["done_id"] = batch.command_id
-                self._batch = None
+        if self._command_id is not None and not payload["busy"]:
+            if payload["failed"] is not None:
+                self._fail(f"{payload['failed']} failed")
+            else:
+                self._outcome["done_id"] = self._command_id
+                self._command_id = None
         payload["device"] = observation.device_id
         payload.update(self._outcome)
-        payload["busy"] = payload["busy"] or self._batch is not None
         if payload == self._reported:
             return
         text = canonical_json({**payload, "tick": observation.tick})

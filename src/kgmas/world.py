@@ -1,12 +1,15 @@
 """Simulated warehouse: grid, stations, pallets and device simulators.
 
 The world is a discrete-time simulation. Commands are validated on
-``apply`` and queued per device; ``step`` advances every queue by one
+``apply`` and queued per device; the queue is the one record of what a
+device still has to do. ``step`` advances the head of every queue by one
 tick and returns one observation per device, both in device id order.
-The world alone says what a device is doing: whether a command runs,
-which pallets an arm can reach, and what failed, reported on the tick of
-the failure only. Mechanics contain no randomness, so a fixed command
-script always produces the same observation stream.
+An arm's grip waits at the head of its queue while no pallet lies in its
+reach, and a command that fails when it runs drops the rest of its
+device's queue. The world alone says what a device is doing: whether a
+command runs, which pallets an arm can reach, and what failed, reported
+on the tick of the failure only. Mechanics contain no randomness, so a
+fixed command script always produces the same observation stream.
 
 A robot moves one cell per tick; arm joints move at most 0.1 rad per
 tick per joint. One rule, ``_target``, decides which pallet a grip takes
@@ -310,9 +313,13 @@ class WarehouseWorld:
             if done:
                 queue.popleft()
         else:
+            if (verb == "grip" and device.kind == KIND_ROBOTIC_ARM
+                    and device.reach.isdisjoint(self._pallet_by_cell)):
+                return  # an arm grips once a pallet lies in its reach
             queue.popleft()
             target = self._target(device, command)
             if target is None:
+                queue.clear()  # the commands behind a failed one are dropped
                 return verb
             if verb == "grip":
                 device.holding = self._pallet_by_cell.pop(target)

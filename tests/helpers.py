@@ -90,8 +90,13 @@ _TEMPLATES = {
 
 def setup_without_steps() -> list[Triple]:
     """The fixture setup's triples without the steps of its protocol."""
-    return [t for t in parse_turtle(fixture_text("fig3_setup.ttl"))
-            if t.predicate != HAS_STEP and "MovePalletStep" not in t.subject.value]
+    return list(_setup_without_steps())
+
+
+@functools.cache
+def _setup_without_steps() -> tuple[Triple, ...]:
+    return tuple(t for t in parse_turtle(fixture_text("fig3_setup.ttl"))
+                 if t.predicate != HAS_STEP and "MovePalletStep" not in t.subject.value)
 
 
 def protocol_step_triples(steps) -> list[Triple]:
@@ -132,6 +137,65 @@ def random_protocol_steps(rng: random.Random) -> list[Triple]:
         target = rng.choice(_ROLES) if kind == KIND_SEND_REQUEST else None
         steps.append((kind, role, target, template))
     return protocol_step_triples(steps)
+
+
+_QUERY = '{"query":"next_action","task":"{task}"}'
+_REQUEST = '{"task":"{task}","from":"{from}","to":"{to}"}'
+_MOVER, _PLACER = _ROLES
+
+
+def _token(kind, role, target=None, template=None):
+    return ((kind, role, target, template),)
+
+
+# Named protocol fragments. A letter names the step kind (query, send request,
+# perform, report), the next one its role (Mover, Placer), ``→X`` a target
+# role; each carries the fixture's template for its kind and role, except
+# ``rM-``, a report with no template.
+PROTOCOL_TOKENS = {
+    "qM": _token(KIND_QUERY_NEXT, _MOVER, template=_QUERY),
+    "qP": _token(KIND_QUERY_NEXT, _PLACER, template=_QUERY),
+    "qM→P": _token(KIND_QUERY_NEXT, _MOVER, _PLACER, _QUERY),
+    "sM": _token(KIND_SEND_REQUEST, _MOVER, template=_REQUEST),
+    "sM→M": _token(KIND_SEND_REQUEST, _MOVER, _MOVER, _REQUEST),
+    "sM→P": _token(KIND_SEND_REQUEST, _MOVER, _PLACER, _REQUEST),
+    "sP→M": _token(KIND_SEND_REQUEST, _PLACER, _MOVER, _REQUEST),
+    "pM": _token(KIND_PERFORM_ACTION, _MOVER, template=_TEMPLATES[KIND_PERFORM_ACTION][0]),
+    "pP": _token(KIND_PERFORM_ACTION, _PLACER, template=_TEMPLATES[KIND_PERFORM_ACTION][1]),
+    "rM": _token(KIND_REPORT_EVENT, _MOVER, template=_TEMPLATES[KIND_REPORT_EVENT][0]),
+    "rP": _token(KIND_REPORT_EVENT, _PLACER, template=_TEMPLATES[KIND_REPORT_EVENT][1]),
+    "rM-": _token(KIND_REPORT_EVENT, _MOVER),
+}
+PROTOCOL_TOKENS["pM rM"] = PROTOCOL_TOKENS["pM"] + PROTOCOL_TOKENS["rM"]
+PROTOCOL_TOKENS["pP rP"] = PROTOCOL_TOKENS["pP"] + PROTOCOL_TOKENS["rP"]
+
+# Each perform comes with its report: most of what loads is built from these.
+PAIRED_ALPHABET = ("qM", "qP", "sM→P", "sP→M", "pM rM", "pP rP")
+# Every token is one step, so malformed single steps show up too.
+ONE_STEP_ALPHABET = ("qM", "qP", "sM→P", "sP→M", "sM→M", "sM", "qM→P",
+                     "pM", "pP", "rM", "rP", "rM-")
+
+
+def token_sequences(alphabet, max_steps: int):
+    """Every sequence of ``alphabet``'s tokens with 1 to ``max_steps`` steps,
+    fewer steps first, then in alphabet order."""
+    def exactly(steps):
+        if steps == 0:
+            yield ()
+            return
+        for name in alphabet:
+            size = len(PROTOCOL_TOKENS[name])
+            if size <= steps:
+                for rest in exactly(steps - size):
+                    yield (name, *rest)
+
+    for steps in range(1, max_steps + 1):
+        yield from exactly(steps)
+
+
+def token_steps(names) -> list[tuple]:
+    """The steps of a token sequence, for ``protocol_step_triples``."""
+    return [step for name in names for step in PROTOCOL_TOKENS[name]]
 
 
 def put_pallet_back(world, pallet_id: str = "Pallet1", station: str = "P1") -> None:
@@ -260,18 +324,17 @@ def consistency_scan(store, graph_id) -> list[tuple[str, str, str, str]]:
 # -- device and pallet state read straight off the world --------------------
 
 
-def world_state_facts(world, assets: dict, working=frozenset()) -> dict:
+def world_state_facts(world, assets: dict) -> dict:
     """What the data graph must say about every device and pallet.
 
     ``assets`` maps device id to asset iri. A device is busy while its
-    world queue holds a command or while it is in ``working``, the devices
-    with native commands still to be fed. Returns (subject, predicate) ->
-    set of objects for every mirrored predicate of those subjects.
+    world queue holds a command. Returns (subject, predicate) -> set of
+    objects for every mirrored predicate of those subjects.
     """
     expected = {}
     for device_id, asset in assets.items():
         device = world.devices[device_id]
-        busy = world.device_busy(device_id) or device_id in working
+        busy = world.device_busy(device_id)
         x, y = device.cell
         label = {tuple(c): name for name, c in world.stations.items()}.get(
             (x, y), f"cell:{x},{y}")

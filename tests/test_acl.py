@@ -115,6 +115,32 @@ def test_sender_receiver_must_differ():
         msg(receiver="a1")
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"performative": "request"}, "performative outside the closed set"),
+    ({"sender": ""}, "sender must be a non-empty string"),
+    ({"receiver": 7}, "receiver must be a non-empty string"),
+    ({"conversation_id": None}, "conversation_id must be a non-empty string"),
+    ({"content": {"a": [{1: "x"}]}}, "content: object keys must be strings"),
+], ids=["performative", "empty_sender", "receiver_not_text", "no_conversation",
+        "non_string_key"])
+def test_message_refusals_are_pinned(overrides, message):
+    with pytest.raises(ValidationError) as refusal:
+        msg(**overrides)
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "serialized message must be a JSON object"),
+    ('"request"', "serialized message must be a JSON object"),
+    (serialize_message(msg()).replace('"receiver":"a2"', '"receiver":"a1"'),
+     "sender and receiver must differ"),
+], ids=["list", "string", "self_addressed"])
+def test_deserialize_refusals_are_pinned(text, message):
+    with pytest.raises(MalformedMessageError) as refusal:
+        deserialize_message(text)
+    assert str(refusal.value) == message
+
+
 def test_deserialize_missing_field():
     payload = json.loads(serialize_message(msg()))
     del payload["sender"]
@@ -191,6 +217,19 @@ def test_bus_duplicate_registration():
     bus = make_bus("a1")
     with pytest.raises(DuplicateAgentError):
         bus.register("a1")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda bus: bus.register(""), "agent id must be a non-empty string"),
+    (lambda bus: bus.register(None), "agent id must be a non-empty string"),
+    (lambda bus: bus.send(serialize_message(msg())), "can only send AclMessage values"),
+], ids=["register_empty", "register_none", "send_text"])
+def test_bus_refusals_are_pinned(call, message):
+    bus = make_bus("a1", "a2")
+    with pytest.raises(ValidationError) as refusal:
+        call(bus)
+    assert str(refusal.value) == message
+    assert bus.idle()
 
 
 def test_bus_reply_threading_rules():

@@ -356,6 +356,14 @@ def test_trace_rejects_malformed_lines(tmp_path, capsys):
     assert main(["trace", str(path)]) == 2
     assert "increase" in capsys.readouterr().err
 
+    # blank lines are skipped, and the line numbers count them
+    path.write_text("1\ta\tb\tc\td\t{}\n\nx\ta\tb\tc\td\t{}\n", encoding="utf-8")
+    assert main(["trace", str(path)]) == 2
+    assert "trace line 3: bad sequence number" in capsys.readouterr().err
+    path.write_text("1\ta\tb\tc\td\t{}\n \n\n2\ta\tb\tc\td\t{}\n", encoding="utf-8")
+    assert main(["trace", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
 
 def test_check_clean_graph(tmp_path, capsys):
     out_dir = tmp_path / "run"

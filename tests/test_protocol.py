@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import hashlib
 import importlib
 import inspect
 import json
@@ -12,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (NS, consistency_oracle, consistency_scan, counted_store_reads,
-                     fixture_text, protocol_step_triples, setup_with_step_inside_pair,
-                     setup_without_steps)
+from helpers import (NS, ONE_STEP_ALPHABET, PAIRED_ALPHABET, consistency_oracle,
+                     consistency_scan, counted_store_reads, fixture_text,
+                     protocol_step_triples, setup_with_step_inside_pair,
+                     setup_without_steps, token_sequences, token_steps)
 from kgmas import protocol as protocol_module
 from kgmas import vocab
 from kgmas.acl import AclMessage, Bus, Performative
@@ -200,6 +202,25 @@ def test_load_accepts_a_request_answered_by_a_later_step():
              (vocab.KIND_REPORT_EVENT, PLACER, None, _DELIVERED),
              (vocab.KIND_QUERY_NEXT, PLACER, None, None)]
     assert [step.index for step in load_steps(steps).steps] == [1, 2, 3, 4]
+
+
+def test_load_outcomes_of_every_short_protocol_are_pinned():
+    """What ``load_protocol`` says of every protocol up to five steps built
+    from the paired alphabet, and up to three from the one-step alphabet:
+    ``loaded`` or the refusal's text, digested in enumeration order."""
+    lines, loaded = [], 0
+    for alphabet, max_steps in ((PAIRED_ALPHABET, 5), (ONE_STEP_ALPHABET, 3)):
+        for names in token_sequences(alphabet, max_steps):
+            try:
+                load_steps(token_steps(names))
+                outcome = "loaded"
+                loaded += 1
+            except ProtocolError as exc:
+                outcome = str(exc)
+            lines.append(f"{' '.join(names)}\t{outcome}")
+    assert (len(lines), loaded) == (2042 + 1884, 212 + 20)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "315054cdfc97fda1e6c74766667d10fc07926ab653022f9924cdb63bae56223f")
 
 
 @pytest.mark.parametrize("steps, message", [

@@ -137,10 +137,7 @@ def assert_mirror_matches_world(scenario: Scenario) -> None:
                  if handle.connection is not None}
     assets = {agent_id: handle.blueprint.asset_id
               for agent_id, handle in connected.items()}
-    # A device between two native commands of one invocation is still busy.
-    working = {agent_id for agent_id, handle in connected.items()
-               if handle.connection._batch is not None}
-    expected = world_state_facts(scenario.world, assets, working)
+    expected = world_state_facts(scenario.world, assets)
     found = graph_facts(scenario.store.triples(DATA_GRAPH), expected)
     assert found == expected, f"tick {scenario.world.tick}"
 
@@ -709,21 +706,18 @@ def reference_observe(connection, observation) -> None:
     if connection.adapter.closed:
         return
     payload = dict(observation.payload)
-    batch = connection._batch
-    if batch is not None and not payload["busy"]:
+    if connection._command_id is not None and not payload["busy"]:
         if payload["failed"] is not None:
-            connection._fail(batch.command_id, f"{payload['failed']} failed")
-        elif not batch.pending:
-            connection._outcome["done_id"] = batch.command_id
-            connection._batch = None
+            connection._fail(f"{payload['failed']} failed")
+        else:
+            connection._outcome["done_id"] = connection._command_id
+            connection._command_id = None
     payload.update(connection._outcome, tick=observation.tick,
                    device=observation.device_id)
-    payload["busy"] = payload["busy"] or connection._batch is not None
     for topic in connection.blueprint.observation_topics:
         connection.adapter.publish(topic, canonical_json(payload))
     asset = connection.blueprint.asset_id
-    working = {connection.asset_id} if connection._batch is not None else set()
-    facts = world_state_facts(connection.world, {connection.asset_id: asset}, working)
+    facts = world_state_facts(connection.world, {connection.asset_id: asset})
     connection.store.replace(DATA_GRAPH, asset, {
         predicate: objects for (subject, predicate), objects in facts.items()
         if subject == asset})
@@ -878,7 +872,7 @@ def test_malformed_commands_are_dropped(scheme):
                      "params": [1]})]:
             sender.publish(topic, text)
         sender.close()
-        assert connection._batch is None
+        assert connection._command_id is None
         assert connection._outcome == {"done_id": None, "failed_id": None}
         result = scenario.run_task("move_pallet", PARAMS)
     assert (result.status, result.ticks) == ("completed", 21)

@@ -294,6 +294,23 @@ def test_query_empty_pattern_list_rejected():
         store.query("g", [])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s: s.insert("", t("a", "b", "c")), "bad graph id: ''"),
+    (lambda s: s.triples(7), "bad graph id: 7"),
+    (lambda s: s.insert("g", (iri("a"), iri("b"), iri("c"))),
+     f"not a triple: {(iri('a'), iri('b'), iri('c'))!r}"),
+    (lambda s: s.atomic_update("g", [], [t("a", "b", "c"), "x"]), "not a triple: 'x'"),
+    (lambda s: s.query("g", [Pattern(Variable("x"), iri("b"), iri("c")), t("a", "b", "c")]),
+     f"not a pattern: {t('a', 'b', 'c')!r}"),
+], ids=["empty_graph_id", "int_graph_id", "tuple_write", "text_write", "triple_query"])
+def test_store_refusals_are_pinned(call, message):
+    store = NamedGraphStore()
+    with pytest.raises(ValidationError) as refusal:
+        call(store)
+    assert str(refusal.value) == message
+    assert store.revision == 0
+
+
 def test_query_matches_nested_loop_oracle():
     rng = random.Random(13)
     for round_no in range(25):

@@ -6,7 +6,7 @@ import pytest
 
 from kgmas.acl import AclMessage, Performative
 from kgmas.errors import ValidationError
-from kgmas.terms import Iri, Literal, Triple, term_key, triple_key
+from kgmas.terms import Iri, Literal, Pattern, Triple, Variable, term_key, triple_key
 from kgmas.vocab import XSD_INTEGER
 
 NS = "http://kgmas.example/vocab#"
@@ -58,6 +58,19 @@ def test_literal_refuses_a_datatype_that_is_not_an_iri(datatype):
 ])
 def test_triple_refuses_a_non_term_position(args, message):
     assert _refusal(lambda: Triple(*args)) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Variable(""), "bad variable name: ''"),
+    (lambda: Variable("a-b"), "bad variable name: 'a-b'"),
+    (lambda: Pattern(Literal("s"), P, O), "pattern subject must be an iri or variable"),
+    (lambda: Pattern(Variable("s"), NS + "p", O),
+     "pattern predicate must be an iri or variable"),
+    (lambda: Pattern(S, P, None), "pattern object must be a term or variable"),
+], ids=["variable_empty", "variable_dash", "pattern_subject", "pattern_predicate",
+        "pattern_object"])
+def test_variable_and_pattern_refusals_are_pinned(build, message):
+    assert _refusal(build) == message
 
 
 def test_fields_read_back_by_name_and_keyword_construction_matches():

@@ -120,6 +120,20 @@ def test_close_detaches_subscriptions_and_responders():
     assert adapter(registry, "rest+http").request("/p", "x") == "ok2"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Endpoint("", "x:1"), "endpoint scheme and address must be non-empty"),
+    (lambda: Endpoint("mqtt", ""), "endpoint scheme and address must be non-empty"),
+    (lambda: default_registry().register("", TransportKind.TOPIC_PUBSUB),
+     "scheme must be non-empty"),
+    (lambda: default_registry().register("coap", "broker_pubsub"),
+     "kind must be a TransportKind"),
+], ids=["empty_scheme", "empty_address", "register_empty", "register_kind_text"])
+def test_endpoint_and_registry_refusals_are_pinned(build, message):
+    with pytest.raises(ValidationError) as refusal:
+        build()
+    assert str(refusal.value) == message
+
+
 def test_registry_extension_with_new_scheme():
     registry = default_registry()
     registry.register("coap", TransportKind.BROKER_PUBSUB)

@@ -171,6 +171,44 @@ def test_failed_grip_flagged_for_one_execution():
     assert obs.payload["failed"] is None
 
 
+def test_a_failed_command_drops_the_rest_of_its_queue():
+    """A robot whose grip finds nothing does not go on to its next goto."""
+    world = make_world(devices=[robot()])
+    for command in (cmd("goto_cell", cell=(0, 1)), cmd("grip"),
+                    cmd("goto_cell", cell=(2, 1))):
+        assert world.apply("bot", command)
+    world.step()
+    (obs,) = world.step()
+    assert (obs.payload["failed"], obs.payload["busy"]) == ("grip", False)
+    for _ in range(3):
+        (obs,) = world.step()
+        assert (obs.payload["cell"], obs.payload["busy"]) == ([0, 1], False)
+
+
+def test_an_arm_grip_waits_until_a_pallet_lies_in_reach():
+    """An arm's grip queued with nothing in reach stays at the head of its
+    queue, the arm busy and nothing failed, until a robot sets a pallet
+    down in its reach; the arm steps first, so it grips on the next tick."""
+    world = make_world(pallets={"P": (1, 2)}, devices=[arm(), robot(0, 2)])
+    assert world.apply("arm", cmd("set_joints", joints=[0.1, 0.0, 0.0, 0.0]))
+    assert world.apply("arm", cmd("grip"))
+    for command in (cmd("goto_cell", cell=(1, 2)), cmd("grip"),
+                    cmd("goto_cell", cell=(2, 2)), cmd("release")):
+        assert world.apply("bot", command)
+    seen = []
+    for _ in range(5):
+        arm_obs, bot_obs = world.step()
+        seen.append((arm_obs.payload["busy"], arm_obs.payload["failed"],
+                     arm_obs.payload["holding"], bot_obs.payload["holding"]))
+    assert seen == [
+        (True, None, None, None),
+        (True, None, None, "P"),
+        (True, None, None, "P"),
+        (True, None, None, None),  # the robot sets P down on (2, 2)
+        (False, None, "P", None),
+    ]
+
+
 def test_robot_grips_and_releases_only_on_its_own_cell():
     """A grip or release naming another cell is refused, not carried out there."""
     world = make_world(pallets={"P": (0, 0), "Q": (4, 4)}, devices=[robot()])
@@ -306,6 +344,7 @@ def test_every_fixture_cell_takes_the_three_written_forms():
 
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("grid"),
+    lambda d: d["grid"].update({"height": 0}),
     lambda d: d["devices"]["turtlebot"].update({"start": "Nowhere"}),
     lambda d: d["pallets"].update({"X": "Nowhere"}),
     lambda d: d["devices"]["turtlebot"].update({"kind": "drone"}),
@@ -323,6 +362,11 @@ def test_bad_fixture_documents_raise(mutate):
     mutate(doc)
     with pytest.raises(WorldError):
         WarehouseWorld.from_fixture(doc)
+
+
+def test_a_device_id_used_twice_is_refused():
+    with pytest.raises(WorldError, match="^duplicate device id bot$"):
+        make_world(devices=[robot(), robot(1, 1)])
 
 
 @pytest.mark.parametrize("what, mutate", [
