@@ -246,10 +246,11 @@ class NamedGraphStore:
         return self._write(key, (), parse_turtle(text))[0]  # it returns only Triples
 
     def dump_turtle(self, graph_id: Iri | str) -> str:
+        """A graph's canonical document, from its sorted index copied under the lock."""
         key = _graph_key(graph_id)
         with self._lock:
-            triples = list(self._graphs.get(key, _NO_GRAPH))
-        return serialize_turtle(triples)
+            index = {s: dict(ps) for s, ps in self._graphs.get(key, _NO_GRAPH).spo.items()}
+        return serialize_turtle(index)
 
     # -- query ------------------------------------------------------------
 

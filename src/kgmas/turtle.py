@@ -295,6 +295,7 @@ _IS_LOCAL = re.compile(_LOCAL).fullmatch
 _LITERAL_ESCAPES = str.maketrans({
     **{chr(c): f"\\u{c:04x}" for c in range(0x20)},
     "\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]').search  # the table's keys (translate: ~1 us)
 
 
 def _render_iri(iri: Iri) -> str:
@@ -313,7 +314,8 @@ class _Rendered(dict):
         if isinstance(term, Iri):
             text = _render_iri(term)
         else:
-            text = f'"{term.lexical.translate(_LITERAL_ESCAPES)}"'
+            lex = term.lexical
+            text = f'"{lex.translate(_LITERAL_ESCAPES) if _NEEDS_ESCAPE(lex) else lex}"'
             if term.datatype is not None:
                 text += f"^^{self[term.datatype]}"
         self[term] = text
@@ -323,14 +325,21 @@ class _Rendered(dict):
 def serialize_turtle(triples) -> str:
     """Render triples as a canonical document.
 
-    Prefix declarations always appear, even for an empty graph, and
-    statements are sorted by (subject, predicate, object) so equal
-    graphs serialize to byte-equal documents. Each distinct term is
-    rendered once per call.
+    ``triples`` is a store index (subject text -> predicate text -> triples
+    sorted by object) or any iterable of triples, first grouped that way.
+    Walking it in text order makes equal graphs byte-equal documents. Prefix
+    declarations always appear. Each distinct term is rendered once per call.
     """
-    lines = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in _DUMP_PREFIXES]
-    lines.append("")
+    index = triples
+    if not isinstance(index, dict):
+        index = {}
+        for t in sorted(set(triples), key=triple_key):
+            index.setdefault(t.subject.value, {}).setdefault(t.predicate.value, []).append(t)
+    lines = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in _DUMP_PREFIXES] + [""]
     rendered = _Rendered()
-    for subject, predicate, obj in sorted(set(triples), key=triple_key):
-        lines.append(f"{rendered[subject]} {rendered[predicate]} {rendered[obj]} .")
+    for s in sorted(index):
+        predicates = index[s]
+        for p in sorted(predicates):
+            for subject, predicate, obj in predicates[p]:
+                lines.append(f"{rendered[subject]} {rendered[predicate]} {rendered[obj]} .")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import random
 from pathlib import Path
 
 from kgmas.store import NamedGraphStore
-from kgmas.terms import Iri, Literal, Pattern, Triple, Variable, term_key
+from kgmas.terms import Iri, Literal, Pattern, Triple, Variable, term_key, triple_key
 from kgmas.turtle import parse_turtle
 from kgmas.vocab import (
     ACTION_KIND,
@@ -41,6 +41,7 @@ from kgmas.world import KIND_ROBOTIC_ARM
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 NS = "http://kgmas.example/vocab#"
+XSD = "http://www.w3.org/2001/XMLSchema#"
 
 
 def fixture_path(name: str) -> str:
@@ -453,3 +454,63 @@ def random_pattern(rng: random.Random, triples, var_names=("a", "b", "c")) -> Pa
     if rng.random() < 0.2:
         subject = random_term(rng, False)
     return Pattern(subject, predicate, obj)
+
+
+# -- the writer's per-occurrence reference and its inputs ------------------------
+
+
+_LOCAL_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
+
+
+def reference_render(term) -> str:
+    """One term, rendered from scratch at every occurrence."""
+    if isinstance(term, Literal):
+        out = []
+        for c in term.lexical:
+            if c in '"\\':
+                out.append("\\" + c)
+            elif c in "\n\t\r":
+                out.append({"\n": "\\n", "\t": "\\t", "\r": "\\r"}[c])
+            elif ord(c) < 0x20:
+                out.append(f"\\u{ord(c):04x}")
+            else:
+                out.append(c)
+        datatype = "" if term.datatype is None else "^^" + reference_render(term.datatype)
+        return '"' + "".join(out) + '"' + datatype
+    for prefix, ns in (("kgmas", NS), ("xsd", XSD)):
+        local = term.value[len(ns):]
+        if (term.value.startswith(ns) and local and set(local) <= _LOCAL_CHARS
+                and not local.endswith(".")):
+            return f"{prefix}:{local}"
+    return f"<{term.value}>"
+
+
+def reference_serialize(triples) -> str:
+    head = f"@prefix kgmas: <{NS}> .\n@prefix xsd: <{XSD}> .\n\n"
+    return head + "".join(
+        f"{reference_render(t.subject)} {reference_render(t.predicate)} "
+        f"{reference_render(t.object)} .\n"
+        for t in sorted(set(triples), key=triple_key))
+
+
+# texts that are iris and, in the object position, also literals
+_RENDER_TEXTS = [NS + local for local in ("a", "a.", "a/b", "", "a.b-c_9", ".a", "-", "é")] + [
+    XSD + "integer", XSD + "", "urn:x", "a", "http://other.example/p#q"]
+_RENDER_LEXICALS = ["", "plain", 'q"uote', "back\\slash", "t\tn\nr\r", "\x00\x1f\b\f",
+                    "é世\U0001f916", " . ", "# not a comment"]
+
+
+def random_render_graph(rng: random.Random, count: int) -> list[Triple]:
+    """``count`` triples over small pools, so every term repeats, in any order
+    and with repeats; objects include literals with the text of an iri."""
+    iris = [Iri(text) for text in _RENDER_TEXTS]
+
+    def obj():
+        roll = rng.random()
+        if roll < 0.3:
+            return rng.choice(iris)
+        lexical = rng.choice(_RENDER_LEXICALS + _RENDER_TEXTS)
+        return Literal(lexical, rng.choice(iris) if roll < 0.6 else None)
+
+    triples = [Triple(rng.choice(iris), rng.choice(iris), obj()) for _ in range(count)]
+    return triples + rng.sample(triples, count // 10)

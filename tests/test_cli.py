@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (fixture_path, fixture_text, setup_with_broken_protocol,
-                     setup_with_step_inside_pair)
+from helpers import (fixture_path, fixture_text, reference_serialize,
+                     setup_with_broken_protocol, setup_with_step_inside_pair)
 from kgmas.cli import main
 from kgmas.errors import ProtocolError
 from kgmas.runtime import Scenario
+from kgmas.turtle import parse_turtle
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -329,6 +330,8 @@ def test_a_broken_protocol_fails_only_its_own_task(tmp_path, capsys):
 def test_dump_is_a_fixed_point(tmp_path, capsys):
     assert main(["dump", "--setup", SETUP]) == 0
     first = capsys.readouterr().out
+    # the store's index walk writes what the reference renders from the parsed triples
+    assert first == reference_serialize(parse_turtle(fixture_text("fig3_setup.ttl")))
     path = tmp_path / "canonical.ttl"
     path.write_text(first, encoding="utf-8")
     assert main(["dump", "--setup", str(path)]) == 0

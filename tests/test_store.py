@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
-from helpers import bgp_oracle, random_pattern, random_triples
+from helpers import (bgp_oracle, random_pattern, random_render_graph, random_triples,
+                     reference_serialize)
 from kgmas.errors import TurtleParseError, ValidationError
 from kgmas.store import NamedGraphStore, objects_of
 from kgmas.terms import Iri, Literal, Pattern, Triple, Variable, term_key, triple_key
@@ -342,3 +345,88 @@ def test_dump_and_reload_identity():
     other = NamedGraphStore()
     other.load_turtle("h", text)
     assert other.triples("h") == store.triples("g")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dump_renders_the_index_as_the_reference_renders_its_triples(seed):
+    """``dump_turtle`` walks the index as the writes left it, so after every
+    write of a seeded sequence it equals the reference rendering of
+    ``triples`` byte for byte; so does a graph that removals emptied, and an
+    unknown graph is the prefixes alone."""
+    rng = random.Random(seed)
+    universe = random_render_graph(rng, 80)
+    subjects = sorted({t.subject for t in universe})
+    predicates = sorted({t.predicate for t in universe})
+    objects = sorted({t.object for t in universe}, key=term_key)
+    store = NamedGraphStore()
+    for _ in range(300):
+        g = rng.choice(("g", "h", "k"))
+        held = sorted(store.triples(g), key=triple_key)
+        op = rng.choice(("insert", "remove", "atomic_update", "replace", "load_turtle"))
+        if op == "insert":
+            store.insert(g, rng.choice(universe))
+        elif op == "remove":
+            store.remove(g, rng.choice(held or universe))
+        elif op == "atomic_update":
+            removals = rng.sample(held, min(len(held), rng.randrange(0, 4)))
+            store.atomic_update(g, removals, rng.sample(universe, rng.randrange(0, 4)))
+        elif op == "replace":  # entries of several objects, given in any order
+            store.replace(g, rng.choice(subjects),
+                          {p: rng.sample(objects, rng.randrange(0, 5))
+                           for p in rng.sample(predicates, rng.randrange(1, 3))})
+        else:
+            store.load_turtle(g, reference_serialize(rng.sample(universe, rng.randrange(9))))
+        assert store.dump_turtle(g) == reference_serialize(store.triples(g)), op
+
+    store.load_turtle("e", reference_serialize(universe))
+    held = sorted(store.triples("e"), key=triple_key)
+    store.atomic_update("e", held[::2], ())
+    for triple in held[1::2]:
+        store.remove("e", triple)
+    for name in ("g", "h", "k", "e", "unknown"):
+        assert store.dump_turtle(name) == reference_serialize(store.triples(name))
+    assert store.dump_turtle("e") == store.dump_turtle("unknown") == reference_serialize([])
+
+
+@pytest.mark.parametrize("writer", ["replace", "atomic_update"])
+def test_a_dump_shows_one_revision_while_a_writer_flips(writer):
+    """A dump copies the index under the lock, so a write running beside it
+    shows whole or not at all: a ``replace`` of one subject's two entries, or
+    an ``atomic_update`` of two subjects that sort far apart."""
+    store = NamedGraphStore()
+    store.atomic_update("g", [], random_triples(random.Random(31), 200))
+    if writer == "replace":
+        flips = [{iri("status"): [Literal("idle"), Literal("ready")], iri("at"): [iri("P1")]},
+                 {iri("status"): [Literal("busy")], iri("at"): [iri("P2"), iri("P3")]}]
+
+        def write(facts):
+            store.replace("g", iri("robot"), facts)
+    else:
+        flips = [[t("arm", "status", Literal(v)), t("robot", "status", Literal(v))]
+                 for v in ("idle", "busy")]
+
+        def write(triples):
+            store.atomic_update("g", flips[0] + flips[1], triples)
+    documents = []
+    for flip in flips:
+        write(flip)
+        documents.append(reference_serialize(store.triples("g")))
+    stop = threading.Event()
+
+    def flip_until_stopped():
+        while not stop.is_set():
+            for flip in flips:
+                write(flip)
+
+    thread = threading.Thread(target=flip_until_stopped)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread.start()
+        dumps = [store.dump_turtle("g") for _ in range(200)]
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert all(dump in documents for dump in dumps)

@@ -8,11 +8,12 @@ import random
 
 import pytest
 
-from helpers import fixture_text, random_triples
+from helpers import (fixture_text, random_render_graph, random_triples,
+                     reference_serialize)
 from kgmas import turtle
 from kgmas.errors import TurtleParseError
 from kgmas.store import NamedGraphStore
-from kgmas.terms import Iri, Literal, Triple, triple_key
+from kgmas.terms import Iri, Literal, Triple
 from kgmas.turtle import parse_turtle, serialize_turtle
 
 NS = "http://kgmas.example/vocab#"
@@ -370,69 +371,20 @@ def test_round_trip_is_fixed_point():
 # -- the writer against a per-occurrence reference ---------------------------
 
 
-_LOCAL_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
-
-
-def reference_render(term) -> str:
-    """One term, rendered from scratch at every occurrence."""
-    if isinstance(term, Literal):
-        out = []
-        for c in term.lexical:
-            if c in '"\\':
-                out.append("\\" + c)
-            elif c in "\n\t\r":
-                out.append({"\n": "\\n", "\t": "\\t", "\r": "\\r"}[c])
-            elif ord(c) < 0x20:
-                out.append(f"\\u{ord(c):04x}")
-            else:
-                out.append(c)
-        datatype = "" if term.datatype is None else "^^" + reference_render(term.datatype)
-        return '"' + "".join(out) + '"' + datatype
-    for prefix, ns in (("kgmas", NS), ("xsd", XSD)):
-        local = term.value[len(ns):]
-        if (term.value.startswith(ns) and local and set(local) <= _LOCAL_CHARS
-                and not local.endswith(".")):
-            return f"{prefix}:{local}"
-    return f"<{term.value}>"
-
-
-def reference_serialize(triples) -> str:
-    head = f"@prefix kgmas: <{NS}> .\n@prefix xsd: <{XSD}> .\n\n"
-    return head + "".join(
-        f"{reference_render(t.subject)} {reference_render(t.predicate)} "
-        f"{reference_render(t.object)} .\n"
-        for t in sorted(set(triples), key=triple_key))
-
-
-# texts that are iris and, in the object position, also literals
-_RENDER_TEXTS = [NS + local for local in ("a", "a.", "a/b", "", "a.b-c_9", ".a", "-", "é")] + [
-    XSD + "integer", XSD + "", "urn:x", "a", "http://other.example/p#q"]
-_RENDER_LEXICALS = ["", "plain", 'q"uote', "back\\slash", "t\tn\nr\r", "\x00\x1f\b\f",
-                    "é世\U0001f916", " . ", "# not a comment"]
-
-
-def random_render_graph(rng: random.Random, count: int) -> list[Triple]:
-    """``count`` triples over small pools, so every term repeats, in any order
-    and with repeats; objects include literals with the text of an iri."""
-    iris = [Iri(text) for text in _RENDER_TEXTS]
-
-    def obj():
-        roll = rng.random()
-        if roll < 0.3:
-            return rng.choice(iris)
-        lexical = rng.choice(_RENDER_LEXICALS + _RENDER_TEXTS)
-        return Literal(lexical, rng.choice(iris) if roll < 0.6 else None)
-
-    triples = [Triple(rng.choice(iris), rng.choice(iris), obj()) for _ in range(count)]
-    return triples + rng.sample(triples, count // 10)
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_serializer_agrees_with_a_per_occurrence_reference(seed):
     rng = random.Random(seed)
     for count in (0, 1, rng.randint(2, 200), rng.randint(200, 5000)):
         triples = random_render_graph(rng, count)
         assert serialize_turtle(triples) == reference_serialize(triples)
+
+
+def test_serializer_escapes_each_character_alone():
+    """A literal that holds one character the writer escapes, and nothing else,
+    is escaped as the reference escapes it; its neighbours are not."""
+    characters = [chr(c) for c in range(0x21)] + ['"', "\\", "\x7f", "a"]
+    triples = [Triple(Iri(NS + "s"), Iri(NS + "p"), Literal(c)) for c in characters]
+    assert serialize_turtle(triples) == reference_serialize(triples)
 
 
 def test_serializer_renders_each_distinct_term_once(monkeypatch):
