@@ -174,7 +174,11 @@ def load_protocol(store: NamedGraphStore, graph_id, task_name: str) -> ProtocolD
     role asks (see the module docstring), exactly one target role on a
     request and none on another step, every role bound to exactly one
     asset that really has the role's required capability. The protocol
-    node and each role, asset and step node are read once.
+    node and each role, asset and step node are read once. Past the node
+    reads and the index check, a protocol with several faults is refused
+    by the first failing group, in this order: each step's role, target
+    and pairing rules; the last request; who may forward or ask; target
+    roles; and within a group, by its first failing step.
     """
     candidates = [(c, [t.object.lexical for t in entry if isinstance(t.object, Literal)])
                   for c, entry in store.rows(graph_id, vocab.FOR_TASK)]

@@ -14,12 +14,12 @@ and ``@base``. Anything outside the subset raises ``TurtleParseError``
 with a 1-based line and column.
 
 The reader is one compiled pattern, ``_STATEMENT``, whose match takes a
-whole statement or ``@prefix`` directive, one group per term. It makes one
-object per distinct written term, through memos that live for one call and
-are dropped at each ``@prefix``, and builds a name's ``Iri`` without the
-checks its checked namespace and grammar guarantee. Only a statement that
-does not match, or holds a bad term, is walked again one ``_TOKEN`` at a
-time, to say why and where.
+whole statement or ``@prefix`` directive, one group per written term. One
+term memo, which lives for one call and is replaced at each ``@prefix``,
+builds each distinct written term once, a name's ``Iri`` without the checks
+its checked namespace and grammar guarantee. Only a statement that does not
+match, or holds a bad term, is walked again one ``_TOKEN`` at a time; that
+walk builds nothing and only checks, to say why and where.
 """
 
 from __future__ import annotations
@@ -44,21 +44,20 @@ _PREFIX = rf"@prefix{_SPACE}(?P<name>{_NAME}):{_SPACE}<(?P<ns>{_IRI_BODY})>{_SPA
 
 # A prefixed name and a literal, with the groups the token walk reads; a
 # term's prefix is not empty and does not start with '_' (a blank node).
-_PNAME = rf"(?P<pfx>[A-Za-z0-9.-]{_NAME}):(?P<local>{_LOCAL})"
+_PNAME = rf"(?P<pfx>[A-Za-z0-9.-]{_NAME}):{_LOCAL}"
 _LITERAL = (rf'"(?P<lex>{_LITERAL_BODY})"(?:\^\^(?:<(?P<dt_ref>{_IRI_BODY})>'
-            rf"|(?P<dt_pfx>{_NAME}):(?P<dt_local>{_LOCAL}))|(?![@^]))")
+            rf"|(?P<dt_pfx>{_NAME}):{_LOCAL})|(?![@^]))")
 _TOKEN = re.compile(
     rf"{_SPACE}(?:(?P<iri><(?P<ref>{_IRI_BODY})>)|(?P<pname>{_PNAME})|(?P<literal>{_LITERAL})"
     rf"|(?P<prefix>{_PREFIX})|(?P<end>[.;,])|(?P<other>))", re.DOTALL)
 _WHOLE_PNAME, _WHOLE_LITERAL = (re.sub(r"\(\?P<\w+>", "(?:", t) for t in (_PNAME, _LITERAL))
-# A directive, or subject, predicate, object (an iri ref's body, a whole name or
-# a whole literal) and '.'; else nothing, so that a match always starts where
-# the last one ended, and no search runs past a bad one.
+_IRI_OR_NAME = rf"<{_IRI_BODY}>|{_WHOLE_PNAME}"
+# A directive, or subject, predicate and object, each as written, and '.';
+# else nothing, so that a match always starts where the last one ended, and
+# no search runs past a bad one.
 _STATEMENT = re.compile(
-    rf"{_SPACE}(?:{_PREFIX}|(?:<(?P<s_ref>{_IRI_BODY})>|(?P<s_name>{_WHOLE_PNAME})){_SPACE}"
-    rf"(?:<(?P<p_ref>{_IRI_BODY})>|(?P<p_name>{_WHOLE_PNAME})){_SPACE}(?:<(?P<o_ref>"
-    rf"{_IRI_BODY})>|(?P<o_name>{_WHOLE_PNAME})|(?P<o_lit>{_WHOLE_LITERAL})){_SPACE}\.|)",
-    re.DOTALL)
+    rf"{_SPACE}(?:{_PREFIX}|(?P<s>{_IRI_OR_NAME}){_SPACE}(?P<p>{_IRI_OR_NAME}){_SPACE}"
+    rf"(?P<o>{_IRI_OR_NAME}|{_WHOLE_LITERAL}){_SPACE}\.|)", re.DOTALL)
 _SKIP_SPACE = re.compile(_SPACE).match
 _SKIP_NAME = re.compile(_NAME).match
 _SKIP_IRI_BODY = re.compile(_IRI_BODY).match
@@ -86,55 +85,6 @@ def _expected(text: str, at: int, token: str) -> TurtleParseError:
     return _error_at(text, at, f"expected {token!r}, found {found}")
 
 
-class _Iris(dict):
-    """One ``Iri`` per distinct text in a parse, validated once."""
-
-    def __missing__(self, value: str) -> Iri:
-        iri = self[value] = Iri(value)
-        return iri
-
-
-def _to_iri(text: str, m: re.Match, ref: str, iris: _Iris) -> Iri:
-    """The iri of the iri ref whose body is group ``ref`` of ``m``."""
-    if not m[ref]:
-        raise _error_at(text, m.end(ref) + 1, "empty iri")
-    try:
-        return iris[m[ref]]
-    except ValidationError as exc:
-        raise _error_at(text, m.start(ref) - 1, str(exc)) from None
-
-
-def _expand(text: str, m: re.Match, prefixes: dict, iris: _Iris,
-            prefix: str, local: str) -> Iri:
-    """The iri of the prefixed name in groups ``prefix`` and ``local``."""
-    try:
-        return iris[prefixes[m[prefix]] + m[local]]
-    except KeyError:
-        raise _error_at(text, m.start(prefix),
-                        f"undeclared prefix {m[prefix]!r}") from None
-
-
-def _term(text: str, m: re.Match, prefixes: dict[str, str], iris: _Iris, position: str):
-    kind = m.lastgroup
-    if kind == "pname":
-        return _expand(text, m, prefixes, iris, "pfx", "local")
-    if kind == "iri":
-        return _to_iri(text, m, "ref", iris)
-    if kind != "literal" or position != "object":
-        raise _syntax_error(text, m.start(kind), position, iris)
-    lexical = m["lex"]
-    if "\\" in lexical:
-        try:
-            lexical = _ESCAPE.sub(_unescape, lexical)
-        except ValueError:
-            _check_escapes(text, m.start("lex"), m.end("lex"))
-    if m["dt_ref"] is not None:
-        return Literal(lexical, _to_iri(text, m, "dt_ref", iris))
-    if m["dt_pfx"] is not None:
-        return Literal(lexical, _expand(text, m, prefixes, iris, "dt_pfx", "dt_local"))
-    return Literal(lexical)
-
-
 class _Memo(dict):
     """Written text -> term, made by ``make`` on the first miss."""
 
@@ -153,65 +103,93 @@ def parse_turtle(text: str) -> list[Triple]:
     syntax error never yields partial results.
     """
     prefixes: dict[str, str] = {}
-    iris = _Iris()
+    iris = _Memo(Iri)  # one checked ``Iri`` per iri text
     new = tuple.__new__  # unchecked: ``iris`` checks iri refs; the rest holds by grammar
 
-    def expand(written: str) -> Iri:
+    def term(written: str):
+        if written[0] == "<":
+            return iris[written[1:-1]]
+        if written[0] == '"':
+            end = _SKIP_LITERAL_BODY(written, 1).end()
+            lexical, datatype = written[1:end], written[end + 3:]
+            if "\\" in lexical:
+                lexical = _ESCAPE.sub(_unescape, lexical)
+            return new(Literal, (lexical, terms[datatype] if datatype else None))
         # a namespace checked at its @prefix plus _LOCAL's characters is an iri
         prefix, _, local = written.partition(":")
         value = prefixes[prefix] + local
         return iris.setdefault(value, new(Iri, (value,)))
 
-    def read_literal(written: str) -> Literal:
-        end = _SKIP_LITERAL_BODY(written, 1).end()
-        lexical, datatype = written[1:end], written[end + 3:]
-        if "\\" in lexical:
-            lexical = _ESCAPE.sub(_unescape, lexical)
-        if datatype:
-            datatype = iris[datatype[1:-1]] if datatype[0] == "<" else names[datatype]
-        return new(Literal, (lexical, datatype or None))
-
-    # one term per distinct written name or literal while the prefixes stand
-    names, literals = _Memo(expand), _Memo(read_literal)
+    # one term per distinct written term while the prefixes stand
+    terms = _Memo(term)
     triples: list[Triple] = []
     for m in _STATEMENT.finditer(text):
-        name, ns, s_ref, s_name, p_ref, p_name, o_ref, o_name, o_lit = m.groups()
+        name, ns, s, p, o = m.groups()
         try:
-            if p_ref is None and p_name is None:
+            if o is None:
                 if ns is None:
                     break
                 prefixes[name] = iris[ns].value
-                names, literals = _Memo(expand), _Memo(read_literal)
+                terms = _Memo(term)
                 continue
-            triples.append(new(Triple, (
-                iris[s_ref] if s_name is None else names[s_name],
-                iris[p_ref] if p_name is None else names[p_name],
-                literals[o_lit] if o_lit is not None
-                else iris[o_ref] if o_name is None else names[o_name])))
+            triples.append(new(Triple, (terms[s], terms[p], terms[o])))
         except (KeyError, ValueError, ValidationError):
             break
     if m.lastindex is None and m.end() == len(text):
         return triples
-    raise _statement_error(text, m.start(), prefixes, iris)
+    raise _statement_error(text, m.start(), prefixes)
 
 
-def _statement_error(text: str, at: int, prefixes: dict, iris: _Iris) -> TurtleParseError:
+def _statement_error(text: str, at: int, prefixes: dict) -> TurtleParseError:
     """Walk the statement at ``at`` token by token to say why it does not
     parse; a bad term in it raises at once."""
     m = _TOKEN.match(text, at)
     if m.lastgroup == "prefix":
-        _to_iri(text, m, "ns", iris)
+        _check_iri(text, m, "ns")
     else:
         for position in ("subject", "predicate", "object"):
-            _term(text, m, prefixes, iris, position)
+            _check_term(text, m, prefixes, position)
             m = _TOKEN.match(text, m.end())
         # the token here may be a name that starts with the closing '.'
         if not text.startswith(".", m.start(m.lastgroup)):
-            return _syntax_error(text, m.start(m.lastgroup), "end", iris)
+            return _syntax_error(text, m.start(m.lastgroup), "end")
     raise RuntimeError(f"_STATEMENT refused the statement at {at} that _TOKEN takes")
 
 
-def _syntax_error(text: str, at: int, expected: str, iris: _Iris) -> TurtleParseError:
+def _check_term(text: str, m: re.Match, prefixes: dict, position: str):
+    """Raise if the token ``m`` is no term that may stand in ``position``."""
+    kind = m.lastgroup
+    if kind == "pname":
+        _check_declared(text, m, prefixes, "pfx")
+    elif kind == "iri":
+        _check_iri(text, m, "ref")
+    elif kind != "literal" or position != "object":
+        raise _syntax_error(text, m.start(kind), position)
+    else:
+        _check_escapes(text, m.start("lex"), m.end("lex"))
+        if m["dt_ref"] is not None:
+            _check_iri(text, m, "dt_ref")
+        elif m["dt_pfx"] is not None:
+            _check_declared(text, m, prefixes, "dt_pfx")
+
+
+def _check_iri(text: str, m: re.Match, ref: str):
+    """Raise if the iri ref whose body is group ``ref`` of ``m`` is no iri."""
+    if not m[ref]:
+        raise _error_at(text, m.end(ref) + 1, "empty iri")
+    try:
+        Iri(m[ref])
+    except ValidationError as exc:
+        raise _error_at(text, m.start(ref) - 1, str(exc)) from None
+
+
+def _check_declared(text: str, m: re.Match, prefixes: dict, prefix: str):
+    """Raise if the prefix in group ``prefix`` of ``m`` is not declared."""
+    if m[prefix] not in prefixes:
+        raise _error_at(text, m.start(prefix), f"undeclared prefix {m[prefix]!r}")
+
+
+def _syntax_error(text: str, at: int, expected: str) -> TurtleParseError:
     """Say why the token at ``at`` cannot stand where ``expected`` is due:
     "subject", "predicate", "object" or the "end" of a statement."""
     c = text[at:at + 1]
@@ -222,7 +200,7 @@ def _syntax_error(text: str, at: int, expected: str, iris: _Iris) -> TurtleParse
             return _error_at(text, at, "statement missing final '.'")
         return _expected(text, at, ".")
     if c == "@" and expected == "subject":
-        return _prefix_error(text, at, iris)
+        return _prefix_error(text, at)
     if c == "<":
         return _iri_error(text, at)
     if c == "_":
@@ -274,7 +252,7 @@ def _literal_error(text: str, at: int) -> TurtleParseError:
     return _pname_error(text, end + 2)
 
 
-def _prefix_error(text: str, at: int, iris: _Iris) -> TurtleParseError:
+def _prefix_error(text: str, at: int) -> TurtleParseError:
     if not text.startswith("@prefix", at):
         return _error_at(text, at, "malformed @prefix directive")
     at = _SKIP_NAME(text, _SKIP_SPACE(text, at + 7).end()).end()
@@ -286,7 +264,7 @@ def _prefix_error(text: str, at: int, iris: _Iris) -> TurtleParseError:
     m = _TOKEN.match(text, at)
     if m.lastgroup != "iri":
         return _iri_error(text, at)
-    _to_iri(text, m, "ref", iris)
+    _check_iri(text, m, "ref")
     return _expected(text, _SKIP_SPACE(text, m.end()).end(), ".")
 
 
@@ -308,7 +286,7 @@ def _render_iri(iri: Iri) -> str:
 
 
 class _Rendered(dict):
-    """Each distinct term of one dump rendered once: the writer's ``_Iris``."""
+    """Each distinct term of one dump rendered once."""
 
     def __missing__(self, term) -> str:
         if isinstance(term, Iri):

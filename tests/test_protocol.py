@@ -244,7 +244,14 @@ def test_load_outcomes_of_every_short_protocol_are_pinned():
       (vocab.KIND_REPORT_EVENT, PLACER, None, _DELIVERED)],
      "step 2: a query step must open the protocol for the initiating role, directly "
      "follow a report or query of its own role, or come after the last report"),
-], ids=["request_without_the_task", "query_never_prompted", "query_behind_a_request"])
+    # qP qM pM: step 2's query is never prompted either, but the pairing rule
+    # of the per-step group fails first, at step 3
+    ([(vocab.KIND_QUERY_NEXT, PLACER, None, None),
+      (vocab.KIND_QUERY_NEXT, MOVER, None, None),
+      (vocab.KIND_PERFORM_ACTION, MOVER, None, None)],
+     "step 3: a perform step must be followed directly by a report step of the same role"),
+], ids=["request_without_the_task", "query_never_prompted", "query_behind_a_request",
+        "unpaired_perform_refused_before_an_unprompted_query"])
 def test_load_refuses_a_protocol_the_mediator_cannot_run(steps, message):
     with pytest.raises(ProtocolError) as refusal:
         load_steps(steps)

@@ -226,13 +226,26 @@ def test_rejection_message_and_position(text, message, line, column):
     assert (err.value.line, err.value.column) == (line, column)
 
 
+@pytest.mark.parametrize("text,message,column", [
+    ('kgmas:a kgmas:p "a\\qb"^^q:int .', "unknown escape \\q", 19),
+    ('kgmas:a kgmas:p "a\\qb"^^<http://e/a b> .', "unknown escape \\q", 19),
+    ("q:a kgmas:p <http://e/a b> .", "undeclared prefix 'q'", 1),
+    ("<http://e/a b> q:p kgmas:o ;", "iri contains whitespace: 'http://e/a b'", 1),
+    ("@prefix k: <http://e/a b> x", "iri contains whitespace: 'http://e/a b'", 12),
+])
+def test_a_statement_with_several_faults_reports_the_first(text, message, column):
+    with pytest.raises(TurtleParseError) as err:
+        parse_turtle(P + text)
+    assert str(err.value) == f"line 2, column {column}: {message}"
+
+
 @pytest.mark.parametrize("statement", [
     "<http://e/s> <http://e/p> <http://e/o> .", "@prefix e: <http://e/> ."])
 def test_token_walk_that_finds_no_error_fails_loudly(statement):
     """The token walk runs only on a statement the statement pattern refused;
     finding nothing wrong there means the two grammars differ."""
     with pytest.raises(RuntimeError):
-        turtle._statement_error(statement, 0, {}, turtle._Iris())
+        turtle._statement_error(statement, 0, {})
 
 
 @pytest.mark.parametrize("bad", ["a b", "a\tb", "a\u00a0b", 'a"b', "a<b"])
@@ -318,6 +331,20 @@ def test_outcomes_of_seeded_edits_are_pinned():
     for text in documents:
         digest.update(outcome(text).encode("utf-8") + b"\0")
     assert digest.hexdigest() == OUTCOMES_SHA256
+
+
+# sha256 over every outcome of edits aimed at directives, datatypes and
+# names, taken with the reader whose error walk still built terms
+DIRECTIVE_OUTCOMES_SHA256 = "dd942db59e353cee201851f491f15c451a712abcf97b717125e06badaee161de"
+
+
+def test_outcomes_of_edits_near_directives_and_names_are_pinned():
+    documents = [*single_character_edits(inventory_like_document(47, 60), 53, "@^:"),
+                 *single_character_edits(fixture_text("fig3_setup.ttl"), 59, "@:", 500)]
+    digest = hashlib.sha256()
+    for text in documents:
+        digest.update(outcome(text).encode("utf-8") + b"\0")
+    assert digest.hexdigest() == DIRECTIVE_OUTCOMES_SHA256
 
 
 def test_serializer_emits_prefixes_and_sorted_triples():
