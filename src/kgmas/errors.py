@@ -54,11 +54,11 @@ class TransportError(KgmasError):
 
 
 class UnknownSchemeError(TransportError):
-    """No adapter factory is registered for the requested scheme."""
+    """No transport kind is registered for the requested scheme."""
 
 
 class DuplicateSchemeError(TransportError):
-    """An adapter factory was registered twice for one scheme."""
+    """A transport kind was registered twice for one scheme."""
 
 
 class NoResponderError(TransportError):

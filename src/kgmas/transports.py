@@ -1,16 +1,18 @@
 """Pluggable in-process transports for asset connectivity.
 
-Every hub offers the same surface, ``publish(topic, text)``,
-``subscribe(topic, handler)`` and ``unsubscribe(topic, handler)``; what
-differs per kind stays inside the hub. Three kinds are built in, named
-by the connection scheme an asset declares:
+One hub serves every transport kind through one surface,
+``publish(topic, text)``, ``subscribe(topic, handler)`` and
+``unsubscribe(topic, handler)``: ``publish`` hands the text to each of
+the topic's handlers in turn. The hub's kind, named by the connection
+scheme an asset declares, sets two rules and nothing else:
 
-* ``ros+ws``: plain topic fan-out, no retention
-* ``mqtt``: topic fan-out plus last-value retention (depth 1),
-  delivered to late subscribers at subscribe time
-* ``rest+http``: one responder per path, bound by ``subscribe``;
-  ``publish`` is always a fire-and-forget request to that responder,
-  dropped when the path has none. ``request`` also waits for the reply.
+* retention: an ``mqtt`` hub keeps each topic's last payload (depth 1)
+  and delivers it to a late subscriber at subscribe time; ``ros+ws``
+  and ``rest+http`` hubs keep nothing
+* one responder per path: a ``rest+http`` hub refuses a second handler
+  on a path and alone answers ``request`` with that handler's reply;
+  a ``publish`` there is a request whose reply nobody reads, dropped
+  when the path has no responder
 
 Hubs are keyed by (scheme, endpoint address), so an agent and the
 connection component of its device meet on the same hub by sharing an
@@ -52,91 +54,54 @@ def _check_payload(payload):
         raise ValidationError("transport payloads must be text")
 
 
-class _PubSubHub:
-    """Fan-out hub. Delivery is synchronous and serial per hub."""
+class _Hub:
+    """A topic -> handlers map under one lock; its kind sets the rules.
 
-    retains = False
+    Delivery is synchronous and serial per hub. Handlers run while the
+    re-entrant lock is held, so a handler may publish on its own hub or
+    close its own adapter.
+    """
 
-    def __init__(self):
+    def __init__(self, kind: TransportKind):
+        self.kind = kind
         self._lock = threading.RLock()
-        self._subscribers: dict[str, list] = {}
+        self._handlers: dict[str, list] = {}
         self._retained: dict[str, str] = {}
 
     def publish(self, topic: str, payload: str):
         _check_payload(payload)
         with self._lock:
-            if self.retains:
+            if self.kind is TransportKind.BROKER_PUBSUB:
                 self._retained[topic] = payload
-            handlers = list(self._subscribers.get(topic, ()))
-            for handler in handlers:
+            for handler in list(self._handlers.get(topic, ())):
                 handler(payload)
 
     def subscribe(self, topic: str, handler):
         with self._lock:
-            self._subscribers.setdefault(topic, []).append(handler)
-            if self.retains and topic in self._retained:
+            handlers = self._handlers.setdefault(topic, [])
+            if handlers and self.kind is TransportKind.REQUEST_RESPONSE:
+                raise TransportError(f"path {topic!r} already has a responder")
+            handlers.append(handler)
+            if topic in self._retained:
                 handler(self._retained[topic])
 
     def unsubscribe(self, topic: str, handler):
         with self._lock:
-            handlers = self._subscribers.get(topic, [])
+            handlers = self._handlers.get(topic, [])
             if handler in handlers:
                 handlers.remove(handler)
 
     def request(self, path: str, payload: str) -> str:
-        raise TransportError("publish/subscribe transports do not take requests")
-
-
-class _BrokerHub(_PubSubHub):
-    retains = True
-
-
-class _RequestResponseHub:
-    """Request/response hub with exactly one responder per path.
-
-    ``subscribe`` binds a path's responder and ``publish`` is a request
-    whose reply nobody reads.
-    """
-
-    def __init__(self):
-        self._lock = threading.RLock()
-        self._responders: dict[str, object] = {}
-
-    def _responder(self, path: str, payload: str):
+        if self.kind is not TransportKind.REQUEST_RESPONSE:
+            raise TransportError("publish/subscribe transports do not take requests")
         _check_payload(payload)
         with self._lock:
-            return self._responders.get(path)
-
-    def publish(self, topic: str, payload: str):
-        responder = self._responder(topic, payload)
-        if responder is not None:  # nobody listening is not an error
-            responder(payload)
-
-    def subscribe(self, topic: str, handler):
-        with self._lock:
-            if topic in self._responders:
-                raise TransportError(f"path {topic!r} already has a responder")
-            self._responders[topic] = handler
-
-    def unsubscribe(self, topic: str, handler):
-        with self._lock:
-            if self._responders.get(topic) is handler:
-                del self._responders[topic]
-
-    def request(self, path: str, payload: str) -> str:
-        responder = self._responder(path, payload)
-        if responder is None:
-            raise NoResponderError(f"no responder registered at {path!r}")
-        reply = responder(payload)
+            responders = self._handlers.get(path)
+            if not responders:
+                raise NoResponderError(f"no responder registered at {path!r}")
+            reply = responders[0](payload)
         _check_payload(reply)
         return reply
-
-
-_HUB_CLASSES = {
-    TransportKind.TOPIC_PUBSUB: _PubSubHub,
-    TransportKind.BROKER_PUBSUB: _BrokerHub,
-    TransportKind.REQUEST_RESPONSE: _RequestResponseHub,
-}
 
 
 class Adapter:
@@ -185,7 +150,7 @@ class TransportRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._schemes: dict[str, TransportKind] = {}
-        self._hubs: dict[tuple[str, str], object] = {}
+        self._hubs: dict[tuple[str, str], _Hub] = {}
 
     def register(self, scheme: str, kind: TransportKind):
         if not scheme:
@@ -214,7 +179,7 @@ class TransportRegistry:
         with self._lock:
             hub = self._hubs.get(key)
             if hub is None:
-                hub = _HUB_CLASSES[kind]()
+                hub = _Hub(kind)
                 self._hubs[key] = hub
         return Adapter(endpoint, hub)
 

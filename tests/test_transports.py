@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from kgmas.errors import (
@@ -14,8 +16,8 @@ from kgmas.errors import (
 from kgmas.transports import Endpoint, TransportKind, default_registry
 
 
-def adapter(registry, scheme, address="broker:1", **kw):
-    return registry.resolve(Endpoint(scheme, address), **kw)
+def adapter(registry, scheme, address="broker:1"):
+    return registry.resolve(Endpoint(scheme, address))
 
 
 def test_default_schemes():
@@ -51,11 +53,14 @@ def test_broker_pubsub_retains_last_message():
     assert got == ["new", "newer"]
 
 
-def test_pubsub_request_not_supported():
+@pytest.mark.parametrize("scheme", ["ros+ws", "mqtt"])
+def test_pubsub_request_not_supported(scheme):
     registry = default_registry()
-    a = adapter(registry, "ros+ws")
-    with pytest.raises(TransportError):
+    a = adapter(registry, scheme)
+    with pytest.raises(TransportError) as refusal:
         a.request("/t", "x")
+    # the kind refuses, not an empty path (NoResponderError is a TransportError)
+    assert str(refusal.value) == "publish/subscribe transports do not take requests"
 
 
 def test_request_response_basics():
@@ -88,14 +93,16 @@ def test_request_response_publish_is_fire_and_forget():
         client.publish("/obs", None)
 
 
-def test_hubs_keyed_by_scheme_and_address():
+@pytest.mark.parametrize("other", [("ros+ws", "h2:9090"), ("mqtt", "h1:9090")],
+                         ids=["other_address", "other_scheme"])
+def test_hubs_keyed_by_scheme_and_address(other):
     registry = default_registry()
     a = adapter(registry, "ros+ws", "h1:9090")
-    b = adapter(registry, "ros+ws", "h2:9090")
+    b = adapter(registry, *other)
     got = []
     b.subscribe("/t", got.append)
     a.publish("/t", "x")
-    assert got == []  # different address, different hub
+    assert got == []  # different scheme or address, different hub
 
 
 def test_close_detaches_subscriptions_and_responders():
@@ -118,6 +125,43 @@ def test_close_detaches_subscriptions_and_responders():
     # the path is free again
     client.subscribe("/p", lambda text: "ok2")
     assert adapter(registry, "rest+http").request("/p", "x") == "ok2"
+
+
+@pytest.mark.parametrize("scheme", ["ros+ws", "mqtt", "rest+http"])
+def test_handlers_may_publish_and_close_during_delivery(scheme):
+    """Handlers and responders run under their hub's lock, so it must be
+    re-entrant: one publishes on its own hub, another closes its own
+    adapter, and the script runs in a thread so a deadlock fails instead
+    of hanging."""
+    registry = default_registry()
+    source, echo, quitter, sink = (adapter(registry, scheme) for _ in range(4))
+    log = []
+
+    def on_echo(text):
+        log.append(("echo", text))
+        echo.publish("/out", text)
+        return "ok"
+
+    def on_quit(text):
+        log.append(("quit", text))
+        quitter.close()
+        return "ok"
+
+    def script():
+        echo.subscribe("/echo", on_echo)
+        quitter.subscribe("/quit", on_quit)
+        sink.subscribe("/out", lambda text: log.append(("out", text)) or "ok")
+        for topic, payload in [("/echo", "a"), ("/quit", "b"),
+                               ("/echo", "c"), ("/quit", "d")]:
+            source.publish(topic, payload)
+
+    worker = threading.Thread(target=script, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive(), "delivery deadlocked on the hub's lock"
+    assert log == [("echo", "a"), ("out", "a"), ("quit", "b"),
+                   ("echo", "c"), ("out", "c")]  # "d": quitter is closed
+    assert quitter.closed
 
 
 @pytest.mark.parametrize("build, message", [
