@@ -453,12 +453,12 @@ def check_world_consistency(store: NamedGraphStore, graph_id) -> list[Consistenc
     by_position: dict[str, list[tuple[str, str]]] = {}
     for entity, realms, positions in store.rows(graph_id, vocab.HAS_REALM, vocab.AT_POSITION):
         realm = None  # the last known realm in term order
-        for t in realms:
-            if isinstance(t.object, Iri):
-                realm = _REALM_BY_TEXT.get(t.object.value, realm)
-        for t in positions:
-            if realm and isinstance(t.object, Literal):
-                by_position.setdefault(t.object.lexical, []).append((entity.value, realm))
+        for _, _, obj in realms:
+            if isinstance(obj, Iri):
+                realm = _REALM_BY_TEXT.get(obj.value, realm)
+        for _, _, obj in positions:
+            if realm and isinstance(obj, Literal):
+                by_position.setdefault(obj.lexical, []).append((entity.value, realm))
 
     violations = []
     for position in sorted(by_position):

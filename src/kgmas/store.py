@@ -114,6 +114,7 @@ class _Graph:
 
 
 _NO_GRAPH = _Graph()
+_SEQUENCES = (list, tuple)
 
 
 def objects_of(about: Mapping[str, tuple[Triple, ...]], predicate: Iri) -> tuple[Term, ...]:
@@ -151,21 +152,28 @@ class NamedGraphStore:
     def rows(self, graph_id: Iri | str, predicate: Iri, *more: Iri) -> list[tuple]:
         """Rows ``(subject, entry, ...)`` for the subjects that carry every
         given predicate, sorted by iri. Each entry is the index's own tuple
-        of one predicate's triples. Only the smallest subject set is walked."""
+        of one predicate's triples. Only the smallest subject set is walked.
+        Plain loops build the rows, with no comprehension and no per-row list."""
         key = _graph_key(graph_id)
-        texts = [p.value for p in (predicate, *more)]
+        texts = [predicate.value]
+        for other in more:
+            texts.append(other.value)
         found = []
         with self._lock:
             graph = self._graphs.get(key, _NO_GRAPH)
-            smallest = min([graph.subjects.get(p, {}) for p in texts], key=len)
+            smallest = None
+            for p in texts:
+                carrying = graph.subjects.get(p, {})
+                if smallest is None or len(carrying) < len(smallest):
+                    smallest = carrying
             for text in sorted(smallest):  # sorting (text, Iri) pairs costs 3x more
-                row, predicates = [smallest[text]], graph.spo[text]
+                row, predicates = (smallest[text],), graph.spo[text]
                 for p in texts:
                     if (entry := predicates.get(p)) is None:
                         break
-                    row.append(entry)
+                    row += (entry,)
                 else:
-                    found.append(tuple(row))
+                    found.append(row)
         return found
 
     # -- mutation ---------------------------------------------------------
@@ -218,13 +226,18 @@ class NamedGraphStore:
         revision step, touching only those entries; a bad term raises first.
         """
         key = _graph_key(graph_id)
-        if not all(isinstance(term, Iri) for term in (subject, *facts)):
+        iris = isinstance(subject, Iri)
+        for predicate in facts:
+            iris = iris and isinstance(predicate, Iri)
+        if not iris:
             raise ValidationError(f"replace needs iris: {subject!r}, {list(facts)!r}")
         entries = []
         for predicate, objects in facts.items():
+            if type(objects) in _SEQUENCES and len(objects) == 1:  # the usual fact
+                entries.append((predicate, (Triple(subject, predicate, objects[0]),)))
+                continue
             triples = {Triple(subject, predicate, obj) for obj in objects}  # checks each obj
-            entries.append((predicate, tuple(triples) if len(triples) < 2
-                            else tuple(sorted(triples, key=_object_key))))
+            entries.append((predicate, tuple(sorted(triples, key=_object_key))))
         with self._lock:
             if entries:
                 self._revision += 1

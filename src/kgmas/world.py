@@ -216,10 +216,11 @@ class WarehouseWorld:
 
     def pallets_in_reach(self, device_id: str) -> dict[str, list[int]]:
         """Pallets lying on a cell an arm can reach, by id."""
-        reach = self.devices[device_id].reach
-        found = {pallet_id: list(cell) for cell, pallet_id in self._pallet_by_cell.items()
-                 if cell in reach}
-        return dict(sorted(found.items()))
+        reach, found = self.devices[device_id].reach, {}
+        for cell, pallet_id in self._pallet_by_cell.items():
+            if cell in reach:
+                found[pallet_id] = list(cell)
+        return found if len(found) < 2 else dict(sorted(found.items()))
 
     # -- commands ---------------------------------------------------------
 
@@ -274,13 +275,17 @@ class WarehouseWorld:
     # -- time -------------------------------------------------------------
 
     def step(self) -> list[Observation]:
-        """Advance one tick: progress every device queue, then observe."""
+        """Advance one tick: progress every device queue, then observe every
+        device, so each observation sees all of the tick's moves."""
         self.tick += 1
-        failed = {device_id: self._progress(device, self._queues[device_id])
-                  for device_id, device in self.devices.items()
-                  if self._queues[device_id]}
-        return [self.observe(device_id, failed.get(device_id))
-                for device_id in self.devices]
+        queues, failed = self._queues, {}
+        for device_id, device in self.devices.items():
+            if queues[device_id]:
+                failed[device_id] = self._progress(device, queues[device_id])
+        observations = []
+        for device_id in self.devices:
+            observations.append(self.observe(device_id, failed.get(device_id)))
+        return observations
 
     def _progress(self, device, queue: deque) -> str | None:
         """Advance a device's head command; returns the verb that failed, if any."""

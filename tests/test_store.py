@@ -131,6 +131,27 @@ def test_replace_checks_every_term_before_writing():
     assert store.replace("g", a, {}) == store.revision
 
 
+def test_replace_one_object_path_checks_like_the_rest():
+    """A one-object fact is built directly, with the same checks, the same
+    error order and the same entry as any other iterable of that object."""
+    store = NamedGraphStore()
+    a, pos, p1 = iri("a"), iri("atPosition"), Literal("P1")
+    store.insert("g", t("a", "atPosition", Literal("P0")))
+    before, held = store.revision, store.triples("g")
+    with pytest.raises(ValidationError, match="triple object"):
+        store.replace("g", a, {pos: ["P1"]})
+    with pytest.raises(ValidationError, match="replace needs iris"):
+        store.replace("g", a, {pos: ["P1"], "notiri": [p1]})
+    assert store.revision == before
+    assert store.triples("g") == held
+
+    for objects in ([p1], (p1,), {p1}, (o for o in [p1])):
+        store.replace("g", a, {pos: [Literal("P0")]})
+        revision = store.revision
+        assert store.replace("g", a, {pos: objects}) == revision + 1
+        assert store.about("g", a) == {pos.value: (Triple(a, pos, p1),)}
+
+
 def test_about_copies_one_subjects_entries():
     store = NamedGraphStore()
     store.atomic_update("g", [], [t("a", "p", "c"), t("a", "p", "b"), t("a", "q", "b"),
@@ -265,6 +286,10 @@ def test_index_reads_agree_with_scans_under_random_writes():
             p, q = rng.sample(predicates, 2)
             assert store.rows(name, p, q) == [(s, entry(s, p), entry(s, q)) for s in sorted(
                 carrying[p] & carrying[q], key=lambda s: s.value)]
+            p, q, r = rng.sample(predicates, 3)
+            assert store.rows(name, p, q, r) == [
+                (s, entry(s, p), entry(s, q), entry(s, r)) for s in sorted(
+                    carrying[p] & carrying[q] & carrying[r], key=lambda s: s.value)]
             if triples:
                 patterns = [random_pattern(rng, triples) for _ in range(2)]
                 assert store.query(name, patterns) == bgp_oracle(triples, patterns)

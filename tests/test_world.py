@@ -102,6 +102,27 @@ def test_arm_observation_lists_reachable_pallets():
     assert world.pallets_in_reach("arm") == {}
 
 
+def test_arm_observation_lists_pallets_in_id_order():
+    world = make_world(pallets={"Q": (3, 2), "P": (2, 2)}, devices=[arm()])
+    (obs,) = world.step()
+    assert list(obs.payload["pallets_in_reach"].items()) == [("P", [2, 2]), ("Q", [3, 2])]
+
+
+def test_step_advances_every_queue_before_it_observes_any_device():
+    """The arm's id sorts first, yet on the tick the robot releases a pallet
+    into the arm's reach the arm's observation already lists it."""
+    world = make_world(pallets={"P": (2, 2)}, devices=[robot(2, 2), arm()])
+    assert list(world.devices) == ["arm", "bot"]
+    assert world.apply("bot", cmd("grip"))
+    assert world.apply("bot", cmd("release"))
+    arm_obs, bot_obs = world.step()
+    assert bot_obs.payload["holding"] == "P"
+    assert arm_obs.payload["pallets_in_reach"] == {}
+    arm_obs, bot_obs = world.step()
+    assert bot_obs.payload["holding"] is None
+    assert arm_obs.payload["pallets_in_reach"] == {"P": [2, 2]}
+
+
 def test_goto_current_cell_finishes_without_moving():
     world = make_world(devices=[robot(2, 2)])
     assert world.apply("bot", cmd("goto_cell", cell=(2, 2)))
