@@ -12,7 +12,10 @@ state differs from that record, stamped with that tick, so ``tick`` is the
 tick the state was first reported.  It writes the device's full state into
 the data graph when it opens and from then on is the only writer of its
 asset's state predicates, rewriting only those whose values changed since
-the last report.
+the last report. Handed the very payload it digested last, which the world
+reuses for an unchanged device, it returns at once. An arriving invocation
+clears that memo, and the outcome and the invocation in flight change only
+then, on dispatch in the same tick, or inside ``observe``.
 """
 
 from __future__ import annotations
@@ -123,6 +126,7 @@ class ConnectionComponent:
         self._command_id: int | None = None  # the invocation in flight
         self._arrived: list[NativeCommand] = []  # its commands, until dispatch
         self._outcome: dict = {"done_id": None, "failed_id": None}
+        self._digested: dict | None = None  # the payload observe read last
         self._obs_topics = blueprint.observation_topics
         for topic in blueprint.command_topics:
             self.adapter.subscribe(topic, self._on_command_text)
@@ -145,6 +149,7 @@ class ConnectionComponent:
         params = payload.get("params") or {}
         if type(command_id) is not int or not isinstance(params, dict):
             return
+        self._digested = None
         if self._command_id is not None:
             # Refuse the newcomer without disturbing the invocation in flight.
             self._outcome.update(failed_id=command_id, error="device busy")
@@ -175,7 +180,7 @@ class ConnectionComponent:
 
     def observe(self, observation: Observation) -> None:
         """Digest a world observation; publish and mirror it if it changed."""
-        if self.adapter.closed:
+        if self.adapter.closed or observation.payload is self._digested:
             return
         payload = dict(observation.payload)
         if self._command_id is not None and not payload["busy"]:
@@ -186,6 +191,7 @@ class ConnectionComponent:
                 self._command_id = None
         payload["device"] = observation.device_id
         payload.update(self._outcome)
+        self._digested = observation.payload
         if payload == self._reported:
             return
         text = canonical_json({**payload, "tick": observation.tick})

@@ -3,7 +3,8 @@
 Everything that moves, moves here, in a fixed order: mediator first, then
 the asset agents with work, by id, then device dispatch, one world tick, and
 the fan-out and mirroring of each device state that changed; the scenario is
-the only writer of pallet ``atPosition``.  An asset agent has
+the only writer of pallet ``atPosition``, and rewrites it only on a tick in
+which the world says a pallet moved.  An asset agent has
 work while its inbox holds mail or one of its device commands is in flight.
 That is tested when the walk reaches the agent, so mail sent earlier in the
 same tick still wakes it; an agent without work, whose turn would do
@@ -146,7 +147,8 @@ class Scenario:
             handle = self.handles.get(observation.device_id)
             if handle is not None and handle.connection is not None:
                 handle.connection.observe(observation)
-        self._publish_pallets()
+        if self.world.pallets_moved:
+            self._publish_pallets()
 
     # -- task runs ---------------------------------------------------------
 

@@ -21,6 +21,15 @@ One reader, ``cell``, turns every written position the world takes in
 (fixture cells, command cells, task parameters) into an on-grid
 ``(x, y)``; ``position_literal`` is its inverse. Construction also
 rejects two pallets on one cell and arm joints beyond the limits.
+
+After construction, device and pallet state change only through ``apply``
+and ``_progress``. A queued command runs on the next tick, so ``_progress``
+alone marks each device whose observation may change: the device it moves
+(a waiting grip moves nothing), every arm whose reach holds a cell a grip
+empties or a release fills, and, one tick more, a device whose command
+failed. Payloads are read-only, and ``step`` hands an unmarked device its
+last one again, so an unchanged device is neither rebuilt nor re-read;
+``pallets_moved`` says whether a pallet moved.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import WorldError, read_text
 
@@ -48,9 +58,9 @@ _VERBS = {
 
 
 def _joints_ok(joints) -> bool:
-    """Four numbers, each within the joint limit."""
+    """Four numbers, each within the joint limit; a bool is no number."""
     return (isinstance(joints, (tuple, list)) and len(joints) == 4
-            and all(isinstance(j, (int, float)) and abs(j) <= JOINT_LIMIT
+            and all(type(j) in (int, float) and abs(j) <= JOINT_LIMIT
                     for j in joints))
 
 
@@ -62,9 +72,8 @@ class NativeCommand:
     args: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """What one device reports after a tick."""
+class Observation(NamedTuple):
+    """What one device reports after a tick; the payload is read-only."""
 
     device_id: str
     tick: int
@@ -143,6 +152,9 @@ class WarehouseWorld:
                                      f"within +-{JOINT_LIMIT} rad")
             self.devices[device.device_id] = device
         self._queues: dict[str, deque] = {d: deque() for d in self.devices}
+        self._marked = set(self.devices)  # may differ from their last payload
+        self._payloads: dict[str, dict] = {}
+        self.pallets_moved = False
 
     # -- fixture loading --------------------------------------------------
 
@@ -276,21 +288,35 @@ class WarehouseWorld:
 
     def step(self) -> list[Observation]:
         """Advance one tick: progress every device queue, then observe every
-        device, so each observation sees all of the tick's moves."""
+        device, so each observation sees all of the tick's moves. An unmarked
+        device's observation carries its last payload, the same dict."""
         self.tick += 1
+        self.pallets_moved = False
         queues, failed = self._queues, {}
         for device_id, device in self.devices.items():
             if queues[device_id]:
-                failed[device_id] = self._progress(device, queues[device_id])
-        observations = []
+                verb = self._progress(device, queues[device_id])
+                if verb is not None:
+                    failed[device_id] = verb
+        marked, self._marked = self._marked, set(failed)
+        payloads, observations = self._payloads, []
         for device_id in self.devices:
-            observations.append(self.observe(device_id, failed.get(device_id)))
+            if device_id in marked:
+                observation = self.observe(device_id, failed.get(device_id))
+                payloads[device_id] = observation.payload
+            else:
+                observation = Observation(device_id, self.tick, payloads[device_id])
+            observations.append(observation)
         return observations
 
     def _progress(self, device, queue: deque) -> str | None:
         """Advance a device's head command; returns the verb that failed, if any."""
         command = queue[0]
         verb = command.verb
+        if (verb == "grip" and device.kind == KIND_ROBOTIC_ARM
+                and device.reach.isdisjoint(self._pallet_by_cell)):
+            return  # an arm grips once a pallet lies in its reach
+        self._marked.add(device.device_id)
         if verb == "goto_cell":
             target = command.args["cell"]
             if device.cell == target:
@@ -303,6 +329,7 @@ class WarehouseWorld:
                 dy = 1 if target[1] > y else -1
             device.cell = (x + dx, y + dy)
             device.heading = HEADINGS.get((dx, dy), device.heading)
+            self.pallets_moved |= device.holding is not None
             if device.cell == target:
                 queue.popleft()
         elif verb == "set_joints":
@@ -318,9 +345,6 @@ class WarehouseWorld:
             if done:
                 queue.popleft()
         else:
-            if (verb == "grip" and device.kind == KIND_ROBOTIC_ARM
-                    and device.reach.isdisjoint(self._pallet_by_cell)):
-                return  # an arm grips once a pallet lies in its reach
             queue.popleft()
             target = self._target(device, command)
             if target is None:
@@ -331,6 +355,9 @@ class WarehouseWorld:
             else:
                 self._pallet_by_cell[target] = device.holding
                 device.holding = None
+            self.pallets_moved = True
+            self._marked.update(d.device_id for d in self.devices.values()
+                                if target in getattr(d, "reach", ()))
 
     def observe(self, device_id: str, failed: str | None = None) -> Observation:
         """What a device reports now; ``failed`` names a verb that failed this tick."""

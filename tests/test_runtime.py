@@ -830,6 +830,67 @@ def test_an_unchanged_device_publishes_nothing():
         assert len(published[device]) == len(set(states)) < 21
 
 
+def arm_waits_to_grip(scenario: Scenario) -> bool:
+    world = scenario.world
+    arm = world.devices["roboticarm"]
+    return (world.device_busy("roboticarm") and arm.holding is None
+            and arm.joints == PICK_POSTURE and not world.pallets_in_reach("roboticarm"))
+
+
+def turtlebot_has_delivered(scenario: Scenario) -> bool:
+    world = scenario.world
+    return (not world.device_busy("turtlebot") and world.devices["turtlebot"].holding is None
+            and world.pallet_positions()["Pallet1"] != "P1")
+
+
+def publishes_around_an_invoke(reference: bool, device: str, invoke: dict, when):
+    """Run the fixture task and send ``invoke`` to ``device`` after the first
+    tick on which ``when`` holds. Returns the device's publishes, that tick,
+    and whether the world handed the device the same payload on the next
+    tick (known only without the reference connections)."""
+    with fresh() as scenario:
+        if reference:
+            use_reference_connections(scenario)
+        published = record_publishes(scenario)[device]
+        connection = scenario.handles[device].connection
+        sent = {}
+
+        def send_once(s: Scenario):
+            if not sent and when(s):
+                sent.update(tick=s.world.tick, payload=connection._digested)
+                sender = s.registry.resolve(connection.adapter.endpoint)
+                sender.publish(connection.blueprint.command_topics[0], canonical_json(invoke))
+                sender.close()
+            elif sent and s.world.tick == sent["tick"] + 1:
+                sent["unchanged"] = connection._digested is sent["payload"] is not None
+
+        result = scenario.run_task("move_pallet", PARAMS, on_tick=send_once)
+        assert (result.status, result.ticks) == ("completed", 21)
+    return published, sent["tick"], sent.get("unchanged")
+
+
+@pytest.mark.parametrize("device, invoke, when, error", [
+    ("roboticarm", {"op": "invoke", "id": 99, "capability": "GripperControl",
+                    "params": {"to": "P2"}}, arm_waits_to_grip, "device busy"),
+    ("turtlebot", {"op": "invoke", "id": 98, "capability": "MotionControl",
+                   "params": {"to": "cell:9,9"}}, turtlebot_has_delivered,
+     "a command needs a cell on the 6x4 grid, got 'cell:9,9'"),
+], ids=["busy_during_grip_wait", "off_grid_while_idle"])
+def test_an_outcome_that_changes_alone_is_published_on_its_tick(device, invoke, when,
+                                                                error):
+    """A refused invoke changes only the echoed outcome, on a tick on which
+    the device's own state does not change; it is still published on that
+    tick, as when every tick is published."""
+    published, tick, unchanged = publishes_around_an_invoke(False, device, invoke, when)
+    every_tick, reference_tick, _ = publishes_around_an_invoke(True, device, invoke, when)
+    assert tick == reference_tick and unchanged
+    changes = [report for before, report in zip([None, *every_tick], every_tick)
+               if without_tick(report) != without_tick(before)]
+    assert published == changes
+    refused = next(report for report in published if report["failed_id"] == invoke["id"])
+    assert (refused["tick"], refused["error"]) == (tick + 1, error)
+
+
 def test_a_late_mqtt_subscriber_gets_the_last_reported_state():
     """The broker retains the last report, stamped with the tick it was first
     reported, and hands it to a subscriber that joins after the task."""

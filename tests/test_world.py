@@ -152,6 +152,7 @@ def test_robot_rejects_malformed_commands(verb, args):
     ("set_joints", {"joints": [1.8, 0, 0, 0]}),    # beyond the joint limit
     ("set_joints", {"joints": [0, 0, 0]}),
     ("set_joints", {"joints": "zero"}),
+    ("set_joints", {"joints": [True, 0, 0, 0]}),   # a bool is no joint angle
 ])
 def test_arm_rejects_malformed_commands(verb, args):
     world = make_world(devices=[arm()])
@@ -327,6 +328,114 @@ def test_pallet_conservation_under_random_commands():
                 assert cell in getattr(holder, "reach", {holder.cell})
 
 
+# -- sensing by exception ---------------------------------------------------
+
+
+def observe_every_device(world):
+    """A tick that rebuilds every device's payload: progress every queue,
+    then ``observe`` each device with the verb that failed this tick."""
+    world.tick += 1
+    failed = {}
+    for device_id, device in world.devices.items():
+        if world._queues[device_id]:
+            failed[device_id] = world._progress(device, world._queues[device_id])
+    return [world.observe(device_id, failed.get(device_id)) for device_id in world.devices]
+
+
+def random_world(rng: random.Random) -> WarehouseWorld:
+    """Two to four devices on a 4x4 grid: robots, and arms whose reaches overlap."""
+    cells = [(x, y) for x in range(4) for y in range(4)]
+    devices = [MobileRobotSim(f"bot{n}", rng.choice(cells))
+               for n in range(rng.randint(1, 2))]
+    devices += [RoboticArmSim(f"arm{n}", base, frozenset(rng.sample(cells, 4)))
+                for n, base in enumerate(rng.sample(cells, rng.randint(1, 2)))]
+    pallets = {f"P{n}": cell for n, cell in enumerate(rng.sample(cells, rng.randint(1, 4)))}
+    return make_world(pallets=pallets, devices=devices, width=4, height=4)
+
+
+def random_command(rng: random.Random, world: WarehouseWorld, device_id: str):
+    device = world.devices[device_id]
+    cell = rng.choice(sorted(getattr(device, "reach", ())) or [None])
+    if device.kind == KIND_MOBILE_ROBOT:
+        return rng.choice([cmd("goto_cell", cell=(rng.randrange(4), rng.randrange(4))),
+                           cmd("grip"), cmd("release")])
+    return rng.choice([cmd("set_joints", joints=[rng.choice((0.0, 0.2, -0.3))] * 4),
+                       cmd("grip"), cmd("grip", cell=cell), cmd("release", cell=cell)])
+
+
+def test_step_matches_observing_every_device_every_tick():
+    """On random worlds and command scripts, every tick's ``step`` equals a
+    tick that observes every device afresh, ``pallets_moved`` is set on each
+    tick the pallet positions change, and an unchanged device is handed its
+    last payload again. The scripts leave devices idle, make arms wait to
+    grip, fail grips and releases (dropping the commands queued behind
+    them) and release pallets into another arm's reach."""
+    seen = dict.fromkeys(("reused", "idle", "grip_wait", "failed_grip", "failed_release",
+                          "dropped", "into_other_reach"), 0)
+    for seed in range(40):
+        rng = random.Random(seed)
+        world, reference = (random_world(random.Random(seed)) for _ in range(2))
+        last = {}
+        for _ in range(60):
+            for device_id in world.devices:
+                if rng.random() < 0.2:
+                    command = random_command(rng, world, device_id)
+                    assert world.apply(device_id, command) == reference.apply(device_id, command)
+            queues = {d: list(q) for d, q in reference._queues.items()}
+            lying = set(reference._pallet_by_cell)
+            holders = {d.device_id: d.holding for d in reference.devices.values()}
+            positions = reference.pallet_positions()
+            observations = world.step()
+            expected = observe_every_device(reference)
+            assert observations == expected, f"seed {seed}, tick {world.tick}"
+            assert world.pallets_moved or reference.pallet_positions() == positions
+            for observation in observations:
+                device_id, payload = observation.device_id, observation.payload
+                seen["reused"] += payload is last.get(device_id)
+                last[device_id] = payload
+                queue, device = queues[device_id], reference.devices[device_id]
+                seen["idle"] += not queue
+                seen["grip_wait"] += bool(queue and queue[0].verb == "grip"
+                                          and device.kind == KIND_ROBOTIC_ARM
+                                          and device.reach.isdisjoint(lying))
+                if payload["failed"] is not None:
+                    seen[f"failed_{payload['failed']}"] += 1
+                    seen["dropped"] += len(queue) > 1
+                filled = set(reference._pallet_by_cell) - lying
+                released = holders[device_id] is not None and device.holding is None
+                seen["into_other_reach"] += released and any(
+                    other is not device and filled & getattr(other, "reach", set())
+                    for other in reference.devices.values())
+    assert min(seen.values()) > 0, seen
+
+
+def test_a_waiting_grip_hands_the_arm_its_last_payload_again():
+    """Nothing changes while an arm waits to grip, so nothing is rebuilt."""
+    world = make_world(devices=[arm()])
+    assert world.apply("arm", cmd("grip", cell=(3, 2))) is False
+    assert world.apply("arm", cmd("set_joints", joints=[0.1, 0.0, 0.0, 0.0]))
+    assert world.apply("arm", cmd("grip"))
+    (first,) = world.step()
+    for tick in (2, 3):
+        (obs,) = world.step()
+        assert obs.tick == tick and obs.payload is first.payload
+    assert (first.payload["busy"], first.payload["joints"][0]) == (True, 0.1)
+
+
+def test_an_idle_arm_whose_pallet_is_taken_first_waits_and_says_so():
+    """Both arms accept a grip on the one pallet; the first in id order takes
+    it, so the other's grip waits and the arm reports busy on that tick.
+    Queueing marks nothing: the grip that emptied a cell in its reach did."""
+    world = make_world(pallets={"P": (2, 2)},
+                      devices=[arm(), RoboticArmSim("arm2", (1, 2), frozenset({(2, 2)}))])
+    first = {obs.device_id: obs.payload for obs in world.step()}
+    assert world.apply("arm", cmd("grip", cell=(2, 2)))
+    assert world.apply("arm2", cmd("grip"))
+    by_id = {obs.device_id: obs.payload for obs in world.step()}
+    assert (by_id["arm"]["holding"], by_id["arm2"]["busy"]) == ("P", True)
+    assert by_id["arm2"] is not first["arm2"] and by_id["arm2"]["pallets_in_reach"] == {}
+
+
 # -- fixture loading --------------------------------------------------------
 
 
@@ -377,6 +486,7 @@ def test_every_fixture_cell_takes_the_three_written_forms():
     lambda d: d["devices"]["roboticarm"].update({"joints": [0, 0, 0]}),
     lambda d: d["devices"]["roboticarm"].update({"joints": [0, 0, 0, "x"]}),
     lambda d: d["devices"]["roboticarm"].update({"joints": [0, 0, 0, 1.6]}),
+    lambda d: d["devices"]["roboticarm"].update({"joints": [True, False, 0, 0]}),
 ])
 def test_bad_fixture_documents_raise(mutate):
     doc = fixture_doc()
