@@ -51,6 +51,13 @@ from .world import WarehouseWorld
 
 log = logging.getLogger("kgmas.agents")
 
+# The facts instantiate and shutdown mirror, built once: by realm, the
+# facts of an agent with a device connection and of one without.
+_STARTED = {realm: ({HAS_REALM: [iri]},
+                    {HAS_REALM: [iri], HAS_STATUS: [Literal(STATUS_IDLE)]})
+            for iri, realm in vocab.REALMS.items()}
+_STOPPED = {HAS_STATUS: [Literal(STATUS_STOPPED)]}
+
 
 # -- specs ------------------------------------------------------------------
 
@@ -386,10 +393,8 @@ def instantiate(blueprint: AgentBlueprint, *, bus: Bus, store: NamedGraphStore,
             channel.close()
         bus.unregister(agent_id)
         raise
-    facts = {HAS_REALM: [kgmas(blueprint.realm)]}
-    if connection is None:
-        facts[HAS_STATUS] = [Literal(STATUS_IDLE)]
-    store.replace(data_graph, blueprint.asset_id, facts)
+    store.replace(data_graph, blueprint.asset_id,
+                  _STARTED[blueprint.realm][connection is None])
     agent = GenericAgent(agent_id, bus, channel)
     return AgentHandle(blueprint, agent, connection)
 
@@ -405,8 +410,7 @@ def shutdown(handle: AgentHandle, *, bus: Bus, store: NamedGraphStore,
     if handle.agent.channel is not None:
         handle.agent.channel.close()
     bus.unregister(handle.blueprint.agent_id)
-    store.replace(data_graph, handle.blueprint.asset_id,
-                  {HAS_STATUS: [Literal(STATUS_STOPPED)]})
+    store.replace(data_graph, handle.blueprint.asset_id, _STOPPED)
 
 
 def emit_specs(blueprints, directory) -> list[str]:

@@ -3,10 +3,11 @@
 An asset is described along five concerns: what it is (kind and realm),
 how to reach it (connection scheme and endpoint), what data flows it
 has (channels), what it can do (capabilities) and which system entity
-aggregates it. One reader walks an asset's layers and yields both its
-blueprint, the flat structure agent generation consumes, and every
-issue in it. Validation adds the checks that span the graph to that
-reader's issues; blueprint extraction refuses an asset with any issue.
+aggregates it. One reader walks an asset's layers, reading the entries
+``NamedGraphStore.about`` returns in place, and yields what it read and
+every issue in it. Validation only checks, adding the checks that span
+the graph to that reader's issues; extraction alone builds the blueprint
+agent generation consumes, and refuses an asset with any issue.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 
 from . import vocab
 from .errors import BlueprintError, UnknownAssetError
-from .store import NamedGraphStore, objects_of
+from .store import NamedGraphStore
 from .terms import Iri, Literal
 from .transports import Endpoint, default_registry
+from .turtle import render_term
 
 _DIRECTIONS = (("publishes", vocab.PUBLISHES_ON), ("subscribes", vocab.SUBSCRIBES_TO))
 
@@ -44,7 +46,7 @@ class AgentBlueprint:
     capabilities: tuple[Iri, ...]
     coordination_role: Iri
 
-    @property
+    @functools.cached_property
     def agent_id(self) -> str:
         return vocab.agent_id_of(self.asset_id)
 
@@ -77,22 +79,26 @@ def list_assets(store: NamedGraphStore, graph_id) -> list[Iri]:
     return [row[0] for row in store.rows(graph_id, vocab.HAS_ASSET_KIND)]
 
 
-def _literals(facts, predicate: Iri) -> list[str]:
-    return [o.lexical for o in objects_of(facts, predicate) if isinstance(o, Literal)]
+def _lexicals(entry) -> tuple[str, ...]:
+    """The lexical forms of an entry's literals."""
+    if len(entry) == 1:  # the usual fact
+        obj = entry[0].object
+        return (obj.lexical,) if type(obj) is Literal else ()
+    return tuple([t.object.lexical for t in entry if type(t.object) is Literal])
 
 
 def _read_asset(about, asset: Iri):
     """Walk the five layers of one asset description, once.
 
     ``about`` reads one node's facts; the asset and each of its channel
-    nodes are read once. Returns the blueprint (``None`` when any layer is
+    nodes are read once. Returns what was read (``None`` when any layer is
     incomplete), the connection schemes named, unchecked, and every issue
     found, in layer order; raises ``UnknownAssetError`` when the asset has
     no kind. Only triples about the asset itself (and its channel nodes)
     are consulted, so descriptions of other assets cannot leak in.
     """
     facts = about(asset)
-    kinds = objects_of(facts, vocab.HAS_ASSET_KIND)
+    kinds = facts.get(vocab.HAS_ASSET_KIND.value, ())
     if not kinds:
         raise UnknownAssetError(f"no asset description for {asset.value}")
     issues: list[ValidationIssue] = []
@@ -102,16 +108,16 @@ def _read_asset(about, asset: Iri):
 
     if len(kinds) != 1:
         issue("asset-kind", asset, f"expected one asset kind, found {len(kinds)}")
-    elif not isinstance(kinds[0], Iri):
+    elif type(kinds[0].object) is not Iri:
         issue("asset-kind", asset, "asset kind must be an iri")
-    realms = objects_of(facts, vocab.HAS_REALM)
+    realms = facts.get(vocab.HAS_REALM.value, ())
     if len(realms) != 1:
         issue("realm", asset, f"expected one realm, found {len(realms)}")
-    elif realms[0] not in vocab.REALMS:
+    elif realms[0].object not in vocab.REALMS:
         issue("realm", asset, f"realm must be physical or digital, "
-                              f"found {realms[0]}")
-    protocols = _literals(facts, vocab.HAS_PROTOCOL)
-    endpoints = _literals(facts, vocab.HAS_ENDPOINT)
+                              f"found {render_term(realms[0].object)}")
+    protocols = _lexicals(facts.get(vocab.HAS_PROTOCOL.value, ()))
+    endpoints = _lexicals(facts.get(vocab.HAS_ENDPOINT.value, ()))
     if not protocols or not endpoints:
         issue("binding", asset, "asset needs a connection scheme and endpoint")
     elif len(protocols) > 1 or len(endpoints) > 1:
@@ -122,45 +128,39 @@ def _read_asset(about, asset: Iri):
     channels = []
     seen: set[str] = set()
     for direction, predicate in _DIRECTIONS:
-        for node in objects_of(facts, predicate):
-            if not isinstance(node, Iri):
+        for fact in facts.get(predicate.value, ()):
+            node = fact.object
+            if type(node) is not Iri:
                 issue("channel", asset, "channel must be a node, not a literal")
                 continue
             channel = about(node)
-            topics = _literals(channel, vocab.HAS_TOPIC)
-            message_kinds = objects_of(channel, vocab.HAS_MESSAGE_KIND)
+            topics = _lexicals(channel.get(vocab.HAS_TOPIC.value, ()))
+            message_kinds = channel.get(vocab.HAS_MESSAGE_KIND.value, ())
             if len(topics) != 1 or not topics[0]:
                 issue("channel", node, "channel needs exactly one topic")
                 continue
-            if len(message_kinds) != 1 or not isinstance(message_kinds[0], Iri):
+            if len(message_kinds) != 1 or type(message_kinds[0].object) is not Iri:
                 issue("channel", node, "channel needs exactly one message kind")
             else:
-                channels.append(Channel(topics[0], direction, message_kinds[0]))
+                channels.append((direction, topics[0], message_kinds[0].object))
             # one channel per topic: a transport binds a topic once per asset
             if topics[0] in seen:
                 issue("channel", asset, f"more than one channel on topic {topics[0]!r}")
             seen.add(topics[0])
-    capabilities = objects_of(facts, vocab.HAS_CAPABILITY)
+    capabilities = facts.get(vocab.HAS_CAPABILITY.value, ())
     if not capabilities:
         issue("capability", asset, "asset declares no capability")
-    elif not all(isinstance(c, Iri) for c in capabilities):
+    elif type(capabilities[-1].object) is not Iri:  # iris sort first
         issue("capability", asset, "capability must be an iri")
-    roles = objects_of(facts, vocab.HAS_COORDINATION_ROLE)
+    roles = facts.get(vocab.HAS_COORDINATION_ROLE.value, ())
     if len(roles) != 1:
         issue("role", asset, f"expected one coordination role, found {len(roles)}")
-    elif not isinstance(roles[0], Iri):
+    elif type(roles[0].object) is not Iri:
         issue("role", asset, "coordination role must be an iri")
     if issues:
         return None, protocols, issues
-    return AgentBlueprint(
-        asset_id=asset,
-        asset_kind=kinds[0],
-        realm=vocab.REALMS[realms[0]],
-        binding=Endpoint(protocols[0], endpoints[0]),
-        channels=tuple(sorted(channels, key=lambda c: (c.direction, c.topic))),
-        capabilities=capabilities,
-        coordination_role=roles[0],
-    ), protocols, issues
+    return (kinds[0].object, realms[0].object, protocols[0], endpoints[0], channels,
+            capabilities, roles[0].object), protocols, issues
 
 
 def validate_setup(store: NamedGraphStore, graph_id,
@@ -232,10 +232,14 @@ def extract_blueprint(store: NamedGraphStore, graph_id, asset_id: Iri) -> AgentB
     Raises ``UnknownAssetError`` for an undescribed iri and
     ``BlueprintError`` naming the layer of the first issue found.
     """
-    blueprint, _, issues = _read_asset(
-        functools.partial(store.about, graph_id), asset_id)
+    read, _, issues = _read_asset(functools.partial(store.about, graph_id), asset_id)
     if issues:
         first = issues[0]
         raise BlueprintError(f"{asset_id.value}: {_LAYERS[first.rule]} layer "
                              f"incomplete ({first.rule}): {first.message}")
-    return blueprint
+    kind, realm, scheme, endpoint, channels, capabilities, role = read
+    # an asset read whole has one channel per topic: these sort by (direction, topic)
+    return AgentBlueprint(asset_id, kind, vocab.REALMS[realm], Endpoint(scheme, endpoint),
+                          tuple([Channel(topic, direction, message_kind)
+                                 for direction, topic, message_kind in sorted(channels)]),
+                          tuple([fact.object for fact in capabilities]), role)

@@ -300,6 +300,11 @@ class _Rendered(dict):
         return text
 
 
+def render_term(term) -> str:
+    """One term as a dump writes it."""
+    return _Rendered()[term]
+
+
 def serialize_turtle(triples) -> str:
     """Render triples as a canonical document.
 

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from helpers import counted_store_reads, grow_setup, random_setup
+from kgmas import runtime
 from kgmas.agents import emit_specs, generate_agents, spec_to_dict
 from kgmas.cli import main
 from kgmas.errors import BlueprintError, GenerationError, UnknownAssetError
 from kgmas.rami import extract_blueprint, list_assets, validate_setup
+from kgmas.runtime import Scenario, load_protocols
 from kgmas.store import NamedGraphStore
 from kgmas.terms import Iri, Literal, Triple, triple_key
 from kgmas.vocab import (
@@ -21,14 +25,18 @@ from kgmas.vocab import (
     HAS_CAPABILITY,
     HAS_COORDINATION_ROLE,
     HAS_ENDPOINT,
+    HAS_MESSAGE_KIND,
     HAS_PROTOCOL,
     HAS_REALM,
     HAS_TOPIC,
     PUBLISHES_ON,
+    REALM_DIGITAL,
+    REALM_PHYSICAL,
     SETUP_GRAPH,
     SUBSCRIBES_TO,
     kgmas,
 )
+from kgmas.world import WarehouseWorld
 
 TURTLEBOT = kgmas("Turtlebot")
 ARM = kgmas("RoboticArm")
@@ -75,9 +83,15 @@ def test_two_asset_kinds_flagged(setup_store):
 
 
 def test_bogus_realm_value_flagged(setup_store):
+    """The issue shows the realm found as Turtle text, an iri or a literal."""
     setup_store.remove(SETUP_GRAPH, Triple(TURTLEBOT, HAS_REALM, kgmas("physical")))
-    setup_store.insert(SETUP_GRAPH, Triple(TURTLEBOT, HAS_REALM, kgmas("imaginary")))
-    assert "realm" in rules_of(validate_setup(setup_store, SETUP_GRAPH))
+    for value, shown in ((kgmas("imaginary"), "kgmas:imaginary"),
+                         (Literal("physical"), '"physical"')):
+        setup_store.insert(SETUP_GRAPH, Triple(TURTLEBOT, HAS_REALM, value))
+        issues = validate_setup(setup_store, SETUP_GRAPH).issues
+        assert [(i.rule, i.subject, i.message) for i in issues] == [
+            ("realm", TURTLEBOT.value, f"realm must be physical or digital, found {shown}")]
+        setup_store.remove(SETUP_GRAPH, Triple(TURTLEBOT, HAS_REALM, value))
 
 
 def test_unknown_scheme_flagged(setup_store):
@@ -230,6 +244,45 @@ def test_setup_reads_each_node_once(monkeypatch):
     assert wide[0] == wide[100]
 
 
+def test_scenario_reads_each_setup_node_twice(monkeypatch):
+    """Building a ``Scenario`` reads each asset and each channel node twice,
+    once to validate and once to extract, at 2 and at 102 assets; every
+    other read is the protocol loader's, the graph-wide reads do not grow
+    with the assets, and ``instantiate`` reads nothing."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    inputs = importlib.import_module("inputs")
+    instantiate = runtime.instantiate
+    wide = {}
+    for n in (0, 100):
+        inp = inputs.make_inputs("fleet", 1, fleet=n)
+        store = load(inp.setup_text)
+        world = WarehouseWorld.from_fixture(json.loads(inp.world_text))
+        nodes = list_assets(store, SETUP_GRAPH) + [
+            t.object for t in store.triples(SETUP_GRAPH)
+            if t.predicate in (PUBLISHES_ON, SUBSCRIBES_TO)]
+        assert len(nodes) > 2 * (n + 2)
+        instantiated = []
+        with counted_store_reads(monkeypatch) as calls, monkeypatch.context() as patch:
+            load_protocols(store, SETUP_GRAPH)
+            loader = Counter(node for name, node in calls if name == "about")
+            calls.clear()
+
+            def counted(*args, **kwargs):
+                before = len(calls)
+                handle = instantiate(*args, **kwargs)
+                instantiated.append(len(calls) - before)
+                return handle
+            patch.setattr(runtime, "instantiate", counted)
+            scenario = Scenario(store, world, transport_overrides=inp.overrides)
+        scenario.close()
+        assert {name for name, _ in calls} == {"about", "rows"}
+        assert Counter(node for name, node in calls if name == "about") == (
+            Counter(nodes) + Counter(nodes) + loader)
+        assert instantiated == [0] * (n + 2)
+        wide[n] = [call for call in calls if call[0] == "rows"]
+    assert wide[0] == wide[100]
+
+
 def test_random_setups_validate_and_list(tmp_path):
     rng = random.Random(42)
     for _ in range(10):
@@ -258,19 +311,40 @@ def renamed(triples, old: Iri, new: Iri) -> list[Triple]:
     return [Triple(swap(t.subject), t.predicate, swap(t.object)) for t in triples]
 
 
+# A second object for one of an asset's single-valued layers.
+SECOND_OBJECTS = (
+    (HAS_ASSET_KIND, kgmas("Conveyor")), (HAS_REALM, REALM_PHYSICAL),
+    (HAS_REALM, REALM_DIGITAL), (HAS_PROTOCOL, Literal("mqtt")),
+    (HAS_ENDPOINT, Literal("elsewhere:1")), (HAS_COORDINATION_ROLE, kgmas("SpareRole")))
+
+
 def mutate(rng: random.Random, triples: list[Triple]) -> list[Triple]:
     """One seeded edit: drop a triple, turn an iri object into a literal,
-    or rename an asset to an iri whose agent id is reserved."""
-    edit = rng.choice(("drop", "literal", "rename"))
+    rename an asset to an iri whose agent id is reserved, give an asset a
+    second kind, realm, scheme, endpoint or role, empty a literal, turn a
+    channel into a literal, or drop a channel's message kind."""
+    edit = rng.choice(("drop", "literal", "rename", "second", "empty",
+                       "literal_channel", "no_message_kind"))
     if edit == "drop":
         gone = triples[rng.randrange(len(triples))]
         return [t for t in triples if t != gone]
-    if edit == "literal":
-        pick = rng.choice([t for t in triples if isinstance(t.object, Iri)])
+    if edit in ("literal", "literal_channel"):
+        pick = rng.choice([t for t in triples if isinstance(t.object, Iri) and (
+            edit == "literal" or t.predicate in (PUBLISHES_ON, SUBSCRIBES_TO))])
         return [Triple(t.subject, t.predicate, Literal(t.object.local_name))
                 if t == pick else t for t in triples]
+    if edit == "empty":
+        pick = rng.choice([t for t in triples if isinstance(t.object, Literal)])
+        return [Triple(t.subject, t.predicate, Literal("")) if t == pick else t
+                for t in triples]
+    if edit == "no_message_kind":
+        gone = rng.choice([t for t in triples if t.predicate == HAS_MESSAGE_KIND])
+        return [t for t in triples if t != gone]
     assets = sorted({t.subject for t in triples if t.predicate == HAS_ASSET_KIND},
                     key=lambda a: a.value)
+    if edit == "second":
+        predicate, obj = rng.choice(SECOND_OBJECTS)
+        return [*triples, Triple(rng.choice(assets), predicate, obj)]
     return renamed(triples, rng.choice(assets),
                    rng.choice((kgmas("Kg"), kgmas("Operator"))))
 
@@ -336,3 +410,34 @@ def test_validate_and_generate_give_one_answer(case, setup_store, tmp_path,
     assert validated == generated == 1
     assert f"{rule}\t" in out and f"{rule}\t" in err
     assert "Traceback" not in err
+
+
+def test_edited_setups_keep_every_issue_and_spec(setup_store):
+    """A seeded run of setups with one or two edits each, pinned by a digest
+    of every validation issue, every spec ``generate_agents`` builds and
+    every ``BlueprintError`` message, in order: how the reader reads the
+    store must not change what it finds."""
+    base = base_triples(setup_store)
+    rng = random.Random(32)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        triples = base
+        for _ in range(rng.randint(1, 2)):
+            triples = mutate(rng, triples)
+        store = store_of(triples)
+        report = validate_setup(store, SETUP_GRAPH)
+        try:
+            specs = [spec_to_dict(bp) for bp in generate_agents(store, SETUP_GRAPH)]
+        except GenerationError as err:
+            assert tuple(err.violations) == report.issues
+            specs = None
+        refusals = []
+        for asset in list_assets(store, SETUP_GRAPH):
+            try:
+                extract_blueprint(store, SETUP_GRAPH, asset)
+            except BlueprintError as err:
+                refusals.append(str(err))
+        issues = [[i.rule, i.subject, i.message] for i in report.issues]
+        digest.update(json.dumps([issues, specs, refusals], sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "a08bf13f40818c36b72c698c8fe5b6ba355207fe869b36932019b27df9af9f10")
