@@ -120,7 +120,7 @@ class GenericAgent:
     command in flight is dropped at the end of its conversation too.
     """
 
-    def __init__(self, agent_id: str, bus: Bus, channel: AgentChannel | None):
+    def __init__(self, agent_id: str, bus: Bus, channel: AgentChannel):
         self.agent_id = agent_id
         self.bus = bus
         self.channel = channel
@@ -157,7 +157,7 @@ class GenericAgent:
         """Drain the inbox, then check on any command in flight."""
         while (message := self.bus.try_receive(self.agent_id)) is not None:
             self._handle(message)
-        if self.performing is not None and self.channel is not None:
+        if self.performing is not None:
             self._poll_device()
 
     def _handle(self, message: AclMessage) -> None:
@@ -191,9 +191,6 @@ class GenericAgent:
                        conversation)
         elif action == "perform":
             self._tasks.setdefault(conversation, {})
-            if self.channel is None:
-                self._tell(Performative.FAILURE, {"error": "no_device"}, conversation)
-                return
             command_id = next(self._command_counter)
             try:
                 self.channel.send_command({
@@ -407,8 +404,7 @@ def shutdown(handle: AgentHandle, *, bus: Bus, store: NamedGraphStore,
     handle.state = "stopped"
     if handle.connection is not None:
         handle.connection.close()
-    if handle.agent.channel is not None:
-        handle.agent.channel.close()
+    handle.agent.channel.close()
     bus.unregister(handle.blueprint.agent_id)
     store.replace(data_graph, handle.blueprint.asset_id, _STOPPED)
 

@@ -132,8 +132,7 @@ class ConnectionComponent:
             self.adapter.subscribe(topic, self._on_command_text)
         # Mirrored in full but never published: the first tick always reports.
         self._reported: dict = {}
-        self._mirror({"cell": world.devices[self.asset_id].cell,
-                      **world.observe(self.asset_id).payload})
+        self._mirror(world.observe(self.asset_id).payload)
 
     # -- command lifecycle -------------------------------------------------
 
@@ -144,7 +143,7 @@ class ConnectionComponent:
             return
         if not isinstance(payload, dict) or payload.get("op") != "invoke":
             return
-        command_id = payload.get("id", 0)
+        command_id = payload.get("id")
         capability = str(payload.get("capability", ""))
         params = payload.get("params") or {}
         if type(command_id) is not int or not isinstance(params, dict):
@@ -172,9 +171,9 @@ class ConnectionComponent:
         natives, self._arrived = self._arrived, []
         for command in natives:
             if not self.world.apply(self.asset_id, command):
-                # Only the first command can be refused: translate's commands
-                # pass the structural checks, and the target check runs only
-                # on an empty queue. So a refusal leaves nothing queued.
+                # translate's commands pass the world's shape checks, so this
+                # guards the world's API only; a grip or release that cannot
+                # run fails when it runs.
                 self._fail(f"{command.verb} rejected")
                 return
 

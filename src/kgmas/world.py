@@ -1,35 +1,32 @@
 """Simulated warehouse: grid, stations, pallets and device simulators.
 
-The world is a discrete-time simulation. Commands are validated on
-``apply`` and queued per device; the queue is the one record of what a
-device still has to do. ``step`` advances the head of every queue by one
-tick and returns one observation per device, both in device id order.
-An arm's grip waits at the head of its queue while no pallet lies in its
-reach, and a command that fails when it runs drops the rest of its
-device's queue. The world alone says what a device is doing: whether a
-command runs, which pallets an arm can reach, and what failed, reported
-on the tick of the failure only. Mechanics contain no randomness, so a
-fixed command script always produces the same observation stream.
+The world is a discrete-time simulation. ``apply`` checks a command's
+shape and queues it per device; the queue is the one record of what a
+device still has to do. ``step`` advances the devices one tick in device
+id order, each by the head of its queue, and returns one observation per
+device. An arm's grip waits at the head of its queue while no pallet lies
+in its reach, and a command that fails when it runs drops the rest of its
+device's queue. A device reports only its own state: whether a command
+runs, where it is, what it holds, and what failed, reported on the tick
+of the failure only. Mechanics contain no randomness, so a fixed command
+script always produces the same observation stream.
 
 A robot moves one cell per tick; arm joints move at most 0.1 rad per
-tick per joint. One rule, ``_target``, decides which pallet a grip takes
-and which cell a release fills, both for ``apply`` and when the command
-runs: a robot acts on its own cell, an arm on a cell in its reach. A
-pallet is always in exactly one place: on a cell, or held by the one
-device whose ``holding`` names it, and no two pallets share a cell.
+tick per joint. One rule, ``_target``, judges every grip and release
+when it runs: a robot acts on its own cell, an arm on a cell in its
+reach. A pallet is always in exactly one place: on a cell, or held by the
+one device whose ``holding`` names it, and no two pallets share a cell.
 One reader, ``cell``, turns every written position the world takes in
 (fixture cells, command cells, task parameters) into an on-grid
 ``(x, y)``; ``position_literal`` is its inverse. Construction also
 rejects two pallets on one cell and arm joints beyond the limits.
 
-After construction, device and pallet state change only through ``apply``
-and ``_progress``. A queued command runs on the next tick, so ``_progress``
-alone marks each device whose observation may change: the device it moves
-(a waiting grip moves nothing), every arm whose reach holds a cell a grip
-empties or a release fills, and, one tick more, a device whose command
-failed. Payloads are read-only, and ``step`` hands an unmarked device its
-last one again, so an unchanged device is neither rebuilt nor re-read;
-``pallets_moved`` says whether a pallet moved.
+A device's observation changes only when its progress moves it, when
+``apply`` wakes it from idle, or, one tick more, after its command
+failed; the world marks it then. Payloads are read-only, and ``step``
+hands an unmarked device its last one again, so an unchanged device is
+neither rebuilt nor re-read; ``pallets_moved`` says whether a pallet
+moved.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from .errors import WorldError, read_text
 
 JOINT_STEP = 0.1
 JOINT_LIMIT = 1.57
-HEADINGS = {(1, 0): "E", (-1, 0): "W", (0, 1): "N", (0, -1): "S"}
 
 KIND_MOBILE_ROBOT = "mobile_robot"
 KIND_ROBOTIC_ARM = "robotic_arm"
@@ -84,7 +80,6 @@ class Observation(NamedTuple):
 class MobileRobotSim:
     device_id: str
     cell: tuple[int, int]
-    heading: str = "E"
     holding: str | None = None
 
     kind = KIND_MOBILE_ROBOT
@@ -226,24 +221,12 @@ class WarehouseWorld:
     def device_busy(self, device_id: str) -> bool:
         return bool(self._queues[device_id])
 
-    def pallets_in_reach(self, device_id: str) -> dict[str, list[int]]:
-        """Pallets lying on a cell an arm can reach, by id."""
-        reach, found = self.devices[device_id].reach, {}
-        for cell, pallet_id in self._pallet_by_cell.items():
-            if cell in reach:
-                found[pallet_id] = list(cell)
-        return found if len(found) < 2 else dict(sorted(found.items()))
-
     # -- commands ---------------------------------------------------------
 
     def apply(self, device_id: str, command: NativeCommand) -> bool:
-        """Validate and queue a command. Returns False when rejected.
-
-        Structural checks (verb/argument shape, ``cell``) always run.
-        A grip or release must also find its target (``_target``) at once
-        when the device queue is empty; queued behind other commands it is
-        judged at execution time instead.
-        """
+        """Check a command's shape (verb, joints, cell) and queue it; False
+        when refused. Whether a grip or release can run is judged when it
+        runs, by ``_target``."""
         if device_id not in self.devices:
             raise WorldError(f"unknown device {device_id!r}")
         device = self.devices[device_id]
@@ -258,15 +241,15 @@ class WarehouseWorld:
                 command = NativeCommand(verb, {**args, "cell": self.cell(args.get("cell"))})
             except WorldError:
                 return False
-        if (verb in ("grip", "release") and not self._queues[device_id]
-                and self._target(device, command) is None):
-            return False
-        self._queues[device_id].append(command)
+        queue = self._queues[device_id]
+        if not queue:
+            self._marked.add(device_id)  # woken from idle: it reports busy
+        queue.append(command)
         return True
 
     def _target(self, device, command: NativeCommand) -> tuple[int, int] | None:
-        """The cell a grip takes its pallet from or a release fills; None
-        when the command cannot run now. An arm's release needs a cell, and
+        """The cell a grip takes its pallet from or a release fills, as the
+        command runs; None when it fails. An arm's release needs a cell, and
         its grip without one takes from the first occupied cell in sorted
         reach."""
         cell = command.args.get("cell")
@@ -287,30 +270,30 @@ class WarehouseWorld:
     # -- time -------------------------------------------------------------
 
     def step(self) -> list[Observation]:
-        """Advance one tick: progress every device queue, then observe every
-        device, so each observation sees all of the tick's moves. An unmarked
-        device's observation carries its last payload, the same dict."""
+        """Advance one tick: progress each device's queue, then observe the
+        device if it is marked. An unmarked device's observation carries its
+        last payload, the same dict."""
         self.tick += 1
         self.pallets_moved = False
-        queues, failed = self._queues, {}
+        marked, failures = self._marked, set()
+        observations = []
         for device_id, device in self.devices.items():
-            if queues[device_id]:
-                verb = self._progress(device, queues[device_id])
-                if verb is not None:
-                    failed[device_id] = verb
-        marked, self._marked = self._marked, set(failed)
-        payloads, observations = self._payloads, []
-        for device_id in self.devices:
+            queue = self._queues[device_id]
+            failed = self._progress(device, queue) if queue else None
+            if failed is not None:
+                failures.add(device_id)
             if device_id in marked:
-                observation = self.observe(device_id, failed.get(device_id))
-                payloads[device_id] = observation.payload
+                observation = self.observe(device_id, failed)
+                self._payloads[device_id] = observation.payload
             else:
-                observation = Observation(device_id, self.tick, payloads[device_id])
+                observation = Observation(device_id, self.tick, self._payloads[device_id])
             observations.append(observation)
+        self._marked = failures
         return observations
 
     def _progress(self, device, queue: deque) -> str | None:
-        """Advance a device's head command; returns the verb that failed, if any."""
+        """Advance a device's head command and mark the device, unless an
+        arm's grip waits; returns the verb that failed, if any."""
         command = queue[0]
         verb = command.verb
         if (verb == "grip" and device.kind == KIND_ROBOTIC_ARM
@@ -328,7 +311,6 @@ class WarehouseWorld:
             if dx == 0:
                 dy = 1 if target[1] > y else -1
             device.cell = (x + dx, y + dy)
-            device.heading = HEADINGS.get((dx, dy), device.heading)
             self.pallets_moved |= device.holding is not None
             if device.cell == target:
                 queue.popleft()
@@ -356,23 +338,17 @@ class WarehouseWorld:
                 self._pallet_by_cell[target] = device.holding
                 device.holding = None
             self.pallets_moved = True
-            self._marked.update(d.device_id for d in self.devices.values()
-                                if target in getattr(d, "reach", ()))
 
     def observe(self, device_id: str, failed: str | None = None) -> Observation:
         """What a device reports now; ``failed`` names a verb that failed this tick."""
         device = self.devices[device_id]
         payload = {
-            "kind": device.kind,
             "busy": self.device_busy(device_id),
+            "cell": list(device.cell),
             "holding": device.holding,
             "failed": failed,
         }
-        if device.kind == KIND_MOBILE_ROBOT:
-            payload["cell"] = list(device.cell)
-            payload["heading"] = device.heading
-        else:
+        if device.kind == KIND_ROBOTIC_ARM:
             payload["joints"] = [round(j, 6) for j in device.joints]
             payload["gripper"] = device.gripper
-            payload["pallets_in_reach"] = self.pallets_in_reach(device_id)
         return Observation(device_id, self.tick, payload)

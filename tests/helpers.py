@@ -205,8 +205,8 @@ def put_pallet_back(world, pallet_id: str = "Pallet1", station: str = "P1") -> N
     This edits the world's state directly, between tasks: the fixture's arm
     cannot carry a pallet back, so several ``move_pallet`` tasks on one
     scenario need the pallet returned by hand. The world senses only what
-    ``apply`` and ``step`` change, so the data graph and the arm's
-    ``pallets_in_reach`` keep the old cell until the pallet next moves.
+    ``apply`` and ``step`` change, so the data graph keeps the old cell
+    until the pallet next moves.
     """
     cells = world._pallet_by_cell
     del cells[next(cell for cell, held in cells.items() if held == pallet_id)]

@@ -214,11 +214,24 @@ def test_mediator_refuses_queries_about_unknown_tasks(setup_store):
     assert answer.in_reply_to == "asker-1"
 
 
+class _RecordingChannel:
+    """A device channel that takes every command and never reports back."""
+
+    def __init__(self):
+        self.commands = []
+
+    def send_command(self, command):
+        self.commands.append(command)
+
+    def latest_observation(self):
+        return None
+
+
 def test_generic_agent_stays_put_on_wait(setup_store):
     bus = Bus()
     bus.register("kg")
     bus.register("a")
-    agent = GenericAgent("a", bus, None)
+    agent = GenericAgent("a", bus, _RecordingChannel())
     bus.send(AclMessage(Performative.INFORM, "kg", "a", {"action": "wait"}, "c1"))
     agent.activate()
     assert len(bus.conversation_log("c1")) == 1 and bus.idle()  # nothing sent back
@@ -230,7 +243,7 @@ def test_generic_agent_runs_the_query_loop(setup_store):
     bus.register("kg")
     bus.register("operator")
     bus.register("a")
-    agent = GenericAgent("a", bus, None)
+    agent = GenericAgent("a", bus, _RecordingChannel())
     bus.send(AclMessage(Performative.REQUEST, "operator", "a",
                         {"task": "t1", "from": "P1"}, "c1"))
     agent.activate()
@@ -253,7 +266,7 @@ def test_generic_agent_keeps_task_memory_per_conversation():
     bus = Bus()
     for agent_id in ("kg", "operator", "a", "b"):
         bus.register(agent_id)
-    agent = GenericAgent("a", bus, None)
+    agent = GenericAgent("a", bus, _RecordingChannel())
     bus.send(AclMessage(Performative.REQUEST, "operator", "a",
                         {"task": "t1", "from": "P1"}, "A"))
     bus.send(AclMessage(Performative.INFORM, "kg", "a",
@@ -267,33 +280,6 @@ def test_generic_agent_keeps_task_memory_per_conversation():
     assert bus.try_receive("kg") is None
     forwarded = bus.try_receive("b")
     assert (forwarded.content, forwarded.conversation_id) == ({"task": "t1", "from": "P1"}, "A")
-
-
-def test_generic_agent_without_device_fails_perform(setup_store):
-    bus = Bus()
-    bus.register("kg")
-    bus.register("a")
-    agent = GenericAgent("a", bus, None)
-    bus.send(AclMessage(Performative.INFORM, "kg", "a",
-                        {"action": "perform", "capability": "MotionControl",
-                         "params": {}}, "c1"))
-    agent.activate()
-    failure = bus.try_receive("kg")
-    assert failure.performative is Performative.FAILURE
-    assert failure.content["error"] == "no_device"
-
-
-class _RecordingChannel:
-    """A device channel that takes every command and never reports back."""
-
-    def __init__(self):
-        self.commands = []
-
-    def send_command(self, command):
-        self.commands.append(command)
-
-    def latest_observation(self):
-        return None
 
 
 @pytest.mark.parametrize("performative", [Performative.FAILURE, Performative.REFUSE])

@@ -49,7 +49,7 @@ from kgmas.vocab import (
     XSD_INTEGER,
     kgmas,
 )
-from kgmas.world import WarehouseWorld
+from kgmas.world import NativeCommand, WarehouseWorld
 
 GOLDEN_TRACE = Path(__file__).resolve().parent.parent / "bench" / "golden" / "trace.log"
 SETUP = fixture_path("fig3_setup.ttl")
@@ -544,6 +544,22 @@ def test_a_command_the_world_fails_ends_its_invocation(monkeypatch):
     assert world.devices["turtlebot"].holding is None
 
 
+def test_a_command_the_world_refuses_fails_its_invocation(monkeypatch):
+    """``translate``'s commands always pass the world's shape checks; one
+    that does not fails its invocation when it is dispatched, with nothing
+    queued."""
+    monkeypatch.setattr("kgmas.connection.translate",
+                        lambda *args: [NativeCommand("fly"), NativeCommand("grip")])
+    with fresh() as scenario:
+        result = scenario.run_task("move_pallet", PARAMS)
+        busy = [scenario.world.device_busy(d) for d in scenario.world.devices]
+    assert (result.status, result.stalled_step) == ("failed", 3)
+    failures = [(m.sender, m.content["error"]) for _, m in result.trace
+                if m.performative is Performative.FAILURE]
+    assert failures == [("roboticarm", "fly rejected"), ("turtlebot", "fly rejected")]
+    assert busy == [False, False]
+
+
 def test_an_off_grid_task_cell_is_refused_before_the_arm_grips():
     """The arm reads the task's cell when its command arrives, so it never
     lifts a pallet it could not set down."""
@@ -762,8 +778,7 @@ def run_reporting(case: str, seed: int, reference: bool):
 
     def snapshot(s: Scenario):
         heard = {agent_id: without_tick(handle.agent.channel.latest_observation())
-                 for agent_id, handle in s.handles.items()
-                 if handle.agent.channel is not None}
+                 for agent_id, handle in s.handles.items()}
         seen.append((s.store.dump_turtle(DATA_GRAPH), heard))
 
     with scenario:
@@ -834,7 +849,8 @@ def arm_waits_to_grip(scenario: Scenario) -> bool:
     world = scenario.world
     arm = world.devices["roboticarm"]
     return (world.device_busy("roboticarm") and arm.holding is None
-            and arm.joints == PICK_POSTURE and not world.pallets_in_reach("roboticarm"))
+            and arm.joints == PICK_POSTURE
+            and world.cell(world.pallet_positions()["Pallet1"]) not in arm.reach)
 
 
 def turtlebot_has_delivered(scenario: Scenario) -> bool:
@@ -891,6 +907,33 @@ def test_an_outcome_that_changes_alone_is_published_on_its_tick(device, invoke, 
     assert (refused["tick"], refused["error"]) == (tick + 1, error)
 
 
+def test_a_lone_release_on_an_idle_arm_fails_on_the_tick_it_arrives(monkeypatch):
+    """The world accepts the release's shape and judges it when it runs, on
+    the tick it arrives: the arm holds nothing, so it fails, and the arm
+    publishes ``release failed`` on that tick."""
+    with fresh() as scenario:
+        accepted = []
+
+        def apply(device_id, command, apply=scenario.world.apply):
+            accepted.append((command.verb, apply(device_id, command)))
+            return accepted[-1][1]
+
+        monkeypatch.setattr(scenario.world, "apply", apply)
+        published = record_publishes(scenario)["roboticarm"]
+        scenario.iterate()
+        connection = scenario.handles["roboticarm"].connection
+        sender = scenario.registry.resolve(connection.adapter.endpoint)
+        sender.publish(connection.blueprint.command_topics[0], canonical_json(
+            {"op": "invoke", "id": 5, "capability": "GripperControl",
+             "params": {"op": "release"}}))
+        sender.close()
+        scenario.iterate()
+    assert accepted == [("release", True)]
+    assert [(report["tick"], report["busy"], report["failed"], report["failed_id"],
+             report.get("error")) for report in published] == [
+        (1, False, None, None, None), (2, False, "release", 5, "release failed")]
+
+
 def test_a_late_mqtt_subscriber_gets_the_last_reported_state():
     """The broker retains the last report, stamped with the tick it was first
     reported, and hands it to a subscriber that joins after the task."""
@@ -915,9 +958,9 @@ def test_a_late_mqtt_subscriber_gets_the_last_reported_state():
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_malformed_commands_are_dropped(scheme):
-    """Command text that is not JSON, is not an ``invoke`` object, has an id
-    that is not an integer or params that are not a map is dropped, on every
-    transport kind."""
+    """Command text that is not JSON, is not an ``invoke`` object, has no id
+    or one that is not an integer, or params that are not a map is dropped,
+    on every transport kind."""
     with fresh(transport_overrides={"roboticarm": scheme}) as scenario:
         connection = scenario.handles["roboticarm"].connection
         sender = scenario.registry.resolve(connection.adapter.endpoint)
@@ -927,6 +970,7 @@ def test_malformed_commands_are_dropped(scheme):
                     {"op": "cancel", "id": 3, "capability": "GripperControl",
                      "params": {"to": "P2"}},
                     {"id": 4, "capability": "GripperControl", "params": {"to": "P2"}},
+                    {"op": "invoke", "capability": "GripperControl", "params": {"to": "P2"}},
                     {"op": "invoke", "id": "x"},
                     {"op": "invoke", "id": None},
                     {"op": "invoke", "id": 7, "capability": "GripperControl",

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from helpers import fixture_path
-from kgmas.connection import translate
+from kgmas.connection import _FACTS, translate
 from kgmas.errors import ValidationError, WorldError
 from kgmas.world import (
     KIND_MOBILE_ROBOT,
@@ -49,15 +49,15 @@ def test_robot_fetch_golden_trace():
     for _ in range(7):
         (obs,) = world.step()
         seen.append((tuple(obs.payload["cell"]), obs.payload["holding"],
-                     obs.payload["busy"], obs.payload["heading"]))
+                     obs.payload["busy"]))
     assert seen == [
-        ((1, 0), None, True, "E"),
-        ((1, 1), None, True, "N"),
-        ((1, 1), "P", True, "N"),
-        ((2, 1), "P", True, "E"),
-        ((3, 1), "P", True, "E"),
-        ((3, 2), "P", True, "N"),
-        ((3, 2), None, False, "N"),
+        ((1, 0), None, True),
+        ((1, 1), None, True),
+        ((1, 1), "P", True),
+        ((2, 1), "P", True),
+        ((3, 1), "P", True),
+        ((3, 2), "P", True),
+        ((3, 2), None, False),
     ]
     assert world.pallet_positions() == {"P": "cell:3,2"}
     assert world.tick == 7
@@ -92,35 +92,16 @@ def test_arm_pick_golden_trace():
     assert world.pallet_positions() == {"P": "cell:2,2"}
 
 
-def test_arm_observation_lists_reachable_pallets():
-    world = make_world(pallets={"P": (3, 2), "Q": (0, 0)}, devices=[arm()])
-    (obs,) = world.step()
-    assert obs.payload["pallets_in_reach"] == {"P": [3, 2]}
-    assert world.pallets_in_reach("arm") == {"P": [3, 2]}
-    assert world.apply("arm", cmd("grip", cell=(3, 2)))
-    world.step()
-    assert world.pallets_in_reach("arm") == {}
-
-
-def test_arm_observation_lists_pallets_in_id_order():
-    world = make_world(pallets={"Q": (3, 2), "P": (2, 2)}, devices=[arm()])
-    (obs,) = world.step()
-    assert list(obs.payload["pallets_in_reach"].items()) == [("P", [2, 2]), ("Q", [3, 2])]
-
-
-def test_step_advances_every_queue_before_it_observes_any_device():
-    """The arm's id sorts first, yet on the tick the robot releases a pallet
-    into the arm's reach the arm's observation already lists it."""
-    world = make_world(pallets={"P": (2, 2)}, devices=[robot(2, 2), arm()])
-    assert list(world.devices) == ["arm", "bot"]
-    assert world.apply("bot", cmd("grip"))
-    assert world.apply("bot", cmd("release"))
-    arm_obs, bot_obs = world.step()
-    assert bot_obs.payload["holding"] == "P"
-    assert arm_obs.payload["pallets_in_reach"] == {}
-    arm_obs, bot_obs = world.step()
-    assert bot_obs.payload["holding"] is None
-    assert arm_obs.payload["pallets_in_reach"] == {"P": [2, 2]}
+def test_a_device_reports_exactly_the_state_its_asset_mirrors():
+    """An observation carries the keys the connection mirrors into the data
+    graph for that device, plus ``failed``: a robot has no joints or
+    gripper, and an arm reports its base as its cell."""
+    world = make_world(pallets={"P": (3, 2)}, devices=[robot(), arm()])
+    mirrored = {key for key, _, _ in _FACTS}
+    by_id = {obs.device_id: obs.payload for obs in world.step()}
+    assert set(by_id["bot"]) == mirrored - {"joints", "gripper"} | {"failed"}
+    assert set(by_id["arm"]) == mirrored | {"failed"}
+    assert by_id["arm"]["cell"] == [3, 2]
 
 
 def test_goto_current_cell_finishes_without_moving():
@@ -159,10 +140,17 @@ def test_arm_rejects_malformed_commands(verb, args):
     assert world.apply("arm", NativeCommand(verb, args)) is False
 
 
-def test_idle_grip_without_pallet_rejected_up_front():
+def test_an_idle_grip_or_release_that_cannot_run_fails_when_it_runs():
+    """``apply`` checks only a command's shape, so a grip with no pallet
+    under the robot is queued and fails on the next tick, like a release
+    while holding nothing."""
     world = make_world(devices=[robot(2, 2)])
-    assert world.apply("bot", cmd("grip")) is False
-    assert world.apply("bot", cmd("release")) is False  # holding nothing
+    assert world.apply("bot", cmd("grip"))
+    (obs,) = world.step()
+    assert (obs.payload["failed"], obs.payload["busy"]) == ("grip", False)
+    assert world.apply("bot", cmd("release"))  # holding nothing
+    (obs,) = world.step()
+    assert (obs.payload["failed"], obs.payload["busy"]) == ("release", False)
 
 
 def test_queued_grip_judged_at_execution_time():
@@ -232,17 +220,19 @@ def test_an_arm_grip_waits_until_a_pallet_lies_in_reach():
 
 
 def test_robot_grips_and_releases_only_on_its_own_cell():
-    """A grip or release naming another cell is refused, not carried out there."""
+    """A grip or release naming another cell fails when it runs, whether
+    queued on an idle robot or behind a move; nothing is carried out there."""
     world = make_world(pallets={"P": (0, 0), "Q": (4, 4)}, devices=[robot()])
-    assert world.apply("bot", cmd("grip", cell=[4, 4])) is False
-    assert world.apply("bot", cmd("grip"))
-    world.step()
-    assert world.apply("bot", cmd("release", cell=[4, 4])) is False
-    assert world.apply("bot", cmd("release", cell=[1, 0])) is False
+    assert world.apply("bot", cmd("grip", cell=[4, 4]))
     (obs,) = world.step()
-    assert obs.payload["holding"] == "P"
+    assert (obs.payload["failed"], obs.payload["holding"]) == ("grip", None)
+    assert world.apply("bot", cmd("grip"))
+    (obs,) = world.step()
+    assert (obs.payload["failed"], obs.payload["holding"]) == (None, "P")
+    assert world.apply("bot", cmd("release", cell=[4, 4]))
+    (obs,) = world.step()
+    assert (obs.payload["failed"], obs.payload["holding"]) == ("release", "P")
     assert world.pallet_positions() == {"P": "cell:0,0", "Q": "cell:4,4"}
-    # queued behind a move, the same release fails when it runs
     assert world.apply("bot", cmd("goto_cell", cell=(1, 0)))
     assert world.apply("bot", cmd("release", cell=[4, 4]))
     world.step()
@@ -367,11 +357,12 @@ def test_step_matches_observing_every_device_every_tick():
     """On random worlds and command scripts, every tick's ``step`` equals a
     tick that observes every device afresh, ``pallets_moved`` is set on each
     tick the pallet positions change, and an unchanged device is handed its
-    last payload again. The scripts leave devices idle, make arms wait to
-    grip, fail grips and releases (dropping the commands queued behind
-    them) and release pallets into another arm's reach."""
-    seen = dict.fromkeys(("reused", "idle", "grip_wait", "failed_grip", "failed_release",
-                          "dropped", "into_other_reach"), 0)
+    last payload again. The scripts leave devices idle, queue grips and
+    releases onto idle devices, make arms wait to grip, fail grips and
+    releases (dropping the commands queued behind them) and release pallets
+    into another arm's reach."""
+    seen = dict.fromkeys(("reused", "idle", "queued_onto_idle", "grip_wait", "failed_grip",
+                          "failed_release", "dropped", "into_other_reach"), 0)
     for seed in range(40):
         rng = random.Random(seed)
         world, reference = (random_world(random.Random(seed)) for _ in range(2))
@@ -380,7 +371,11 @@ def test_step_matches_observing_every_device_every_tick():
             for device_id in world.devices:
                 if rng.random() < 0.2:
                     command = random_command(rng, world, device_id)
-                    assert world.apply(device_id, command) == reference.apply(device_id, command)
+                    idle = not world._queues[device_id]
+                    accepted = world.apply(device_id, command)
+                    assert accepted == reference.apply(device_id, command)
+                    seen["queued_onto_idle"] += (accepted and idle
+                                                 and command.verb in ("grip", "release"))
             queues = {d: list(q) for d, q in reference._queues.items()}
             lying = set(reference._pallet_by_cell)
             holders = {d.device_id: d.holding for d in reference.devices.values()}
@@ -412,7 +407,6 @@ def test_step_matches_observing_every_device_every_tick():
 def test_a_waiting_grip_hands_the_arm_its_last_payload_again():
     """Nothing changes while an arm waits to grip, so nothing is rebuilt."""
     world = make_world(devices=[arm()])
-    assert world.apply("arm", cmd("grip", cell=(3, 2))) is False
     assert world.apply("arm", cmd("set_joints", joints=[0.1, 0.0, 0.0, 0.0]))
     assert world.apply("arm", cmd("grip"))
     (first,) = world.step()
@@ -422,10 +416,24 @@ def test_a_waiting_grip_hands_the_arm_its_last_payload_again():
     assert (first.payload["busy"], first.payload["joints"][0]) == (True, 0.1)
 
 
+def test_a_lone_grip_with_nothing_in_reach_waits_and_the_arm_reports_busy():
+    """A grip queued on an idle arm with no pallet in reach is accepted; it
+    waits, the arm reports busy on the next tick and then keeps that payload."""
+    world = make_world(devices=[arm()])
+    (idle,) = world.step()
+    assert world.apply("arm", cmd("grip"))
+    (waiting,) = world.step()
+    assert waiting.payload is not idle.payload
+    assert (waiting.payload["busy"], waiting.payload["failed"],
+            waiting.payload["holding"]) == (True, None, None)
+    (again,) = world.step()
+    assert again.payload is waiting.payload
+
+
 def test_an_idle_arm_whose_pallet_is_taken_first_waits_and_says_so():
     """Both arms accept a grip on the one pallet; the first in id order takes
     it, so the other's grip waits and the arm reports busy on that tick.
-    Queueing marks nothing: the grip that emptied a cell in its reach did."""
+    Queueing onto the idle arm marked it."""
     world = make_world(pallets={"P": (2, 2)},
                       devices=[arm(), RoboticArmSim("arm2", (1, 2), frozenset({(2, 2)}))])
     first = {obs.device_id: obs.payload for obs in world.step()}
@@ -433,7 +441,7 @@ def test_an_idle_arm_whose_pallet_is_taken_first_waits_and_says_so():
     assert world.apply("arm2", cmd("grip"))
     by_id = {obs.device_id: obs.payload for obs in world.step()}
     assert (by_id["arm"]["holding"], by_id["arm2"]["busy"]) == ("P", True)
-    assert by_id["arm2"] is not first["arm2"] and by_id["arm2"]["pallets_in_reach"] == {}
+    assert by_id["arm2"] is not first["arm2"]
 
 
 # -- fixture loading --------------------------------------------------------
